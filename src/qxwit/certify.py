@@ -5,8 +5,6 @@ and classification of kernel product vectors."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +28,7 @@ from .witness import (
     choi_explicit,
     dual_state,
     kernel_vector,
-    min_product_value,
+    min_product_values,
     pairing,
     pv4_vectors,
     _PV1_SLOTS,
@@ -39,20 +37,6 @@ from .xstate import XMatrix
 
 #: Relative singular-value cutoff for numerical ranks and nullspaces.
 RANK_THRESHOLD = 1e-8
-
-
-def worker_count() -> int:
-    """Worker cap for independent certification subtasks.
-
-    Reads QXWIT_THREADS when set; otherwise uses the hardware parallelism.
-    """
-    env = os.environ.get("QXWIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 # --- Hermitian <-> real-vector embedding -------------------------------------
@@ -439,29 +423,20 @@ def exposedness_certificate(
         direction = vec_to_herm(perp_basis[k])
         for eps in (prune_step, -prune_step):
             tasks.append((k, eps, choi + eps * direction, int(rng.integers(2**63))))
-
-    def _run(task):
-        k, eps, pert, sub_seed = task
-        res = min_product_value(pert, restarts=prune_restarts, seed=sub_seed)
-        violated = res.min_value < -1e-9
-        return PruneRecord(
+    results = min_product_values(
+        [pert for _, _, pert, _ in tasks], prune_restarts, [sub_seed for *_, sub_seed in tasks]
+    )
+    records = [
+        PruneRecord(
             direction=k,
             epsilon=eps,
             min_value=res.min_value,
             argmin=res.argmin,
-            violated=violated,
+            violated=res.min_value < -1e-9,
             perturbation=pert,
         )
-
-    if tasks:
-        workers = min(worker_count(), len(tasks))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_run, tasks))
-        else:
-            records = [_run(t) for t in tasks]
-    else:
-        records = []
+        for (k, eps, pert, _), res in zip(tasks, results)
+    ]
     pruned = {}
     for rec in records:
         pruned.setdefault(rec.direction, True)

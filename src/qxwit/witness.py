@@ -289,6 +289,13 @@ class SeesawResult:
     restarts: int
     seed: int
     cycles: int
+    max_cycles: int
+
+    @property
+    def converged(self) -> bool:
+        """The stall test stopped the run before its cycle cap.  A run that
+        stalls on its last allowed cycle also reads as not converged."""
+        return self.cycles < self.max_cycles
 
 
 def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -297,56 +304,98 @@ def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
     Rows whose matrix is (numerically) a multiple of the identity keep the
     current vector, since any unit vector is then optimal.
     """
-    a = m[:, 0, 0].real
-    d = m[:, 1, 1].real
-    od = m[:, 0, 1]
+    a = m[..., 0, 0].real
+    d = m[..., 1, 1].real
+    od = m[..., 0, 1]
     half = 0.5 * (a - d)
     lam = 0.5 * (a + d) - np.sqrt(half * half + np.abs(od) ** 2)
-    v1 = np.stack([lam - d, od.conj()], axis=1)
-    v2 = np.stack([-od, a - lam], axis=1)
-    n1 = np.linalg.norm(v1, axis=1)
-    n2 = np.linalg.norm(v2, axis=1)
+    v1 = np.stack([lam - d, od.conj()], axis=-1)
+    v2 = np.stack([-od, a - lam], axis=-1)
+    n1 = np.linalg.norm(v1, axis=-1)
+    n2 = np.linalg.norm(v2, axis=-1)
     use2 = n2 > n1
-    vec = np.where(use2[:, None], v2, v1)
+    vec = np.where(use2[..., None], v2, v1)
     nrm = np.where(use2, n2, n1)
     scale = np.abs(a) + np.abs(d) + 2.0 * np.abs(od) + 1e-300
     degenerate = nrm <= 1e-14 * scale
     safe = np.where(degenerate, 1.0, nrm)
-    vec = np.where(degenerate[:, None], current, vec / safe[:, None])
-    norms = np.linalg.norm(vec, axis=1)
-    return vec / norms[:, None]
+    vec = np.where(degenerate[..., None], current, vec / safe[..., None])
+    norms = np.linalg.norm(vec, axis=-1)
+    return vec / norms[..., None]
 
 
-def _seesaw(c8: np.ndarray, restarts: int, seed: int, max_cycles: int, stall_tol: float):
-    """Run all restarts of the cyclic see-saw simultaneously.
+#: Axis orders of the Choi tensor C[a, b, c, d, e, f] (row abc, column def)
+#: that put first the indices one party's effective matrix sums over, and last
+#: the (row, column) pair it keeps: party one keeps (a, d), two (b, e), three
+#: (c, f).
+_PARTY_AXES = ((1, 2, 4, 5, 0, 3), (0, 2, 3, 5, 1, 4), (0, 1, 3, 4, 2, 5))
 
-    Minimizes <eta| C |eta> over unit product vectors eta; one party at a time
-    is replaced by the minimal eigenvector of its effective 2x2 matrix.
-    Returns converged values and the three factor batches.
+
+def _effective(perm: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Effective 2x2 matrices of one party, (task, restart, 2, 2), given the
+    factors f1, f2 of the other two parties and that party's (task, 16, 4)
+    permutation of the Choi tensor."""
+    lead = f1.shape[:-1]
+    g = (f1[..., :, None] * f2[..., None, :]).reshape(*lead, 4)
+    w = (g.conj()[..., :, None] * g[..., None, :]).reshape(*lead, 16)
+    return np.matmul(w, perm).reshape(*lead, 2, 2)
+
+
+def _seesaw(matrices, restarts: int, seeds, max_cycles: int, stall_tol: float):
+    """Run every restart of the cyclic see-saw of every matrix as one batch.
+
+    Minimizes <eta| C |eta> over unit product vectors eta for each matrix C;
+    one party at a time is replaced by the minimal eigenvector of its
+    effective 2x2 matrix.  Task k draws its starting factors from
+    ``default_rng(seeds[k])`` and stops when no restart's value moved by
+    ``stall_tol`` or more in the last cycle, or at ``max_cycles``; stopped
+    tasks leave the batch.  Returns the values (task, restart), the factors
+    (party, task, restart, 2) and the cycles run per task.
     """
-    c6 = c8.reshape((2,) * 6)
-    rng = np.random.default_rng(seed)
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    checked = [check_hermitian(m) for m in matrices]
+    if any(m.shape != (8, 8) for m in checked):
+        raise ValueError("see-saw needs an 8x8 Hermitian matrix")
+    if len(seeds) != len(checked):
+        raise ValueError(f"got {len(seeds)} seeds for {len(checked)} matrices")
+    c6 = np.array(checked, dtype=complex).reshape((-1,) + (2,) * 6)
+    tasks = c6.shape[0]
+    perms = [c6.transpose(0, *(1 + a for a in axes)).reshape(tasks, 16, 4) for axes in _PARTY_AXES]
 
-    def random_factors():
-        v = rng.standard_normal((restarts, 2)) + 1j * rng.standard_normal((restarts, 2))
-        return v / np.linalg.norm(v, axis=1)[:, None]
-
-    fa, fb, fz = random_factors(), random_factors(), random_factors()
-    values = np.full(restarts, np.inf)
-    cycles = 0
-    for cycles in range(1, max_cycles + 1):
-        m = np.einsum("abcdef,nb,nc,ne,nf->nad", c6, fb.conj(), fz.conj(), fb, fz)
-        fa = _batched_min_eigvec(m, fa)
-        m = np.einsum("abcdef,na,nc,nd,nf->nbe", c6, fa.conj(), fz.conj(), fa, fz)
-        fb = _batched_min_eigvec(m, fb)
-        m = np.einsum("abcdef,na,nb,nd,ne->ncf", c6, fa.conj(), fb.conj(), fa, fb)
-        fz = _batched_min_eigvec(m, fz)
-        new = np.einsum("ni,nij,nj->n", fz.conj(), m, fz).real
-        if cycles > 1 and float(np.max(np.abs(new - values))) < stall_tol:
-            values = new
+    # Starting factors; each task's final factors overwrite its slice.
+    factors = np.empty((3, tasks, restarts, 2), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for party in range(3):
+            v = rng.standard_normal((restarts, 2)) + 1j * rng.standard_normal((restarts, 2))
+            factors[party, k] = v / np.linalg.norm(v, axis=1)[:, None]
+    fa, fb, fz = factors
+    values = np.full((tasks, restarts), np.inf)
+    out_values = np.empty_like(values)
+    out_cycles = np.full(tasks, max_cycles)
+    active = np.arange(tasks)
+    for cycle in range(1, max_cycles + 1):
+        if active.size == 0:
             break
+        fa = _batched_min_eigvec(_effective(perms[0], fb, fz), fa)
+        fb = _batched_min_eigvec(_effective(perms[1], fa, fz), fb)
+        m = _effective(perms[2], fa, fb)
+        fz = _batched_min_eigvec(m, fz)
+        new = np.einsum("...i,...ij,...j->...", fz.conj(), m, fz).real
+        stalled = (cycle > 1) & (np.max(np.abs(new - values), axis=1) < stall_tol)
         values = new
-    return values, fa, fb, fz, cycles
+        if stalled.any():
+            done = active[stalled]
+            out_values[done] = values[stalled]
+            factors[:, done] = np.array([fa[stalled], fb[stalled], fz[stalled]])
+            out_cycles[done] = cycle
+            keep = ~stalled
+            active, values, fa, fb, fz = active[keep], values[keep], fa[keep], fb[keep], fz[keep]
+            perms = [p[keep] for p in perms]
+    out_values[active] = values
+    factors[:, active] = np.array([fa, fb, fz])
+    return out_values, factors, out_cycles
 
 
 def seesaw_minima(
@@ -360,16 +409,42 @@ def seesaw_minima(
 
     The returned vectors v satisfy pairing(|v><v|, matrix) = value.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    c8 = check_hermitian(matrix)
-    if c8.shape != (8, 8):
-        raise ValueError("see-saw needs an 8x8 Hermitian matrix")
-    values, fa, fb, fz, _ = _seesaw(c8, restarts, seed, max_cycles, stall_tol)
+    values, (fa, fb, fz), _ = _seesaw([matrix], restarts, [seed], max_cycles, stall_tol)
     vectors = [
-        ProductVector(fa[k].conj(), fb[k].conj(), fz[k].conj()) for k in range(restarts)
+        ProductVector(fa[0, k].conj(), fb[0, k].conj(), fz[0, k].conj())
+        for k in range(restarts)
     ]
-    return values, vectors
+    return values[0], vectors
+
+
+def min_product_values(
+    matrices,
+    restarts: int,
+    seeds,
+    max_cycles: int = 300,
+    stall_tol: float = 1e-12,
+) -> tuple:
+    """Global see-saw minima over unit product vectors of several matrices,
+    run as one batch; ``seeds[k]`` seeds the restarts of ``matrices[k]``.
+
+    Each result equals, up to rounding, ``min_product_value`` of that matrix
+    and seed.  Returns a tuple of SeesawResult in the order of ``matrices``.
+    """
+    values, (fa, fb, fz), cycles = _seesaw(matrices, restarts, seeds, max_cycles, stall_tol)
+    results = []
+    for t, seed in enumerate(seeds):
+        k = int(np.argmin(values[t]))
+        results.append(
+            SeesawResult(
+                min_value=float(values[t, k]),
+                argmin=ProductVector(fa[t, k].conj(), fb[t, k].conj(), fz[t, k].conj()),
+                restarts=restarts,
+                seed=seed,
+                cycles=int(cycles[t]),
+                max_cycles=max_cycles,
+            )
+        )
+    return tuple(results)
 
 
 def min_product_value(
@@ -380,21 +455,8 @@ def min_product_value(
     stall_tol: float = 1e-12,
 ) -> SeesawResult:
     """Global see-saw minimum of the quadratic form over unit product vectors."""
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    c8 = check_hermitian(matrix)
-    if c8.shape != (8, 8):
-        raise ValueError("see-saw needs an 8x8 Hermitian matrix")
-    values, fa, fb, fz, cycles = _seesaw(c8, restarts, seed, max_cycles, stall_tol)
-    k = int(np.argmin(values))
-    argmin = ProductVector(fa[k].conj(), fb[k].conj(), fz[k].conj())
-    return SeesawResult(
-        min_value=float(values[k]),
-        argmin=argmin,
-        restarts=restarts,
-        seed=seed,
-        cycles=cycles,
-    )
+    (result,) = min_product_values([matrix], restarts, [seed], max_cycles, stall_tol)
+    return result
 
 
 def verify_positive(w: WitnessFamily, restarts: int = 200, seed: int = 0) -> SeesawResult:

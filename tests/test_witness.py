@@ -15,11 +15,13 @@ from qxwit import (
     choi_explicit,
     choi_generic,
     dual_state,
+    exposedness_certificate,
     herm_min_eig,
     is_ghz_diagonal,
     kernel_vector,
     kernel_vectors,
     min_product_value,
+    min_product_values,
     motivating_linear_map,
     motivating_sum,
     pairing,
@@ -30,6 +32,7 @@ from qxwit import (
     verify_positive,
     xpart,
 )
+from qxwit.witness import _batched_min_eigvec
 
 SQRT2 = math.sqrt(2.0)
 ST_CASES = ((2 * SQRT2, 2 * SQRT2), (4.0, 2.0), (2.0, 4.0), (8.0, 1.0))
@@ -352,6 +355,86 @@ class TestSeesaw:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             min_product_value(np.eye(8), restarts=0)
+
+    def test_batch_validation(self):
+        with pytest.raises(ValueError, match="seeds"):
+            min_product_values([np.eye(8)], 4, [1, 2])
+        with pytest.raises(ValueError, match="8x8"):
+            min_product_values([np.eye(8), np.eye(4)], 4, [1, 2])
+        assert min_product_values([], 4, []) == ()
+
+    @pytest.mark.parametrize("s,t", ST_CASES)
+    def test_choi_converges_before_cap(self, s, t):
+        res = verify_positive(WitnessFamily(s, t), restarts=200, seed=0)
+        assert res.converged
+        assert res.cycles <= 11
+
+
+def _reference_seesaw(c8, restarts, seed, max_cycles=300, stall_tol=1e-12):
+    """Serial see-saw of one matrix with a five-operand einsum contraction: the
+    reference the batched engine must reproduce.  Returns the per-restart
+    values and the cycles run."""
+    c6 = c8.reshape((2,) * 6)
+    rng = np.random.default_rng(seed)
+
+    def random_factors():
+        v = rng.standard_normal((restarts, 2)) + 1j * rng.standard_normal((restarts, 2))
+        return v / np.linalg.norm(v, axis=1)[:, None]
+
+    fa, fb, fz = random_factors(), random_factors(), random_factors()
+    values = np.full(restarts, np.inf)
+    for cycles in range(1, max_cycles + 1):
+        m = np.einsum("abcdef,nb,nc,ne,nf->nad", c6, fb.conj(), fz.conj(), fb, fz)
+        fa = _batched_min_eigvec(m, fa)
+        m = np.einsum("abcdef,na,nc,nd,nf->nbe", c6, fa.conj(), fz.conj(), fa, fz)
+        fb = _batched_min_eigvec(m, fb)
+        m = np.einsum("abcdef,na,nb,nd,ne->ncf", c6, fa.conj(), fb.conj(), fa, fb)
+        fz = _batched_min_eigvec(m, fz)
+        new = np.einsum("ni,nij,nj->n", fz.conj(), m, fz).real
+        stalled = cycles > 1 and float(np.max(np.abs(new - values))) < stall_tol
+        values = new
+        if stalled:
+            break
+    return values, cycles
+
+
+class TestBatchedSeesaw:
+    """One batch mixing a converging task (the Choi matrix C) with tasks that
+    stop at the cycle cap (C +- 0.05 D along constraint-nullspace directions D),
+    so stopped tasks leave the batch while others keep running."""
+
+    RESTARTS = 32
+    SEEDS = (11, 12, 13, 14, 15)
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        w = WitnessFamily()
+        cert = exposedness_certificate(w, grid=KernelGrid.small(), prune_restarts=1)
+        matrices = [choi_explicit(w)] + [r.perturbation for r in cert.prune_records[:4]]
+        return matrices, min_product_values(matrices, self.RESTARTS, self.SEEDS)
+
+    def test_mixes_converged_and_capped_tasks(self, batch):
+        _, results = batch
+        assert [r.converged for r in results] == [True, False, False, False, False]
+        assert all(r.cycles == r.max_cycles == 300 for r in results[1:])
+
+    def test_matches_single_runs(self, batch):
+        matrices, results = batch
+        for m, seed, res in zip(matrices, self.SEEDS, results):
+            one = min_product_value(m, self.RESTARTS, seed)
+            assert res.min_value == pytest.approx(one.min_value, abs=1e-12)
+            assert res.cycles == one.cycles
+            for f, g in zip(res.argmin.factors(), one.argmin.factors()):
+                overlap = abs(np.vdot(f, g)) / (np.linalg.norm(f) * np.linalg.norm(g))
+                assert overlap == pytest.approx(1.0, abs=1e-10)
+
+    def test_matches_einsum_reference(self, batch):
+        matrices, results = batch
+        for m, seed, res in zip(matrices, self.SEEDS, results):
+            values, cycles = _reference_seesaw(m, self.RESTARTS, seed)
+            assert res.min_value == pytest.approx(values.min(), abs=1e-12)
+            assert res.cycles == cycles
+            assert pairing(res.argmin.projector(), m) == pytest.approx(res.min_value, abs=1e-12)
 
 
 class TestMotivatingSum:
