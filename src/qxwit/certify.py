@@ -38,6 +38,11 @@ from .xstate import XMatrix
 #: Relative singular-value cutoff for numerical ranks and nullspaces.
 RANK_THRESHOLD = 1e-8
 
+#: A prune perturbation C + eps D has lost block positivity once its see-saw
+#: value is below this.  The threshold is absolute because the scale is fixed:
+#: every direction D has unit Hilbert-Schmidt norm and the step eps is 0.05.
+PRUNE_VIOLATION = -1e-9
+
 
 # --- Hermitian <-> real-vector embedding -------------------------------------
 
@@ -218,9 +223,13 @@ def dual_face_span(w: WitnessFamily, grid: KernelGrid | None = None) -> DualFace
 class PruneRecord:
     direction: int
     epsilon: float
+    #: The first see-saw value below PRUNE_VIOLATION, reached at ``argmin``;
+    #: or, if none was, the value at the stall or the cycle cap.
     min_value: float
     argmin: ProductVector
     violated: bool
+    cycles: int
+    stopped_below: bool
     perturbation: np.ndarray = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
@@ -230,6 +239,8 @@ class PruneRecord:
             "min_value": self.min_value,
             "argmin": product_vector_to_json(self.argmin),
             "violated": self.violated,
+            "cycles": self.cycles,
+            "stopped_below": self.stopped_below,
         }
 
 
@@ -368,13 +379,8 @@ def exposedness_certificate(
     nullspace_dim = null_basis.shape[0]
 
     # The basis kernel vectors force these diagonals to vanish on all of N.
-    pv4_diag_error = 0.0
-    for row in null_basis:
-        h = vec_to_herm(row)
-        pv4_diag_error = max(
-            pv4_diag_error,
-            float(np.max(np.abs(np.diagonal(h).real[list(_PV4_DIAG_INDICES)]))),
-        )
+    # herm_to_vec stores the diagonal in coordinates 0-7.
+    pv4_diag_error = float(np.max(np.abs(null_basis[:, _PV4_DIAG_INDICES]), initial=0.0))
     if pv4_diag_error > 10.0 * tol:
         raise ValueError(
             f"nullspace elements have nonzero pinned diagonals ({pv4_diag_error:.3e})"
@@ -414,7 +420,9 @@ def exposedness_certificate(
     }
 
     # Falsification route: every direction in N orthogonal to the ray must
-    # break block positivity under both signed perturbations.
+    # break block positivity under both signed perturbations.  See-saw values
+    # never rise, so each task stops at its first value below the threshold:
+    # its verdict is fixed from then on.
     perp = null_basis - np.outer(null_basis @ cunit, cunit)
     perp_basis = _orthonormal_rows(perp, 1e-10)
     tasks = []
@@ -424,7 +432,10 @@ def exposedness_certificate(
         for eps in (prune_step, -prune_step):
             tasks.append((k, eps, choi + eps * direction, int(rng.integers(2**63))))
     results = min_product_values(
-        [pert for _, _, pert, _ in tasks], prune_restarts, [sub_seed for *_, sub_seed in tasks]
+        [pert for _, _, pert, _ in tasks],
+        prune_restarts,
+        [sub_seed for *_, sub_seed in tasks],
+        stop_below=PRUNE_VIOLATION,
     )
     records = [
         PruneRecord(
@@ -432,7 +443,9 @@ def exposedness_certificate(
             epsilon=eps,
             min_value=res.min_value,
             argmin=res.argmin,
-            violated=res.min_value < -1e-9,
+            violated=res.min_value < PRUNE_VIOLATION,
+            cycles=res.cycles,
+            stopped_below=res.stopped_below,
             perturbation=pert,
         )
         for (k, eps, pert, _), res in zip(tasks, results)

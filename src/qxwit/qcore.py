@@ -57,7 +57,7 @@ def tensor3(x, y, z) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    return np.kron(np.kron(x, y), z)
+    return np.multiply.outer(np.multiply.outer(x, y).ravel(), z).ravel()
 
 
 @dataclass(frozen=True, eq=False)

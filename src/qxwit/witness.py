@@ -290,12 +290,15 @@ class SeesawResult:
     seed: int
     cycles: int
     max_cycles: int
+    #: The run stopped because its best value dropped below ``stop_below``.
+    stopped_below: bool = False
 
     @property
     def converged(self) -> bool:
         """The stall test stopped the run before its cycle cap.  A run that
-        stalls on its last allowed cycle also reads as not converged."""
-        return self.cycles < self.max_cycles
+        stalls on its last allowed cycle, or that ``stop_below`` stopped,
+        reads as not converged."""
+        return not self.stopped_below and self.cycles < self.max_cycles
 
 
 def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -341,16 +344,27 @@ def _effective(perm: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return np.matmul(w, perm).reshape(*lead, 2, 2)
 
 
-def _seesaw(matrices, restarts: int, seeds, max_cycles: int, stall_tol: float):
+def _seesaw(
+    matrices,
+    restarts: int,
+    seeds,
+    max_cycles: int,
+    stall_tol: float,
+    *,
+    stop_below: float | None = None,
+):
     """Run every restart of the cyclic see-saw of every matrix as one batch.
 
     Minimizes <eta| C |eta> over unit product vectors eta for each matrix C;
     one party at a time is replaced by the minimal eigenvector of its
     effective 2x2 matrix.  Task k draws its starting factors from
     ``default_rng(seeds[k])`` and stops when no restart's value moved by
-    ``stall_tol`` or more in the last cycle, or at ``max_cycles``; stopped
-    tasks leave the batch.  Returns the values (task, restart), the factors
-    (party, task, restart, 2) and the cycles run per task.
+    ``stall_tol`` or more in the last cycle, when its best value is below
+    ``stop_below`` (if given), or at ``max_cycles``; stopped tasks leave the
+    batch.  Every update is an exact minimization, so a restart's value never
+    rises and a value below ``stop_below`` stays below it.  Returns the values
+    (task, restart), the factors (party, task, restart, 2) and the cycles run
+    per task.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -383,14 +397,16 @@ def _seesaw(matrices, restarts: int, seeds, max_cycles: int, stall_tol: float):
         m = _effective(perms[2], fa, fb)
         fz = _batched_min_eigvec(m, fz)
         new = np.einsum("...i,...ij,...j->...", fz.conj(), m, fz).real
-        stalled = (cycle > 1) & (np.max(np.abs(new - values), axis=1) < stall_tol)
+        stop = (cycle > 1) & (np.max(np.abs(new - values), axis=1) < stall_tol)
+        if stop_below is not None:
+            stop |= new.min(axis=1) < stop_below
         values = new
-        if stalled.any():
-            done = active[stalled]
-            out_values[done] = values[stalled]
-            factors[:, done] = np.array([fa[stalled], fb[stalled], fz[stalled]])
+        if stop.any():
+            done = active[stop]
+            out_values[done] = values[stop]
+            factors[:, done] = np.array([fa[stop], fb[stop], fz[stop]])
             out_cycles[done] = cycle
-            keep = ~stalled
+            keep = ~stop
             active, values, fa, fb, fz = active[keep], values[keep], fa[keep], fb[keep], fz[keep]
             perms = [p[keep] for p in perms]
     out_values[active] = values
@@ -423,25 +439,38 @@ def min_product_values(
     seeds,
     max_cycles: int = 300,
     stall_tol: float = 1e-12,
+    *,
+    stop_below: float | None = None,
 ) -> tuple:
     """Global see-saw minima over unit product vectors of several matrices,
     run as one batch; ``seeds[k]`` seeds the restarts of ``matrices[k]``.
 
-    Each result equals, up to rounding, ``min_product_value`` of that matrix
-    and seed.  Returns a tuple of SeesawResult in the order of ``matrices``.
+    Without ``stop_below`` each result equals, up to rounding,
+    ``min_product_value`` of that matrix and seed.  With it a task stops at the first cycle where its
+    best value is below that threshold; its ``min_value`` is then that first
+    value below the threshold, not the minimum a full run would reach, and
+    ``stopped_below`` is set.  Returns a tuple of SeesawResult in the order
+    of ``matrices``.
     """
-    values, (fa, fb, fz), cycles = _seesaw(matrices, restarts, seeds, max_cycles, stall_tol)
+    values, (fa, fb, fz), cycles = _seesaw(
+        matrices, restarts, seeds, max_cycles, stall_tol, stop_below=stop_below
+    )
     results = []
     for t, seed in enumerate(seeds):
         k = int(np.argmin(values[t]))
+        min_value = float(values[t, k])
         results.append(
             SeesawResult(
-                min_value=float(values[t, k]),
+                min_value=min_value,
                 argmin=ProductVector(fa[t, k].conj(), fb[t, k].conj(), fz[t, k].conj()),
                 restarts=restarts,
                 seed=seed,
                 cycles=int(cycles[t]),
                 max_cycles=max_cycles,
+                # The threshold is tested on every cycle's values, the stored
+                # last ones included, so a task ends below it exactly when the
+                # threshold stopped it.
+                stopped_below=stop_below is not None and min_value < stop_below,
             )
         )
     return tuple(results)

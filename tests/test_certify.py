@@ -214,6 +214,23 @@ class TestExposedness:
         ]
 
 
+class TestPruneEarlyStop:
+    """Count-based guard: prune see-saws stop at their first violating value
+    instead of running every task to the 300-cycle cap."""
+
+    def test_certificate_tasks_stop_within_five_cycles(self, default_cert):
+        for rec in default_cert.prune_records:
+            assert rec.stopped_below
+            assert rec.cycles <= 5
+            assert rec.to_json_dict()["cycles"] == rec.cycles
+
+    def test_control_cycles_stay_far_below_the_cap(self, w):
+        cert = exposedness_certificate(
+            w, include_eta_zeta=False, include_dual_states=False, seed=0
+        )
+        assert sum(r.cycles for r in cert.prune_records) <= 10 * len(cert.prune_records)
+
+
 class TestDetection:
     def test_anchor_is_interior_dual_face_point(self, w):
         anchor = separable_anchor(w)

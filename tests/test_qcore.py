@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qxwit import (
     SUBSETS,
@@ -219,4 +221,17 @@ class TestJson:
 def test_tensor3_matches_nested_kron():
     rng = np.random.default_rng(10)
     x, y, z = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3))
+    assert np.array_equal(tensor3(x, y, z), np.kron(np.kron(x, y), z))
+
+
+# Bounded so that no product of three components overflows to inf or nan.
+_complex_pairs = st.lists(
+    st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False),
+    min_size=2,
+    max_size=2,
+).map(lambda v: np.array(v, dtype=complex))
+
+
+@given(_complex_pairs, _complex_pairs, _complex_pairs)
+def test_tensor3_is_bitwise_nested_kron(x, y, z):
     assert np.array_equal(tensor3(x, y, z), np.kron(np.kron(x, y), z))
