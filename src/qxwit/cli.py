@@ -9,6 +9,7 @@ Exit codes: 0 certified / verdict positive, 1 verdict negative, 2 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,7 +42,7 @@ from .witness import (
 )
 from .xstate import (
     XMatrix,
-    is_block_positive_xwitness,
+    _block_positivity,
     is_ghz_diagonal,
     rank4_separability_check,
     x_norm,
@@ -120,6 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="exposedness only: restrict constraints to the flat families",
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call in this process reuses, built on first use.
+
+    Parsing reads the parser and returns a new namespace, so reuse carries no
+    state from one call to the next.
+    """
+    return build_parser()
 
 
 def _witness(args) -> WitnessFamily:
@@ -240,15 +251,15 @@ def cmd_xstate(args):
     witness_shaped = bool(
         np.all(x.a[:3] == 0.0) and np.all(x.b[:3] == 0.0) and x.a[3] >= 0 and x.b[3] >= 0
     )
+    norm = x_norm(x.c)
     if witness_shaped:
-        payload["block_positive"] = is_block_positive_xwitness(x.a[3], x.b[3], x.c)
-        payload["block_positive_equality"] = bool(
-            abs(math.sqrt(x.a[3] * x.b[3]) - x_norm(x.c)) <= 1e-8
+        payload["block_positive"], payload["block_positive_equality"] = _block_positivity(
+            x.a[3], x.b[3], norm
         )
     else:
         payload["block_positive"] = None
         payload["block_positive_equality"] = None
-    payload["x_norm"] = x_norm(x.c)
+    payload["x_norm"] = norm
     positive_verdict = bool(
         payload["ghz_diagonal"]
         or payload.get("separable")
@@ -329,8 +340,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, code, note = _COMMANDS[args.command](args)
     except CommandError as exc:

@@ -377,13 +377,14 @@ def _seesaw(
     tasks = c6.shape[0]
     perms = [c6.transpose(0, *(1 + a for a in axes)).reshape(tasks, 16, 4) for axes in _PARTY_AXES]
 
-    # Starting factors; each task's final factors overwrite its slice.
-    factors = np.empty((3, tasks, restarts, 2), dtype=complex)
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for party in range(3):
-            v = rng.standard_normal((restarts, 2)) + 1j * rng.standard_normal((restarts, 2))
-            factors[party, k] = v / np.linalg.norm(v, axis=1)[:, None]
+    # Starting factors; each task's final factors overwrite its slice.  Task k
+    # draws from default_rng(seeds[k]) in the order (party, real/imaginary
+    # part, restart, component); the reshape keeps an empty batch 5-D.
+    draws = np.array(
+        [np.random.default_rng(seed).standard_normal((3, 2, restarts, 2)) for seed in seeds]
+    ).reshape(tasks, 3, 2, restarts, 2)
+    v = draws[:, :, 0] + 1j * draws[:, :, 1]
+    factors = np.ascontiguousarray((v / np.linalg.norm(v, axis=-1, keepdims=True)).swapaxes(0, 1))
     fa, fb, fz = factors
     values = np.full((tasks, restarts), np.inf)
     out_values = np.empty_like(values)

@@ -14,8 +14,16 @@ from .qcore import HERMITICITY_TOL, ProductVector, _square
 X_NORM_GRID_POINTS = 4096
 #: Relative tolerance on the rank-four separability conditions.
 SEPARABILITY_TOL = 1e-9
-#: Slack allowed in the block-positivity inequality.
+# Both sides of the block-positivity inequality sqrt(x4 y4) >= ||z||_X scale
+# linearly when (x4, y4, z) is scaled, so its tolerances are fractions of the
+# norm and the verdicts do not depend on the scale.  The computed norm is off
+# by a relative error only: a few ulps of rounding in the two moduli, plus the
+# phase search's miss, which at a smooth maximum is quadratic in its 1e-9
+# bracket.  Both lie many orders below 1e-9.
+#: Relative slack allowed in the block-positivity inequality.
 BLOCK_POSITIVITY_SLACK = 1e-9
+#: Relative tolerance for reporting equality sqrt(x4 y4) = ||z||_X.
+BLOCK_POSITIVITY_EQUALITY_TOL = 1e-8
 GHZ_TOL = 1e-12
 
 
@@ -177,11 +185,21 @@ def x_norm_lower_bound_check(z) -> XNormBound:
     )
 
 
+def _block_positivity(x4: float, y4: float, norm: float) -> tuple:
+    """(block positive, equality) for nonnegative weights x4, y4 and the X
+    norm of the anti-diagonal, both with tolerances relative to the norm."""
+    gap = math.sqrt(x4 * y4) - norm
+    return (
+        gap >= -BLOCK_POSITIVITY_SLACK * norm,
+        abs(gap) <= BLOCK_POSITIVITY_EQUALITY_TOL * norm,
+    )
+
+
 def is_block_positive_xwitness(x4: float, y4: float, z) -> bool:
     """Block positivity of X((0,0,0,x4), (0,0,0,y4), z): sqrt(x4 y4) >= ||z||_X."""
     if x4 < 0 or y4 < 0:
         raise ValueError("diagonal witness weights must be nonnegative")
-    return math.sqrt(x4 * y4) >= x_norm(z) - BLOCK_POSITIVITY_SLACK
+    return _block_positivity(x4, y4, x_norm(z))[0]
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,14 @@ from qxwit import (
     XMatrix,
     choi_explicit,
     dual_state,
+    is_block_positive_xwitness,
     kernel_vector,
     matrix_to_json,
     product_vector_to_json,
+    x_norm,
     xpart,
 )
+from qxwit import cli, xstate
 from qxwit.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -245,3 +248,105 @@ class TestCertify:
         )
         assert code == 1
         assert payload["surviving_ray_dim"] > 1
+
+
+def _x_files():
+    w = WitnessFamily()
+    return {
+        "dual": dual_state(w, 1, 1.0, 1.0),
+        "identity": xpart(np.eye(8)),
+        "witness": xpart(choi_explicit(w)),
+        "underweighted": XMatrix([0, 0, 0, 1.0], [0, 0, 0, 1.0], [1, 1, -1, 1]),
+        "all_negative": XMatrix([0, 0, 0, 1.0], [0, 0, 0, 1.0], [1j, 1, -1, 1]),
+    }
+
+
+class TestXStateNormOnce:
+    @pytest.mark.parametrize("name", sorted(_x_files()))
+    def test_one_x_norm_call_per_request(self, capsys, monkeypatch, tmp_path, name):
+        x = _x_files()[name]
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(x.to_json()))
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return x_norm(z)
+
+        monkeypatch.setattr(xstate, "x_norm", counting)
+        monkeypatch.setattr(cli, "x_norm", counting)
+        _, payload = run_json(capsys, "xstate", "--file", str(path))
+        assert len(calls) == 1
+        assert payload["x_norm"] == x_norm(x.c)
+        if payload["block_positive"] is not None:
+            assert payload["block_positive"] == is_block_positive_xwitness(x.a[3], x.b[3], x.c)
+
+
+class TestXStateScale:
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_equality_at_any_scale(self, capsys, tmp_path, scale):
+        weight = scale * 2 * SQRT2
+        x = XMatrix([0, 0, 0, weight], [0, 0, 0, weight], scale * np.array([1, 1, -1, 1]))
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(x.to_json()))
+        _, payload = run_json(capsys, "xstate", "--file", str(path))
+        assert payload["block_positive"] is True
+        assert payload["block_positive_equality"] is True
+
+    def test_zero_weights_small_anti_diagonal(self, capsys, tmp_path):
+        x = XMatrix(np.zeros(4), np.zeros(4), 3e-10 * np.array([1, 1, -1, 1]))
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(x.to_json()))
+        _, payload = run_json(capsys, "xstate", "--file", str(path))
+        assert payload["block_positive"] is False
+        assert payload["block_positive_equality"] is False
+
+
+class TestParserReuse:
+    @staticmethod
+    def run_steps(capsys, steps, target):
+        outcomes = []
+        for argv in steps:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse errors exit
+                code = exc.code
+            captured = capsys.readouterr()
+            written = target.read_text() if target.exists() else None
+            if target.exists():
+                target.unlink()
+            outcomes.append((code, captured.out, captured.err, written))
+        return outcomes
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "cert.json"
+        small = ("certify", "exposedness", "--grid", "small")
+        steps = [
+            ("certify", "exposedness", "--grid", "tiny"),
+            (*small, "--drop-curved-constraints"),
+            small,
+            (*small, "--output", str(target)),
+            small,
+        ]
+        cli._parser.cache_clear()
+        reused = self.run_steps(capsys, steps, target)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.run_steps(capsys, steps, target)
+        assert reused == fresh
+        assert [o[0] for o in reused] == [2, 1, 0, 0, 0]
+        assert reused[3][1] == "" and reused[3][3] == reused[2][1] == reused[4][1]
+
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        main(["choi"])
+        main(["choi", "--s", "4", "--t", "2"])
+        capsys.readouterr()
+        assert len(built) == 1

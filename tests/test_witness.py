@@ -33,7 +33,7 @@ from qxwit import (
     xpart,
 )
 from qxwit.certify import PRUNE_VIOLATION
-from qxwit.witness import _batched_min_eigvec
+from qxwit.witness import _batched_min_eigvec, _seesaw
 
 SQRT2 = math.sqrt(2.0)
 ST_CASES = ((2 * SQRT2, 2 * SQRT2), (4.0, 2.0), (2.0, 4.0), (8.0, 1.0))
@@ -436,6 +436,16 @@ class TestBatchedSeesaw:
             assert res.min_value == pytest.approx(values.min(), abs=1e-12)
             assert res.cycles == cycles
             assert pairing(res.argmin.projector(), m) == pytest.approx(res.min_value, abs=1e-12)
+
+    def test_start_factors_equal_serial_draws(self, batch):
+        # with no cycle the engine returns its starting factors
+        matrices, _ = batch
+        _, factors, _ = _seesaw(matrices, self.RESTARTS, self.SEEDS, 0, 1e-12)
+        for k, seed in enumerate(self.SEEDS):
+            rng = np.random.default_rng(seed)
+            for party in range(3):
+                v = rng.standard_normal((self.RESTARTS, 2)) + 1j * rng.standard_normal((self.RESTARTS, 2))
+                assert np.array_equal(factors[party, k], v / np.linalg.norm(v, axis=1)[:, None])
 
 
 class TestEarlyStop:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qxwit import (
     OMEGA,
@@ -198,6 +200,40 @@ class TestBlockPositivity:
             assert bp == (res.min_value >= -1e-9)
             checked += 1
         assert checked > 150
+
+    def test_small_scale_witness_fails(self):
+        # zero weights cannot dominate a nonzero anti-diagonal at any scale
+        z = 3e-10 * np.array([1, 1, -1, 1])
+        assert not is_block_positive_xwitness(0.0, 0.0, z)
+        assert not is_block_positive_xwitness(0.0, 0.0, 1e10 * z)
+
+
+# Entries and weights are 0 or at least 1e-6 in size, so that lambda times
+# them stays far inside the range of doubles for every lambda drawn below.
+ENTRY = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+WEIGHT = st.floats(0.0, 10.0).filter(lambda v: v == 0.0 or v >= 1e-6)
+LOG_SCALE = st.floats(-12.0, 12.0)
+
+
+class TestScaleInvariance:
+    """Block positivity and the X norm are positively homogeneous; lambda is
+    log-uniform on [1e-12, 1e12]."""
+
+    @given(st.lists(ENTRY, min_size=8, max_size=8), WEIGHT, WEIGHT, LOG_SCALE)
+    def test_block_positivity_verdict(self, parts, x4, y4, log_lam):
+        z = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        norm = x_norm(z)
+        assume(abs(math.sqrt(x4 * y4) - norm) > 1e-6 * norm)
+        lam = 10.0**log_lam
+        assert is_block_positive_xwitness(lam * x4, lam * y4, lam * z) == (
+            is_block_positive_xwitness(x4, y4, z)
+        )
+
+    @given(st.lists(ENTRY, min_size=8, max_size=8), LOG_SCALE)
+    def test_x_norm(self, parts, log_lam):
+        z = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        lam = 10.0**log_lam
+        assert x_norm(lam * z) == pytest.approx(lam * x_norm(z), rel=1e-12)
 
 
 class TestRank4Separability:
