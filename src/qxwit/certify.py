@@ -14,7 +14,6 @@ from .qcore import (
     SUBSETS,
     ProductVector,
     check_hermitian,
-    herm_min_eig,
     matrix_to_json,
     partial_conjugate,
     partial_transpose,
@@ -33,7 +32,7 @@ from .witness import (
     pv4_vectors,
     _PV1_SLOTS,
 )
-from .xstate import XMatrix
+from .xstate import XMatrix, xpart
 
 #: Relative singular-value cutoff for numerical ranks and nullspaces.
 RANK_THRESHOLD = 1e-8
@@ -47,26 +46,29 @@ PRUNE_VIOLATION = -1e-9
 # --- Hermitian <-> real-vector embedding -------------------------------------
 
 _IU, _JU = np.triu_indices(8, k=1)
+_DIAG = np.arange(8)
 _SQRT2 = math.sqrt(2.0)
 
 
 def herm_to_vec(h: np.ndarray) -> np.ndarray:
-    """Isometric embedding of Hermitian 8x8 matrices into R^64.
+    """Isometric embedding of Hermitian 8x8 matrices into R^64, applied to
+    the last two axes of a stack.
 
     The Hilbert-Schmidt inner product becomes the Euclidean dot product.
     """
-    upper = h[_IU, _JU]
+    upper = h[..., _IU, _JU]
     return np.concatenate(
-        [np.diagonal(h).real, _SQRT2 * upper.real, _SQRT2 * upper.imag]
+        [h[..., _DIAG, _DIAG].real, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=-1
     )
 
 
 def vec_to_herm(v: np.ndarray) -> np.ndarray:
-    h = np.zeros((8, 8), dtype=complex)
-    h[np.arange(8), np.arange(8)] = v[:8]
-    upper = (v[8:36] + 1j * v[36:]) / _SQRT2
-    h[_IU, _JU] = upper
-    h[_JU, _IU] = upper.conj()
+    """Inverse of ``herm_to_vec``, applied to the last axis of a stack."""
+    h = np.zeros(v.shape[:-1] + (8, 8), dtype=complex)
+    h[..., _DIAG, _DIAG] = v[..., :8]
+    upper = (v[..., 8:36] + 1j * v[..., 36:]) / _SQRT2
+    h[..., _IU, _JU] = upper
+    h[..., _JU, _IU] = upper.conj()
     return h
 
 
@@ -85,16 +87,15 @@ class PPTReport:
 def ppt_check(rho, tol: float = PSD_TOL) -> PPTReport:
     """Minimal eigenvalue of every partial transpose of a Hermitian matrix.
 
-    Only the four subsets with masks 0..3 are diagonalized; the complements
-    share their spectra since transposing the remaining parties is a global
-    transpose of the already transposed matrix.
+    Only the four subsets with masks 0..3 are diagonalized, in one stacked
+    call; the complements share their spectra since transposing the remaining
+    parties is a global transpose of the already transposed matrix.  Partial
+    transposes of a Hermitian matrix are Hermitian, so rho is checked once.
     """
     rho = check_hermitian(rho)
-    min_eigs = np.empty(8)
-    for mask in range(4):
-        e = herm_min_eig(partial_transpose(rho, SUBSETS[mask]))
-        min_eigs[mask] = e
-        min_eigs[7 - mask] = e
+    spectra = np.linalg.eigvalsh([partial_transpose(rho, SUBSETS[mask]) for mask in range(4)])
+    # mask 7 - k is the complement of mask k
+    min_eigs = np.concatenate([spectra[:, 0], spectra[::-1, 0]])
     return PPTReport(is_ppt=bool(np.all(min_eigs >= -tol)), min_eigs=min_eigs)
 
 
@@ -186,7 +187,6 @@ def _dual_face_states(
     grid: KernelGrid,
     include_eta_zeta: bool = True,
     include_dual_states: bool = True,
-    include_pv4: bool = True,
 ) -> list:
     """Unnormalized members of the dual face sampled by a grid."""
     states = []
@@ -194,8 +194,7 @@ def _dual_face_states(
         if not include_eta_zeta and tag not in _PV1_SLOTS:
             continue
         states.append(kernel_vector(w, tag, params).projector())
-    if include_pv4:
-        states.extend(v.projector() for v in pv4_vectors())
+    states.extend(v.projector() for v in pv4_vectors())
     if include_dual_states:
         states.extend(
             dual_state(w, kind, a1, a2).to_matrix()
@@ -208,12 +207,9 @@ def dual_face_span(w: WitnessFamily, grid: KernelGrid | None = None) -> DualFace
     """Orthonormal basis of the real span of the sampled dual-face states
     inside the 64-dimensional space of Hermitian 8x8 matrices."""
     grid = grid or KernelGrid.default()
-    states = _dual_face_states(w, grid)
-    rows = np.array([herm_to_vec(s) for s in states])
-    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    dim = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-    basis = tuple(vec_to_herm(vt[k]) for k in range(dim))
-    return DualFaceSpan(basis=basis, dim=dim)
+    rows = herm_to_vec(np.array(_dual_face_states(w, grid)))
+    basis = tuple(vec_to_herm(_orthonormal_rows(rows, RANK_THRESHOLD)))
+    return DualFaceSpan(basis=basis, dim=len(basis))
 
 
 # --- exposedness certificate ----------------------------------------------------
@@ -269,8 +265,8 @@ class ExposednessCertificate:
             and self.unpruned_directions == 0
         )
 
-    def to_json_dict(self, with_prune_records: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "s": self.s,
             "t": self.t,
             "grid": self.grid,
@@ -286,9 +282,6 @@ class ExposednessCertificate:
             "equality_case": self.equality_case,
             "unpruned_directions": self.unpruned_directions,
         }
-        if with_prune_records:
-            out["prune_records"] = [r.to_json_dict() for r in self.prune_records]
-        return out
 
 
 def _orthonormal_rows(rows: np.ndarray, threshold: float) -> np.ndarray:
@@ -365,7 +358,7 @@ def exposedness_certificate(
         include_eta_zeta=include_eta_zeta,
         include_dual_states=include_dual_states,
     )
-    rows = np.array([herm_to_vec(s.conj()) for s in states])
+    rows = herm_to_vec(np.array(states).conj())
     _, sv, vt = np.linalg.svd(rows, full_matrices=True)
     rank = int(np.sum(sv > tol * sv[0]))
     if rank < len(sv) and rank > 0:
@@ -402,20 +395,13 @@ def exposedness_certificate(
 
     # Equality-case data of the surviving direction.
     survivor_mat = vec_to_herm(survivor_unit)
-    sx = np.zeros((8, 8), dtype=complex)
-    idx = np.arange(4)
-    sx[idx, idx] = np.diagonal(survivor_mat)[:4]
-    sx[idx + 4, idx + 4] = np.diagonal(survivor_mat)[4:]
-    sx[idx, 7 - idx] = survivor_mat[idx, 7 - idx]
-    sx[7 - idx, idx] = survivor_mat[7 - idx, idx]
-    survivor_offx_error = float(np.max(np.abs(survivor_mat - sx)))
-    x4 = float(survivor_mat[3, 3].real)
-    y4 = float(survivor_mat[4, 4].real)
-    cpart = np.array([survivor_mat[0, 7], survivor_mat[1, 6], survivor_mat[2, 5], survivor_mat[3, 4]])
-    r_fit = float(np.real(np.vdot(_X_DIRECTION, cpart)) / 4.0)
+    sx = xpart(survivor_mat)
+    survivor_offx_error = float(np.max(np.abs(survivor_mat - sx.to_matrix())))
+    x4, y4 = float(sx.a[3]), float(sx.b[3])
+    r_fit = float(np.real(np.vdot(_X_DIRECTION, sx.c)) / 4.0)
     scale = float(np.max(np.abs(survivor_unit))) + 1e-300
     equality_case = {
-        "z_pattern_error": float(np.max(np.abs(cpart - r_fit * _X_DIRECTION))) / scale,
+        "z_pattern_error": float(np.max(np.abs(sx.c - r_fit * _X_DIRECTION))) / scale,
         "balance_error": abs(x4 * w.s - y4 * w.t) / (abs(x4 * w.s) + abs(y4 * w.t) + 1e-300),
     }
 
@@ -424,13 +410,13 @@ def exposedness_certificate(
     # never rise, so each task stops at its first value below the threshold:
     # its verdict is fixed from then on.
     perp = null_basis - np.outer(null_basis @ cunit, cunit)
-    perp_basis = _orthonormal_rows(perp, 1e-10)
-    tasks = []
+    directions = vec_to_herm(_orthonormal_rows(perp, 1e-10))
     rng = np.random.default_rng(seed)
-    for k in range(perp_basis.shape[0]):
-        direction = vec_to_herm(perp_basis[k])
-        for eps in (prune_step, -prune_step):
-            tasks.append((k, eps, choi + eps * direction, int(rng.integers(2**63))))
+    tasks = [
+        (k, eps, choi + eps * direction, int(rng.integers(2**63)))
+        for k, direction in enumerate(directions)
+        for eps in (prune_step, -prune_step)
+    ]
     results = min_product_values(
         [pert for _, _, pert, _ in tasks],
         prune_restarts,
@@ -450,11 +436,8 @@ def exposedness_certificate(
         )
         for (k, eps, pert, _), res in zip(tasks, results)
     ]
-    pruned = {}
-    for rec in records:
-        pruned.setdefault(rec.direction, True)
-        pruned[rec.direction] = pruned[rec.direction] and rec.violated
-    unpruned = sum(1 for ok in pruned.values() if not ok)
+    # A direction is pruned when both of its signed perturbations violate.
+    unpruned = len({rec.direction for rec in records if not rec.violated})
 
     return ExposednessCertificate(
         s=w.s,
@@ -666,10 +649,7 @@ def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> Cl
         est = _estimate_params(w, tag, factors)
         if est is None:
             continue
-        try:
-            cand = kernel_vector(w, tag, np.array(est) if tag in _PV1_SLOTS else est)
-        except ValueError:
-            continue
+        cand = kernel_vector(w, tag, np.array(est) if tag in _PV1_SLOTS else est)
         res = max(
             _phase_dist(factors[i], _unit_or_none(cand.factors()[i]))
             for i in range(3)

@@ -24,6 +24,7 @@ from .certify import (
     spanning_check,
 )
 from .qcore import (
+    PSD_TOL,
     matrix_from_json,
     matrix_to_json,
     product_vector_from_json,
@@ -50,10 +51,6 @@ from .xstate import (
 )
 
 _DEFAULT_ST = 2.0 * math.sqrt(2.0)
-
-
-class CommandError(Exception):
-    """User-facing failure; reported on stderr with exit code 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,39 +130,32 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _witness(args) -> WitnessFamily:
-    try:
-        return WitnessFamily(args.s, args.t)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CommandError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_params(family: str, text: str):
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise CommandError(f"malformed --params {text!r}") from exc
+        raise ValueError(f"malformed --params {text!r}") from exc
     if family in _PV1_SLOTS:
         if len(values) == 2:
             return np.array([values[0], values[1]], dtype=complex)
         if len(values) == 4:
             return np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]])
-        raise CommandError("flat families take 2 or 4 numbers in --params")
+        raise ValueError("flat families take 2 or 4 numbers in --params")
     if len(values) != 2:
-        raise CommandError("eta/zeta families take 2 numbers in --params")
+        raise ValueError("eta/zeta families take 2 numbers in --params")
     return (values[0], values[1])
 
 
 def cmd_choi(args):
-    w = _witness(args)
+    w = WitnessFamily(args.s, args.t)
     c = choi_explicit(w)
     payload = {
         "s": w.s,
@@ -177,35 +167,25 @@ def cmd_choi(args):
 
 
 def cmd_apply(args):
-    w = _witness(args)
+    w = WitnessFamily(args.s, args.t)
     x = matrix_from_json(_load_json(args.x))
     y = matrix_from_json(_load_json(args.y))
-    if x.shape != (2, 2) or y.shape != (2, 2):
-        raise CommandError("apply expects 2x2 matrices")
     result = phi_apply(w, x, y)
     return {"s": w.s, "t": w.t, "result": matrix_to_json(result)}, 0, "map applied"
 
 
 def cmd_pairing(args):
-    w = _witness(args)
+    w = WitnessFamily(args.s, args.t)
     rho = matrix_from_json(_load_json(args.rho))
-    if rho.shape != (8, 8):
-        raise CommandError("pairing expects an 8x8 state")
-    try:
-        value = pairing(rho, choi_explicit(w))
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    value = pairing(rho, choi_explicit(w))
     return {"s": w.s, "t": w.t, "pairing": value}, 0, f"pairing = {value:.6g}"
 
 
 def cmd_kernel(args):
-    w = _witness(args)
+    w = WitnessFamily(args.s, args.t)
     tol = args.tol if args.tol is not None else 1e-9
     params = _parse_params(args.family, args.params)
-    try:
-        v = kernel_vector(w, args.family, params)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    v = kernel_vector(w, args.family, params)
     value = pairing(v.projector(), choi_explicit(w))
     ok = abs(value) <= tol
     payload = {
@@ -220,12 +200,9 @@ def cmd_kernel(args):
 
 
 def cmd_classify(args):
-    w = _witness(args)
+    w = WitnessFamily(args.s, args.t)
     tol = args.tol if args.tol is not None else 1e-6
-    try:
-        v = product_vector_from_json(_load_json(args.vector))
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    v = product_vector_from_json(_load_json(args.vector))
     result = kernel_classify(w, v, tol=tol)
     payload = {"s": w.s, "t": w.t, **result.to_json_dict()}
     code = 0 if result.family is not None else 1
@@ -233,11 +210,8 @@ def cmd_classify(args):
 
 
 def cmd_xstate(args):
-    w = _witness(args)
-    try:
-        x = XMatrix.from_json(_load_json(args.file))
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    w = WitnessFamily(args.s, args.t)
+    x = XMatrix.from_json(_load_json(args.file))
     payload = {"s": w.s, "t": w.t, "ghz_diagonal": is_ghz_diagonal(x)}
     try:
         verdict = rank4_separability_check(x)
@@ -269,7 +243,7 @@ def cmd_xstate(args):
 
 
 def cmd_certify(args):
-    w = _witness(args)
+    w = WitnessFamily(args.s, args.t)
     grid = KernelGrid.named(args.grid)
     if args.which == "spanning":
         report = spanning_check(w, grid)
@@ -309,7 +283,10 @@ def cmd_certify(args):
             f"match error = {cert.direction_match_error:.2e}"
         )
     else:
-        cert = find_ppt_entangled(w, seed=args.seed, grid=grid, direction=args.direction)
+        tol = args.tol if args.tol is not None else PSD_TOL
+        cert = find_ppt_entangled(
+            w, seed=args.seed, grid=grid, direction=args.direction, ppt_tol=tol
+        )
         payload = cert.to_json_dict()
         ok = cert.certified
         note = f"PPT state with pairing {cert.pairing_value:.4g}"
@@ -333,8 +310,11 @@ def _emit(payload: dict, args) -> None:
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -343,13 +323,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         payload, code, note = _COMMANDS[args.command](args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _emit(payload, args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args)
     if args.pretty:
         print(note, file=sys.stderr)
     return code

@@ -153,11 +153,6 @@ def herm_min_eig(m) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def is_psd(m, tol: float = PSD_TOL) -> bool:
-    """Positive semidefinite up to the eigenvalue tolerance."""
-    return herm_min_eig(m) >= -tol
-
-
 def matrix_to_json(m) -> dict:
     """Serialize a square complex matrix as {"dim", "re", "im"}."""
     m = _square(m)

@@ -35,6 +35,11 @@ class WitnessFamily:
             raise ValueError(
                 f"witness parameters must satisfy s*t = 8, got s*t = {self.s * self.t!r}"
             )
+        # The curved kernel families need the ratio u = sqrt(s / t) as a finite
+        # positive double; it under- or overflows once s leaves about
+        # [1e-161, 1e154].
+        if not 0.0 < self.u < math.inf:
+            raise ValueError(f"witness parameter ratio s/t = {self.s / self.t!r} is out of range")
 
     @property
     def u(self) -> float:
@@ -44,9 +49,6 @@ class WitnessFamily:
     @property
     def omega(self) -> complex:
         return OMEGA
-
-    def choi(self) -> np.ndarray:
-        return choi_explicit(self)
 
 
 def phi_apply(w: WitnessFamily, x, y) -> np.ndarray:
@@ -281,6 +283,10 @@ def kernel_vectors(w: WitnessFamily, grid: KernelGrid) -> list:
 
 # --- see-saw minimization over product vectors -------------------------------
 
+#: A see-saw task has stalled once no restart's value moved by this much in a
+#: cycle.
+STALL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SeesawResult:
@@ -420,13 +426,12 @@ def seesaw_minima(
     restarts: int = 200,
     seed: int = 0,
     max_cycles: int = 300,
-    stall_tol: float = 1e-12,
 ):
     """Converged see-saw values and minimizing product vectors, one per restart.
 
     The returned vectors v satisfy pairing(|v><v|, matrix) = value.
     """
-    values, (fa, fb, fz), _ = _seesaw([matrix], restarts, [seed], max_cycles, stall_tol)
+    values, (fa, fb, fz), _ = _seesaw([matrix], restarts, [seed], max_cycles, STALL_TOL)
     vectors = [
         ProductVector(fa[0, k].conj(), fb[0, k].conj(), fz[0, k].conj())
         for k in range(restarts)
@@ -439,7 +444,6 @@ def min_product_values(
     restarts: int,
     seeds,
     max_cycles: int = 300,
-    stall_tol: float = 1e-12,
     *,
     stop_below: float | None = None,
 ) -> tuple:
@@ -454,7 +458,7 @@ def min_product_values(
     of ``matrices``.
     """
     values, (fa, fb, fz), cycles = _seesaw(
-        matrices, restarts, seeds, max_cycles, stall_tol, stop_below=stop_below
+        matrices, restarts, seeds, max_cycles, STALL_TOL, stop_below=stop_below
     )
     results = []
     for t, seed in enumerate(seeds):
@@ -482,10 +486,9 @@ def min_product_value(
     restarts: int = 200,
     seed: int = 0,
     max_cycles: int = 300,
-    stall_tol: float = 1e-12,
 ) -> SeesawResult:
     """Global see-saw minimum of the quadratic form over unit product vectors."""
-    (result,) = min_product_values([matrix], restarts, [seed], max_cycles, stall_tol)
+    (result,) = min_product_values([matrix], restarts, [seed], max_cycles)
     return result
 
 

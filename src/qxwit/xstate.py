@@ -24,6 +24,13 @@ SEPARABILITY_TOL = 1e-9
 BLOCK_POSITIVITY_SLACK = 1e-9
 #: Relative tolerance for reporting equality sqrt(x4 y4) = ||z||_X.
 BLOCK_POSITIVITY_EQUALITY_TOL = 1e-8
+# The bound ||z||_X >= ||z||_1 / sqrt(2) is homogeneous in z as well, so its
+# tolerances are the same fractions, taken of the bound.
+#: Relative slack allowed in the X-norm lower bound.
+X_NORM_BOUND_SLACK = 1e-9
+#: Relative tolerance for reporting equality in the X-norm lower bound.
+X_NORM_BOUND_EQUALITY_TOL = 1e-8
+#: Tolerance of the GHZ-diagonal test, relative to the largest entry modulus.
 GHZ_TOL = 1e-12
 
 
@@ -177,8 +184,8 @@ def x_norm_lower_bound_check(z) -> XNormBound:
         % (2.0 * np.pi)
     )
     return XNormBound(
-        holds=nx >= lower - 1e-9,
-        equality=abs(nx - lower) <= 1e-8,
+        holds=nx - lower >= -X_NORM_BOUND_SLACK * lower,
+        equality=abs(nx - lower) <= X_NORM_BOUND_EQUALITY_TOL * lower,
         phase_gap=gap,
         norm=nx,
         one_norm=n1,
@@ -308,8 +315,10 @@ def reconstruct_product_vector(x: XMatrix, tol: float = SEPARABILITY_TOL) -> Rec
 
 
 def is_ghz_diagonal(x: XMatrix) -> bool:
-    """True when a = b entrywise and c is real, i.e. diagonal in the GHZ basis."""
-    return bool(
-        np.max(np.abs(x.a - x.b)) <= GHZ_TOL
-        and np.max(np.abs(x.c.imag)) < GHZ_TOL
-    )
+    """True when a = b entrywise and c is real, i.e. diagonal in the GHZ basis.
+
+    Both tests are relative to the largest entry modulus, so the verdict does
+    not depend on the scale; the zero matrix is GHZ diagonal.
+    """
+    tol = GHZ_TOL * max(np.max(np.abs(x.a)), np.max(np.abs(x.b)), np.max(np.abs(x.c)))
+    return bool(np.max(np.abs(x.a - x.b)) <= tol and np.max(np.abs(x.c.imag)) <= tol)

@@ -330,3 +330,63 @@ class TestKernelClassify:
             1 for val, v in zip(values, vectors) if val < 1e-9 and kernel_classify(w, v).family is None
         )
         assert unclassified == 0
+
+
+class TestEmbeddingStacks:
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(2)
+        g = rng.standard_normal((5, 8, 8)) + 1j * rng.standard_normal((5, 8, 8))
+        hs = (g + g.conj().transpose(0, 2, 1)) / 2
+        vecs = herm_to_vec(hs)
+        assert vecs.shape == (5, 64)
+        assert np.array_equal(vecs, [herm_to_vec(h) for h in hs])
+        assert np.array_equal(vec_to_herm(vecs), [vec_to_herm(v) for v in vecs])
+
+
+class TestPPTCheckOnce:
+    def test_one_hermiticity_check_per_call(self, monkeypatch, w):
+        from qxwit import certify, qcore
+
+        rho = separable_anchor(w)
+        expected = ppt_check(rho)
+        calls = []
+        check = qcore.check_hermitian
+
+        def counting(m, *args, **kwargs):
+            calls.append(1)
+            return check(m, *args, **kwargs)
+
+        monkeypatch.setattr(qcore, "check_hermitian", counting)
+        monkeypatch.setattr(certify, "check_hermitian", counting)
+        report = ppt_check(rho)
+        assert len(calls) == 1
+        assert np.array_equal(report.min_eigs, expected.min_eigs)
+
+    def test_min_eigs_match_each_partial_transpose(self):
+        from qxwit import SUBSETS, herm_min_eig, partial_transpose
+
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            h = (g + g.conj().T) / 2
+            report = ppt_check(h)
+            for mask, subset in enumerate(SUBSETS):
+                direct = herm_min_eig(partial_transpose(h, subset))
+                if mask < 4:
+                    assert report.min_eigs[mask] == direct
+                else:
+                    assert report.min_eigs[mask] == pytest.approx(direct, abs=1e-12)
+
+
+class TestClassifyAtRangeEnds:
+    @pytest.mark.parametrize("s", [1e-150, 1e150])
+    def test_no_candidate_fit_raises(self, s):
+        # sqrt(s / t) is a finite positive double here, so every curved-family
+        # estimate is a pair of positive reals that kernel_vector accepts
+        w = WitnessFamily(s, 8.0 / s)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            f = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            assert kernel_classify(w, ProductVector(*f)).family is None
+        flat = kernel_vector(w, "x01", np.array([1.0, 1j]))
+        assert kernel_classify(w, flat).family == "x01"

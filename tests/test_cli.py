@@ -350,3 +350,88 @@ class TestParserReuse:
         main(["choi", "--s", "4", "--t", "2"])
         capsys.readouterr()
         assert len(built) == 1
+
+
+def _put(directory, name, content):
+    path = directory / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+_NON_HERMITIAN = np.eye(8)
+_NON_HERMITIAN[0, 1] = 0.5
+
+#: argv builders, given a scratch directory, for inputs the CLI must reject.
+_ERROR_CASES = {
+    "bad_st": lambda d: ["choi", "--s", "1", "--t", "1"],
+    "missing_file": lambda d: ["pairing", "--rho", str(d / "missing.json")],
+    "malformed_json": lambda d: ["pairing", "--rho", _put(d, "bad.json", "{not json")],
+    "apply_4x4": lambda d: [
+        "apply",
+        "--x",
+        _put(d, "x.json", matrix_to_json(np.eye(4))),
+        "--y",
+        _put(d, "y.json", matrix_to_json(np.eye(2))),
+    ],
+    "pairing_4x4": lambda d: ["pairing", "--rho", _put(d, "r.json", matrix_to_json(np.eye(4)))],
+    "bad_params": lambda d: ["kernel", "--family", "eta1", "--params", "a,b"],
+    "non_hermitian": lambda d: [
+        "pairing",
+        "--rho",
+        _put(d, "r.json", matrix_to_json(_NON_HERMITIAN)),
+    ],
+}
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+    def test_exit_two_and_one_error_line(self, capsys, tmp_path, case):
+        assert_one_error_line(*run(capsys, *_ERROR_CASES[case](tmp_path)))
+
+
+class TestUnwritableOutput:
+    def test_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "choi.json"
+        code, out, err = run(capsys, "choi", "--output", str(target))
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.exists()
+
+
+class TestDetectTol:
+    @pytest.mark.parametrize("flags, tol", [(("--tol", "1e-3"), 1e-3), ((), 1e-10)])
+    def test_reported_tol_is_the_flag(self, capsys, flags, tol):
+        code, payload = run_json(capsys, "certify", "detect", *flags)
+        assert code == 0
+        assert payload["tol"] == tol
+
+
+def _scale_files():
+    return {
+        **_x_files(),
+        # negative at scale 1 but within 1e-12 of GHZ diagonal at scale 1e-12
+        "imaginary_c": XMatrix([0, 0, 0, 1.0], [0, 0, 0, 1.0], [0.5j, 1, -1, 1]),
+        # GHZ diagonal at scale 1 but 0.1 away from it at scale 1e12
+        "near_equal_diagonal": XMatrix([0, 0, 0, 1.0], [0, 0, 0, 1.0 + 1e-13], [1, 1, -1, 1]),
+    }
+
+
+class TestXStateExitScale:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
+    @pytest.mark.parametrize("name", sorted(_scale_files()))
+    def test_exit_code_does_not_depend_on_scale(self, capsys, tmp_path, name, scale):
+        x = _scale_files()[name]
+        scaled = XMatrix(scale * x.a, scale * x.b, scale * x.c)
+        code, _, _ = run(capsys, "xstate", "--file", _put(tmp_path, "x.json", x.to_json()))
+        code_scaled, _, _ = run(
+            capsys, "xstate", "--file", _put(tmp_path, "s.json", scaled.to_json())
+        )
+        assert code in (0, 1)
+        assert code_scaled == code

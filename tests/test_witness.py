@@ -592,3 +592,11 @@ class TestXpartOfChoi:
             assert np.array_equal(x.b, [0, 0, 0, s])
             assert np.array_equal(x.c, [1, 1, -1, 1])
             assert is_ghz_diagonal(x) == (s == t)
+
+
+class TestRatioRange:
+    @pytest.mark.parametrize("s", [1e-170, 1e160])
+    def test_ratio_out_of_range_rejected(self, s):
+        # s * t = 8 holds, but sqrt(s / t) under- or overflows
+        with pytest.raises(ValueError, match="ratio"):
+            WitnessFamily(s, 8.0 / s)

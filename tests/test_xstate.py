@@ -359,3 +359,41 @@ class TestGhzDiagonal:
     def test_choi_symmetric_is(self):
         x = xpart(choi_explicit(WitnessFamily()))
         assert is_ghz_diagonal(x)
+
+
+class TestScaleAwareTolerances:
+    """The GHZ-diagonal test and the X-norm lower-bound check do not depend on
+    the input's scale; lambda is log-uniform on [1e-12, 1e12]."""
+
+    @given(st.lists(ENTRY, min_size=16, max_size=16), st.booleans(), LOG_SCALE)
+    def test_ghz_diagonal(self, parts, ghz_shaped, log_lam):
+        a, b = np.array(parts[:4]), np.array(parts[4:8])
+        c = np.array(parts[8:12]) + 1j * np.array(parts[12:])
+        if ghz_shaped:
+            b, c = a, c.real
+        biggest = max(np.max(np.abs(a)), np.max(np.abs(b)), np.max(np.abs(c)))
+        for defect in (np.max(np.abs(a - b)), np.max(np.abs(c.imag))):
+            assume(not 0.5e-12 * biggest <= defect <= 2e-12 * biggest)
+        lam = 10.0**log_lam
+        assert is_ghz_diagonal(XMatrix(lam * a, lam * b, lam * c)) == (
+            is_ghz_diagonal(XMatrix(a, b, c))
+        )
+
+    def test_zero_matrix_is_ghz_diagonal(self):
+        assert is_ghz_diagonal(XMatrix(np.zeros(4), np.zeros(4), np.zeros(4)))
+
+    @given(st.lists(ENTRY, min_size=8, max_size=8), LOG_SCALE)
+    def test_lower_bound_check(self, parts, log_lam):
+        z = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        chk = x_norm_lower_bound_check(z)
+        lower = chk.one_norm / SQRT2
+        assume(not 0.5e-8 * lower <= abs(chk.norm - lower) <= 2e-8 * lower)
+        scaled = x_norm_lower_bound_check(10.0**log_lam * z)
+        assert (scaled.holds, scaled.equality) == (chk.holds, chk.equality)
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e10, 1e12])
+    def test_equality_cases(self, lam):
+        chk = x_norm_lower_bound_check(lam * np.array([1, 1, -1, 1]))
+        assert chk.holds and chk.equality
+        chk = x_norm_lower_bound_check(lam * np.array([1, 0, 0, 0]))
+        assert chk.holds and not chk.equality
