@@ -5,7 +5,7 @@ and classification of kernel product vectors."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -15,22 +15,26 @@ from .qcore import (
     ProductVector,
     check_hermitian,
     matrix_to_json,
-    partial_conjugate,
     partial_transpose,
     product_vector_to_json,
     subset_mask,
+    tensor3,
 )
 from .witness import (
+    ETA_TAGS,
     FAMILY_TAGS,
+    PV1_TAGS,
+    ZETA_TAGS,
     KernelGrid,
     WitnessFamily,
     choi_explicit,
     dual_state,
-    kernel_vector,
     min_product_values,
     pairing,
-    pv4_vectors,
     _PV1_SLOTS,
+    _PV4_FACTORS,
+    _family_factors,
+    _kernel_table,
 )
 from .xstate import XMatrix, xpart
 
@@ -72,6 +76,11 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
     return h
 
 
+def _field_dict(record, *skip) -> dict:
+    """A dataclass's fields by name, in declaration order, less those in skip."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+
+
 # --- PPT check ----------------------------------------------------------------
 
 
@@ -101,6 +110,9 @@ def ppt_check(rho, tol: float = PSD_TOL) -> PPTReport:
 
 # --- full spanning property -----------------------------------------------------
 
+#: Per subset (in SUBSETS order), which of the three parties it conjugates.
+_CONJUGATED = np.array([[p in subset for p in (1, 2, 3)] for subset in SUBSETS])
+
 
 @dataclass(frozen=True)
 class SubsetSpanRecord:
@@ -112,14 +124,7 @@ class SubsetSpanRecord:
     vectors_used: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "subset": list(self.subset),
-            "mask": self.mask,
-            "rank": self.rank,
-            "smallest_kept_singular_value": self.smallest_kept_singular_value,
-            "largest_singular_value": self.largest_singular_value,
-            "vectors_used": self.vectors_used,
-        }
+        return {**_field_dict(self), "subset": list(self.subset)}
 
 
 @dataclass(frozen=True)
@@ -151,14 +156,15 @@ def spanning_check(
     vectors stacked as rows; the full spanning property means rank 8 for all
     eight subsets."""
     grid = grid or KernelGrid.default()
-    ids = [(tag, params) for tag, params in grid.kernel_ids() if tag in tags]
-    vectors = [kernel_vector(w, tag, params) for tag, params in ids]
-    if len(vectors) < 8:
-        raise ValueError(f"grid yields only {len(vectors)} kernel vectors, need >= 8")
+    factors = _kernel_table(w, grid, tags)
+    n = len(factors)
+    if n < 8:
+        raise ValueError(f"grid yields only {n} kernel vectors, need >= 8")
+    # (subset, vector, party, 2): the factors of each subset's parties conjugated
+    conj = np.where(_CONJUGATED[:, None, :, None], factors.conj(), factors)
+    rows = tensor3(conj[..., 0, :], conj[..., 1, :], conj[..., 2, :])
     records = []
-    for subset in SUBSETS:
-        rows = np.array([partial_conjugate(v, subset).full for v in vectors])
-        sv = np.linalg.svd(rows, compute_uv=False)
+    for subset, sv in zip(SUBSETS, np.linalg.svd(rows, compute_uv=False)):
         rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
         records.append(
             SubsetSpanRecord(
@@ -167,7 +173,7 @@ def spanning_check(
                 rank=rank,
                 smallest_kept_singular_value=float(sv[rank - 1]),
                 largest_singular_value=float(sv[0]),
-                vectors_used=len(vectors),
+                vectors_used=n,
             )
         )
     return SpanningReport(records=tuple(records), grid=grid.describe(), s=w.s, t=w.t)
@@ -185,21 +191,18 @@ class DualFaceSpan:
 def _dual_face_states(
     w: WitnessFamily,
     grid: KernelGrid,
-    include_eta_zeta: bool = True,
+    tags=FAMILY_TAGS,
     include_dual_states: bool = True,
-) -> list:
-    """Unnormalized members of the dual face sampled by a grid."""
-    states = []
-    for tag, params in grid.kernel_ids():
-        if not include_eta_zeta and tag not in _PV1_SLOTS:
-            continue
-        states.append(kernel_vector(w, tag, params).projector())
-    states.extend(v.projector() for v in pv4_vectors())
+) -> np.ndarray:
+    """Unnormalized members (m, 8, 8) of the dual face sampled by a grid: the
+    projectors of its kernel vectors in ``tags`` and of the six basis kernel
+    vectors, then the dual states."""
+    factors = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS])
+    full = tensor3(factors[:, 0], factors[:, 1], factors[:, 2])
+    states = full[:, :, None] * full[:, None, :].conj()
     if include_dual_states:
-        states.extend(
-            dual_state(w, kind, a1, a2).to_matrix()
-            for kind, a1, a2 in grid.dual_params()
-        )
+        duals = [dual_state(w, kind, a1, a2).to_matrix() for kind, a1, a2 in grid.dual_params()]
+        states = np.concatenate([states, duals])
     return states
 
 
@@ -207,7 +210,7 @@ def dual_face_span(w: WitnessFamily, grid: KernelGrid | None = None) -> DualFace
     """Orthonormal basis of the real span of the sampled dual-face states
     inside the 64-dimensional space of Hermitian 8x8 matrices."""
     grid = grid or KernelGrid.default()
-    rows = herm_to_vec(np.array(_dual_face_states(w, grid)))
+    rows = herm_to_vec(_dual_face_states(w, grid))
     basis = tuple(vec_to_herm(_orthonormal_rows(rows, RANK_THRESHOLD)))
     return DualFaceSpan(basis=basis, dim=len(basis))
 
@@ -229,15 +232,7 @@ class PruneRecord:
     perturbation: np.ndarray = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "epsilon": self.epsilon,
-            "min_value": self.min_value,
-            "argmin": product_vector_to_json(self.argmin),
-            "violated": self.violated,
-            "cycles": self.cycles,
-            "stopped_below": self.stopped_below,
-        }
+        return {**_field_dict(self, "perturbation"), "argmin": product_vector_to_json(self.argmin)}
 
 
 @dataclass(frozen=True)
@@ -266,22 +261,7 @@ class ExposednessCertificate:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "grid": self.grid,
-            "tol": self.tol,
-            "seed": self.seed,
-            "certified": self.certified,
-            "constraint_count": self.constraint_count,
-            "nullspace_dim": self.nullspace_dim,
-            "surviving_ray_dim": self.surviving_ray_dim,
-            "direction_match_error": self.direction_match_error,
-            "pv4_diagonal_error": self.pv4_diagonal_error,
-            "survivor_offx_error": self.survivor_offx_error,
-            "equality_case": self.equality_case,
-            "unpruned_directions": self.unpruned_directions,
-        }
+        return {**_field_dict(self, "prune_records"), "certified": self.certified}
 
 
 def _orthonormal_rows(rows: np.ndarray, threshold: float) -> np.ndarray:
@@ -355,10 +335,10 @@ def exposedness_certificate(
     states = _dual_face_states(
         w,
         grid,
-        include_eta_zeta=include_eta_zeta,
+        tags=FAMILY_TAGS if include_eta_zeta else PV1_TAGS,
         include_dual_states=include_dual_states,
     )
-    rows = herm_to_vec(np.array(states).conj())
+    rows = herm_to_vec(states.conj())
     _, sv, vt = np.linalg.svd(rows, full_matrices=True)
     rank = int(np.sum(sv > tol * sv[0]))
     if rank < len(sv) and rank > 0:
@@ -502,10 +482,8 @@ def separable_anchor(w: WitnessFamily, grid: KernelGrid | None = None) -> np.nda
     spanning property, PPT, and pairing to zero with the Choi matrix."""
     grid = grid or KernelGrid.default()
     states = _dual_face_states(w, grid)
-    acc = np.zeros((8, 8), dtype=complex)
-    for s in states:
-        acc += s / np.trace(s).real
-    return acc / len(states)
+    traces = np.trace(states, axis1=1, axis2=2).real
+    return np.sum(states / traces[:, None, None], axis=0) / len(states)
 
 
 def find_ppt_entangled(
@@ -601,38 +579,6 @@ class ClassifyResult:
         return {"family": self.family, "params": params, "residual": self.residual}
 
 
-def _unit_or_none(f: np.ndarray):
-    n = np.linalg.norm(f)
-    if n == 0.0:
-        return None
-    return f / n
-
-
-def _phase_dist(f: np.ndarray, g: np.ndarray) -> float:
-    """Distance between unit 2-vectors modulo a global phase."""
-    ip = abs(np.vdot(f, g))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * ip))
-
-
-def _canonical_free(f: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(f)))
-    phase = f[k] / abs(f[k])
-    return f / phase
-
-
-def _estimate_params(w: WitnessFamily, tag: str, factors):
-    if tag in _PV1_SLOTS:
-        slots = _PV1_SLOTS[tag]
-        free = factors[slots.index(None)]
-        return tuple(complex(v) for v in _canonical_free(free))
-    mags = [np.abs(f) for f in factors]
-    if any(m[0] < 1e-12 or m[1] < 1e-12 for m in mags):
-        return None
-    q1 = mags[0][0] / mags[0][1]
-    q2 = mags[1][0] / mags[1][1]
-    return (float(q1 * q1 / w.u), float(w.u * q2 * q2))
-
-
 def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> ClassifyResult:
     """Match a product vector against the fourteen kernel families, modulo a
     global phase and scale on each party.
@@ -641,19 +587,42 @@ def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> Cl
     when no family reproduces the vector within tolerance (a valid verdict,
     and an alarm for the completeness of the enumeration).
     """
-    factors = [_unit_or_none(f) for f in v.factors()]
-    if any(f is None for f in factors):
+    norms = [np.linalg.norm(f) for f in v.factors()]
+    if 0.0 in norms:
         return ClassifyResult(family=None, params=None, residual=float("inf"))
+    factors = [f / n for f, n in zip(v.factors(), norms)]
+    mags = [np.abs(f) for f in factors]
+    # A flat family's estimate is its free factor with the phase of the larger
+    # entry removed; a curved family's is the (a1, a2) that the moduli of the
+    # first two factors give, the same for all eight.
+    canonical = [f / (f[k] / abs(f[k])) for f, k in zip(factors, map(np.argmax, mags))]
+    free = [canonical[_PV1_SLOTS[tag].index(None)] for tag in PV1_TAGS]
+    tags = list(PV1_TAGS)
+    estimates = [tuple(complex(c) for c in f) for f in free]
+    candidates = _family_factors(w, PV1_TAGS, np.array(free)[:, None])[:, 0]
+    if not any(m[0] < 1e-12 or m[1] < 1e-12 for m in mags):
+        q1 = mags[0][0] / mags[0][1]
+        q2 = mags[1][0] / mags[1][1]
+        est = (float(q1 * q1 / w.u), float(w.u * q2 * q2))
+        curved = ETA_TAGS + ZETA_TAGS
+        tags += curved
+        estimates += [est] * len(curved)
+        candidates = np.concatenate([candidates, _family_factors(w, curved, [est])[:, 0]])
+    seen = {}
+
+    def party_residual(i: int, g: np.ndarray) -> float:
+        # Distance modulo a global phase between unit 2-vectors.  Candidates
+        # share factors (the basis kets, and each curved phase pattern appears
+        # in two families), so each distinct one is compared once.
+        key = (i, g.tobytes())
+        if key not in seen:
+            ip = abs(np.vdot(factors[i], g / np.linalg.norm(g)))
+            seen[key] = math.sqrt(max(0.0, 2.0 - 2.0 * ip))
+        return seen[key]
+
     best_tag, best_params, best_res = None, None, float("inf")
-    for tag in FAMILY_TAGS:
-        est = _estimate_params(w, tag, factors)
-        if est is None:
-            continue
-        cand = kernel_vector(w, tag, np.array(est) if tag in _PV1_SLOTS else est)
-        res = max(
-            _phase_dist(factors[i], _unit_or_none(cand.factors()[i]))
-            for i in range(3)
-        )
+    for tag, est, cand in zip(tags, estimates, candidates):
+        res = max(party_residual(i, g) for i, g in enumerate(cand))
         if res < best_res:
             best_tag, best_params, best_res = tag, est, res
     if best_tag is not None and best_res <= tol:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Maximum allowed deviation from Hermitian symmetry (max entry modulus).
+#: Maximum allowed deviation from Hermitian symmetry, as a fraction of the
+#: largest entry modulus: a matrix computed in floating point carries an
+#: asymmetry proportional to its entries.  The zero matrix passes.
 HERMITICITY_TOL = 1e-12
 #: A Hermitian matrix counts as positive semidefinite down to this eigenvalue.
 PSD_TOL = 1e-10
@@ -53,11 +55,11 @@ def kron(a, b) -> np.ndarray:
 
 
 def tensor3(x, y, z) -> np.ndarray:
-    """8-vector x (x) y (x) z; component [4i+2j+k] equals x[i] y[j] z[k]."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    return np.multiply.outer(np.multiply.outer(x, y).ravel(), z).ravel()
+    """8-vectors x (x) y (x) z of stacks of 2-vectors (last axis); component
+    [..., 4i+2j+k] equals (x[..., i] y[..., j]) z[..., k]."""
+    x, y, z = (np.asarray(f, dtype=complex) for f in (x, y, z))
+    xyz = x[..., :, None, None] * y[..., None, :, None] * z[..., None, None, :]
+    return xyz.reshape(xyz.shape[:-3] + (8,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +88,6 @@ class ProductVector:
         """Rank-one matrix |v><v| of the full 8-vector."""
         f = self.full
         return np.outer(f, f.conj())
-
-    def norm(self) -> float:
-        return float(
-            np.linalg.norm(self.x) * np.linalg.norm(self.y) * np.linalg.norm(self.z)
-        )
 
     def unit(self) -> "ProductVector":
         """Same ray with every factor normalized to unit length."""
@@ -140,9 +137,11 @@ def hermiticity_defect(m) -> float:
 def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = _square(m)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    scale = float(np.max(np.abs(m)))
+    if defect > tol * scale:
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.0e}"
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.0e} "
+            f"of the largest entry {scale:.3e}"
         )
     return m
 

@@ -110,7 +110,10 @@ def pairing(rho, c) -> float:
     if rho.shape != c.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {c.shape}")
     value = complex(np.sum(c * rho))
-    if abs(value.imag) > 1e-10:
+    # Hermitian inputs pair to a real number.  The defects check_hermitian
+    # allows (1e-12 of either matrix's largest entry) leave below 1e-10
+    # max|c| max|rho| of imaginary part over the 64 products, rounding less.
+    if abs(value.imag) > 1e-10 * float(np.max(np.abs(c)) * np.max(np.abs(rho))):
         raise ValueError(f"pairing has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
@@ -154,6 +157,29 @@ ZETA_TAGS = ("zeta1", "zeta2", "zeta3", "zeta4")
 FAMILY_TAGS = PV1_TAGS + ETA_TAGS + ZETA_TAGS
 
 
+#: OMEGA**k for k = 0..7, each computed as the scalar power.
+_OMEGA_POWERS = np.array([OMEGA**k for k in range(8)])
+#: Per flat family: which party is free, and the basis kets of the others.
+_PV1_FREE = np.array([[slot is None for slot in slots] for slots in _PV1_SLOTS.values()])
+_PV1_PINNED = np.array([[_BASIS[slot or 0] for slot in slots] for slots in _PV1_SLOTS.values()])
+
+
+def _family_factors(w: WitnessFamily, tags, params) -> np.ndarray:
+    """Factors (tag, param, party, 2) of members of one or more kernel
+    families, all flat or all curved.  Flat params are free 2-vectors, (param,
+    2) or (tag, param, 2); curved ones are one (a1, a2) stack for every tag."""
+    if tags[0] in _PV1_SLOTS:
+        idx = [PV1_TAGS.index(tag) for tag in tags]
+        free = np.asarray(params, dtype=complex)[..., None, :]
+        return np.where(_PV1_FREE[idx, None, :, None], free, _PV1_PINNED[idx, None])
+    a1, a2 = np.asarray(params, dtype=float).T
+    u = w.u
+    out = np.empty((len(tags), len(a1), 3, 2), dtype=complex)
+    out[..., 0] = np.stack([np.sqrt(u * a1), np.sqrt(a2 / u), np.sqrt(a1 / a2)], axis=-1)
+    out[..., 1] = _OMEGA_POWERS[[_PHASE_EIGHTHS[tag] for tag in tags]][:, None, :]
+    return out
+
+
 def kernel_vector(w: WitnessFamily, tag: str, params) -> ProductVector:
     """Member of one of the fourteen kernel families.
 
@@ -162,28 +188,26 @@ def kernel_vector(w: WitnessFamily, tag: str, params) -> ProductVector:
     to zero with the Choi matrix: pairing(|v><v|, C) = 0.
     """
     if tag in _PV1_SLOTS:
-        free = np.asarray(params, dtype=complex)
-        if free.shape != (2,):
+        params = np.asarray(params, dtype=complex)
+        if params.shape != (2,):
             raise ValueError(f"family {tag} takes a complex 2-vector parameter")
-        factors = [free if s is None else _BASIS[s] for s in _PV1_SLOTS[tag]]
-        return ProductVector(*factors)
-    if tag in _PHASE_EIGHTHS:
+    elif tag in _PHASE_EIGHTHS:
         a1, a2 = params
         if a1 <= 0.0 or a2 <= 0.0:
             raise ValueError(f"family {tag} takes two positive parameters")
-        u = w.u
-        mods = (math.sqrt(u * a1), math.sqrt(a2 / u), math.sqrt(a1 / a2))
-        ks = _PHASE_EIGHTHS[tag]
-        return ProductVector(*(np.array([m, OMEGA**k]) for m, k in zip(mods, ks)))
-    raise ValueError(f"unknown kernel family tag {tag!r}")
+    else:
+        raise ValueError(f"unknown kernel family tag {tag!r}")
+    return ProductVector(*_family_factors(w, (tag,), [params])[0, 0])
 
 
-_PV4_BITS = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+#: Factors (6, party, 2) of the six basis product vectors in the flat kernel
+#: families: 000, 001, 010, 101, 110, 111.
+_PV4_FACTORS = np.array(_BASIS)[[(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
 
 
 def pv4_vectors() -> list:
     """The six basis product vectors contained in the flat kernel families."""
-    return [ProductVector(_BASIS[i], _BASIS[j], _BASIS[k]) for i, j, k in _PV4_BITS]
+    return [ProductVector(*f) for f in _PV4_FACTORS]
 
 
 def dual_state(w: WitnessFamily, kind: int, a1: float, a2: float) -> XMatrix:
@@ -249,24 +273,15 @@ class KernelGrid:
             params.append(np.array([1.0, phase]))
         return params
 
+    def _ab_pairs(self) -> list:
+        return [(a1, a2) for a1 in self.ab_values for a2 in self.ab_values]
+
     def kernel_ids(self) -> list:
-        ids = []
-        for tag in PV1_TAGS:
-            for p in self.pv1_params():
-                ids.append((tag, p))
-        for tag in ETA_TAGS + ZETA_TAGS:
-            for a1 in self.ab_values:
-                for a2 in self.ab_values:
-                    ids.append((tag, (a1, a2)))
-        return ids
+        flat = [(tag, p) for tag in PV1_TAGS for p in self.pv1_params()]
+        return flat + [(tag, ab) for tag in ETA_TAGS + ZETA_TAGS for ab in self._ab_pairs()]
 
     def dual_params(self) -> list:
-        return [
-            (kind, a1, a2)
-            for kind in (1, 2)
-            for a1 in self.ab_values
-            for a2 in self.ab_values
-        ]
+        return [(kind, a1, a2) for kind in (1, 2) for a1, a2 in self._ab_pairs()]
 
     def describe(self) -> dict:
         return {
@@ -276,9 +291,20 @@ class KernelGrid:
         }
 
 
+def _kernel_table(w: WitnessFamily, grid: KernelGrid, tags=FAMILY_TAGS) -> np.ndarray:
+    """Factors (n, party, 2) of the grid's members of the families in
+    ``tags``, in ``grid.kernel_ids()`` order."""
+    parts = [np.empty((0, 3, 2), dtype=complex)]
+    for kind, params in ((PV1_TAGS, grid.pv1_params()), (ETA_TAGS + ZETA_TAGS, grid._ab_pairs())):
+        kept = [tag for tag in kind if tag in tags]
+        if kept:
+            parts.append(_family_factors(w, kept, params).reshape(-1, 3, 2))
+    return np.concatenate(parts)
+
+
 def kernel_vectors(w: WitnessFamily, grid: KernelGrid) -> list:
     """All kernel vectors of a grid, in the grid's enumeration order."""
-    return [kernel_vector(w, tag, params) for tag, params in grid.kernel_ids()]
+    return [ProductVector(*f) for f in _kernel_table(w, grid)]
 
 
 # --- see-saw minimization over product vectors -------------------------------

@@ -102,9 +102,9 @@ def xpart(m) -> XMatrix:
         raise ValueError(f"X-part extraction needs an 8x8 matrix, got {m.shape}")
     diag = np.diagonal(m)
     worst = float(np.max(np.abs(diag.imag)))
-    # tolerance scales with the entry magnitude; fused complex multiplies can
-    # leave |entry| * eps imaginary residue on exactly real products
-    if worst > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(diag)))):
+    # relative to the largest entry, as in check_hermitian: fused complex
+    # multiplies can leave |entry| * eps imaginary residue on real products
+    if worst > HERMITICITY_TOL * float(np.max(np.abs(m))):
         raise ValueError(
             f"diagonal entries must be real, found imaginary part {worst:.3e}"
         )
