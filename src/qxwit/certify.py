@@ -496,9 +496,13 @@ def find_ppt_entangled(
     """PPT state detected by the witness (negative pairing).
 
     Starting from the separable anchor, walks along a traceless Hermitian
-    direction with negative pairing until the PPT boundary (bisection to
-    relative accuracy 1e-9), then retreats to 0.9 of the boundary parameter so
-    the certificate sits strictly inside the PPT cone.
+    direction d with negative pairing to the exact PPT boundary, then retreats
+    to 0.9 of the boundary parameter so the certificate sits strictly inside
+    the PPT cone.  Partial transposition is linear, so with L_k the Cholesky
+    factor of the anchor's k-th partial transpose, PT_k(anchor + lam d) is
+    L_k (I - lam M_k) L_k^H for M_k = -L_k^-1 PT_k(d) L_k^-H, and the boundary
+    is lam* = 1 / max_k lambda_max(M_k).  ``ppt_tol`` only judges the emitted
+    state.
     """
     grid = grid or KernelGrid.default()
     choi = choi_explicit(w)
@@ -520,24 +524,19 @@ def find_ppt_entangled(
     else:
         raise ValueError("direction must be 'x' or 'random'")
 
-    def ppt_at(lam: float) -> bool:
-        return ppt_check(anchor + lam * d, tol=ppt_tol).is_ppt
-
-    if not ppt_at(0.0):
-        raise RuntimeError("separable anchor failed the PPT check")
-    hi = 1.0
-    while ppt_at(hi):
-        hi *= 2.0
-        if hi > 2.0**30:
-            raise RuntimeError("failed to bracket the PPT boundary")
-    lo = 0.0
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if ppt_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.9 * lo
+    # masks 0..3 only, as in ppt_check: the complements share their spectra
+    try:
+        chol = np.linalg.cholesky([partial_transpose(anchor, SUBSETS[k]) for k in range(4)])
+    except np.linalg.LinAlgError:
+        raise RuntimeError("separable anchor failed the PPT check") from None
+    pt_d = np.array([partial_transpose(d, SUBSETS[k]) for k in range(4)])
+    left = np.linalg.solve(chol, pt_d)  # L^-1 PT(d)
+    m = -np.linalg.solve(chol, left.conj().swapaxes(1, 2))  # -L^-1 PT(d) L^-H
+    top = float(np.max(np.linalg.eigvalsh(m)))
+    if top <= 0.0:
+        raise RuntimeError("failed to bracket the PPT boundary")
+    lambda_max = 1.0 / top
+    lam = 0.9 * lambda_max
     rho = anchor + lam * d
     report = ppt_check(rho, tol=ppt_tol)
     value = pairing(rho, choi)
@@ -549,7 +548,7 @@ def find_ppt_entangled(
         rho=rho,
         pairing_value=value,
         min_pt_eigs=report.min_eigs,
-        lambda_max=lo,
+        lambda_max=lambda_max,
         lambda_used=lam,
         s=w.s,
         t=w.t,
@@ -611,13 +610,15 @@ def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> Cl
     seen = {}
 
     def party_residual(i: int, g: np.ndarray) -> float:
-        # Distance modulo a global phase between unit 2-vectors.  Candidates
-        # share factors (the basis kets, and each curved phase pattern appears
-        # in two families), so each distinct one is compared once.
+        # Distance modulo a global phase between unit 2-vectors: the sine of
+        # their angle, |f0 h1 - f1 h0|, which unlike sqrt(2 - 2|<f, h>|) does
+        # not floor at sqrt(eps).  Candidates share factors (the basis kets,
+        # and each curved phase pattern appears in two families), so each
+        # distinct one is compared once.
         key = (i, g.tobytes())
         if key not in seen:
-            ip = abs(np.vdot(factors[i], g / np.linalg.norm(g)))
-            seen[key] = math.sqrt(max(0.0, 2.0 - 2.0 * ip))
+            f, h = factors[i], g / np.linalg.norm(g)
+            seen[key] = float(abs(f[0] * h[1] - f[1] * h[0]))
         return seen[key]
 
     best_tag, best_params, best_res = None, None, float("inf")

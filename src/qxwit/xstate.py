@@ -10,16 +10,15 @@ import numpy as np
 
 from .qcore import HERMITICITY_TOL, ProductVector, _square
 
-#: Grid resolution used to bracket the phase maximum of the X norm.
-X_NORM_GRID_POINTS = 4096
 #: Relative tolerance on the rank-four separability conditions.
 SEPARABILITY_TOL = 1e-9
 # Both sides of the block-positivity inequality sqrt(x4 y4) >= ||z||_X scale
 # linearly when (x4, y4, z) is scaled, so its tolerances are fractions of the
 # norm and the verdicts do not depend on the scale.  The computed norm is off
 # by a relative error only: a few ulps of rounding in the two moduli, plus the
-# phase search's miss, which at a smooth maximum is quadratic in its 1e-9
-# bracket.  Both lie many orders below 1e-9.
+# error of the maximising phase.  np.roots is backward stable, so that phase
+# is off by O(eps), or O(sqrt(eps)) at a double root, and the objective, flat
+# to first order there, by the square of it.  Both lie many orders below 1e-9.
 #: Relative slack allowed in the block-positivity inequality.
 BLOCK_POSITIVITY_SLACK = 1e-9
 #: Relative tolerance for reporting equality sqrt(x4 y4) = ||z||_X.
@@ -114,48 +113,46 @@ def xpart(m) -> XMatrix:
     return XMatrix(a, b, c)
 
 
-def _x_norm_objective(z: np.ndarray, theta) -> np.ndarray:
-    e = np.exp(1j * np.asarray(theta))
+def _x_norm_objective(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.abs(z[0] * e + np.conj(z[3])) + np.abs(z[1] * e + np.conj(z[2]))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section search for the maximum of a unimodal function."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd, f(0.5 * (a + b)))
-
-
 def x_norm(z) -> float:
-    """Max over a unimodular phase e^{it} of |z1 e^{it} + conj(z4)| + |z2 e^{it} + conj(z3)|.
+    """Max over a unimodular phase e of |z1 e + conj(z4)| + |z2 e + conj(z3)|.
 
-    A 4096-point phase grid brackets the global maximum of the two-term
-    sinusoidal-amplitude objective; golden-section refinement then reaches
-    absolute accuracy well below 1e-10.
+    With p = z1 z4, q = z2 z3, A = |z1|^2 + |z4|^2 and B = |z2|^2 + |z3|^2 the
+    objective is sqrt(A + 2 Re(p e)) + sqrt(B + 2 Re(q e)), and its stationary
+    phases solve Im(p e)^2 (B + 2 Re(q e)) = Im(q e)^2 (A + 2 Re(p e)).  Times
+    -4 e^3 that is a degree-6 polynomial in e; the norm is the objective's largest
+    value at its roots, moved onto the unit circle.  The maximum is never at a
+    kink, where one term vanishes: that is a V-shaped minimum of the term, and
+    the other term's finite slope cannot make it a maximum of the sum.  The
+    phases e = 1, conj(p)/|p| and conj(q)/|q| (each term's maximum) are also
+    tried; they decide the cases where the polynomial vanishes identically,
+    such as a constant term.
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (4,):
         raise ValueError("X norm expects a complex 4-vector")
-    thetas = np.linspace(0.0, 2.0 * np.pi, X_NORM_GRID_POINTS, endpoint=False)
-    values = _x_norm_objective(z, thetas)
-    k = int(np.argmax(values))
-    h = 2.0 * np.pi / X_NORM_GRID_POINTS
-    refined = _golden_max(
-        lambda t: float(_x_norm_objective(z, t)), thetas[k] - h, thetas[k] + h
-    )
-    return max(float(values[k]), refined)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("X norm expects finite entries")
+    scale = float(np.max(np.abs(z)))
+    if scale == 0.0:
+        return 0.0
+    # At unit scale, zeroing entries below 1e-20 moves the norm by under 4e-20
+    # of it (it is at least max|z|) and keeps the coefficients far from
+    # underflow, where np.roots' division by the leading one overflows.
+    z = z / scale
+    z[np.abs(z) < 1e-20] = 0.0
+    p, q = z[0] * z[3], z[1] * z[2]
+    a = abs(z[0]) ** 2 + abs(z[3]) ** 2
+    b = abs(z[1]) ** 2 + abs(z[2]) ** 2
+    # on |e| = 1, -4 Im(p e)^2 = p^2 e^2 - 2|p|^2 + conj(p)^2 e^-2 and
+    # A + 2 Re(p e) = p e + A + conj(p) e^-1; the same for q and B
+    poly = np.convolve([p * p, 0, -2 * abs(p) ** 2, 0, np.conj(p * p)], [q, b, np.conj(q)])
+    poly -= np.convolve([q * q, 0, -2 * abs(q) ** 2, 0, np.conj(q * q)], [p, a, np.conj(p)])
+    phases = np.concatenate([np.angle(np.roots(poly)), [0.0, -np.angle(p), -np.angle(q)]])
+    return scale * float(np.max(_x_norm_objective(z, np.exp(1j * phases))))
 
 
 @dataclass(frozen=True)

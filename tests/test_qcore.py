@@ -235,3 +235,28 @@ _complex_pairs = st.lists(
 @given(_complex_pairs, _complex_pairs, _complex_pairs)
 def test_tensor3_is_bitwise_nested_kron(x, y, z):
     assert np.array_equal(tensor3(x, y, z), np.kron(np.kron(x, y), z))
+
+
+class TestPartialTransposeProperties:
+    """Both ppt_check and the PPT boundary in find_ppt_entangled diagonalize
+    only the subsets with masks 0..3 and mirror the complements."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SUBSETS))
+    def test_involution(self, seed, subset):
+        m = random_matrix(np.random.default_rng(seed), 8)
+        assert np.array_equal(partial_transpose(partial_transpose(m, subset), subset), m)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SUBSETS))
+    def test_complement_is_global_transpose(self, seed, subset):
+        m = random_matrix(np.random.default_rng(seed), 8)
+        complement = SUBSETS[7 - subset_mask(subset)]
+        assert set(subset).isdisjoint(complement) and len(subset) + len(complement) == 3
+        assert np.array_equal(partial_transpose(m, complement), partial_transpose(m, subset).T)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SUBSETS))
+    def test_complements_share_a_spectrum(self, seed, subset):
+        h = random_hermitian(np.random.default_rng(seed), 8)
+        complement = SUBSETS[7 - subset_mask(subset)]
+        a = np.linalg.eigvalsh(partial_transpose(h, subset))
+        b = np.linalg.eigvalsh(partial_transpose(h, complement))
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12 * np.max(np.abs(h)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qxwit import (
     ETA_TAGS,
@@ -12,6 +14,7 @@ from qxwit import (
     KernelGrid,
     ProductVector,
     WitnessFamily,
+    XMatrix,
     choi_explicit,
     choi_generic,
     dual_state,
@@ -600,3 +603,18 @@ class TestRatioRange:
         # s * t = 8 holds, but sqrt(s / t) under- or overflows
         with pytest.raises(ValueError, match="ratio"):
             WitnessFamily(s, 8.0 / s)
+
+
+class TestPairingXProperty:
+    @given(
+        st.floats(math.log(1e-3), math.log(1e3)),
+        st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
+    )
+    def test_matches_trace_pairing(self, log_s, parts):
+        s = math.exp(log_s)
+        w = WitnessFamily(s, 8.0 / s)
+        x = XMatrix(parts[:4], parts[4:8], np.array(parts[8:12]) + 1j * np.array(parts[12:]))
+        scale = max(w.s, w.t) * max(1.0, float(np.max(np.abs(parts))))
+        assert pairing_x(x, w) == pytest.approx(
+            pairing(x.to_matrix(), choi_explicit(w)), abs=1e-12 * scale
+        )
