@@ -28,15 +28,15 @@ from .witness import (
     KernelGrid,
     WitnessFamily,
     choi_explicit,
-    dual_state,
     min_product_values,
     pairing,
     _PV1_SLOTS,
     _PV4_FACTORS,
+    _dual_entries,
     _family_factors,
     _kernel_table,
 )
-from .xstate import XMatrix, xpart
+from .xstate import xpart, _x_matrices
 
 #: Relative singular-value cutoff for numerical ranks and nullspaces.
 RANK_THRESHOLD = 1e-8
@@ -84,6 +84,13 @@ def _field_dict(record, *skip) -> dict:
 # --- PPT check ----------------------------------------------------------------
 
 
+def _pt_stack(m: np.ndarray) -> np.ndarray:
+    """Partial transposes (4, 8, 8) of an 8x8 matrix for the masks 0..3.  Mask
+    7 - k shares the spectrum of mask k: transposing the remaining parties is
+    a global transpose of the already transposed matrix."""
+    return np.array([partial_transpose(m, SUBSETS[mask]) for mask in range(4)])
+
+
 @dataclass(frozen=True)
 class PPTReport:
     is_ppt: bool
@@ -94,16 +101,11 @@ class PPTReport:
 
 
 def ppt_check(rho, tol: float = PSD_TOL) -> PPTReport:
-    """Minimal eigenvalue of every partial transpose of a Hermitian matrix.
-
-    Only the four subsets with masks 0..3 are diagonalized, in one stacked
-    call; the complements share their spectra since transposing the remaining
-    parties is a global transpose of the already transposed matrix.  Partial
-    transposes of a Hermitian matrix are Hermitian, so rho is checked once.
-    """
+    """Minimal eigenvalue of every partial transpose of a Hermitian matrix,
+    from one stacked call over ``_pt_stack``.  Partial transposes of a
+    Hermitian matrix are Hermitian, so rho is checked once."""
     rho = check_hermitian(rho)
-    spectra = np.linalg.eigvalsh([partial_transpose(rho, SUBSETS[mask]) for mask in range(4)])
-    # mask 7 - k is the complement of mask k
+    spectra = np.linalg.eigvalsh(_pt_stack(rho))
     min_eigs = np.concatenate([spectra[:, 0], spectra[::-1, 0]])
     return PPTReport(is_ppt=bool(np.all(min_eigs >= -tol)), min_eigs=min_eigs)
 
@@ -201,8 +203,7 @@ def _dual_face_states(
     full = tensor3(factors[:, 0], factors[:, 1], factors[:, 2])
     states = full[:, :, None] * full[:, None, :].conj()
     if include_dual_states:
-        duals = [dual_state(w, kind, a1, a2).to_matrix() for kind, a1, a2 in grid.dual_params()]
-        states = np.concatenate([states, duals])
+        states = np.concatenate([states, _x_matrices(*_dual_entries(w, grid.dual_params()))])
     return states
 
 
@@ -266,19 +267,20 @@ class ExposednessCertificate:
 
 def _orthonormal_rows(rows: np.ndarray, threshold: float) -> np.ndarray:
     """Row-orthonormal basis of the row space of a real matrix."""
-    if rows.size == 0:
-        return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
     _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    keep = int(np.sum(sv > threshold * sv[0])) if sv[0] > 0 else 0
-    return vt[:keep]
+    return vt[: int(np.sum(sv > threshold * sv[0]))]
 
 
-def _intersection_dim(basis_a: np.ndarray, basis_b: np.ndarray, cos_tol: float) -> int:
-    """Dimension of the intersection of two subspaces with orthonormal row bases."""
-    if basis_a.shape[0] == 0 or basis_b.shape[0] == 0:
-        return 0
-    sv = np.linalg.svd(basis_a @ basis_b.T, compute_uv=False)
-    return int(np.sum(sv >= 1.0 - cos_tol))
+def _rank(sv: np.ndarray, tol: float) -> int:
+    """Count of the descending singular values above ``tol`` times the largest;
+    raises when the smallest counted one is within a factor 10 of that cutoff."""
+    rank = int(np.sum(sv > tol * sv[0]))
+    if 0 < rank < len(sv) and sv[rank - 1] < 10.0 * tol * sv[0]:
+        raise ValueError(
+            "nullspace computation is ill-conditioned "
+            f"(singular-value gap {sv[rank - 1] / sv[0]:.3e}); refine the grid"
+        )
+    return rank
 
 
 #: Diagonal indices forced to zero by the six basis product vectors in the
@@ -286,21 +288,6 @@ def _intersection_dim(basis_a: np.ndarray, basis_b: np.ndarray, cos_tol: float) 
 _PV4_DIAG_INDICES = (0, 1, 2, 5, 6, 7)
 
 _X_DIRECTION = np.array([1.0, 1.0, -1.0, 1.0])
-
-
-def _structural_basis(w: WitnessFamily) -> np.ndarray:
-    """Row-orthonormal basis of the two-parameter family of X witnesses with
-    balanced diagonal weights (x4 s = y4 t) and anti-diagonal along (1,1,-1,1)."""
-    zeros = np.zeros(4)
-    v1 = herm_to_vec(
-        XMatrix(
-            np.array([0.0, 0.0, 0.0, w.t]),
-            np.array([0.0, 0.0, 0.0, w.s]),
-            np.zeros(4, dtype=complex),
-        ).to_matrix()
-    )
-    v2 = herm_to_vec(XMatrix(zeros, zeros, _X_DIRECTION.astype(complex)).to_matrix())
-    return _orthonormal_rows(np.array([v1, v2]), 1e-12)
 
 
 def exposedness_certificate(
@@ -319,8 +306,10 @@ def exposedness_certificate(
     on Hermitian matrices; their common nullspace N is computed by SVD.
     (2) Every element of N must have zero diagonal at the six indices pinned
     by the basis kernel vectors.  (3) The ray is isolated two ways, which must
-    agree: structurally, by intersecting N with the balanced X-witness family
-    (the intersection dimension is reported as ``surviving_ray_dim``), and by
+    agree: by first-order conditions, since a block-positive matrix that
+    vanishes at a product vector has vanishing partial gradients there too
+    (the dimension of the subspace of N meeting them at every constraint
+    product vector is reported as ``surviving_ray_dim``), and by
     falsification, running a see-saw on both signed perturbations of the Choi
     matrix along every nullspace direction orthogonal to it; each such
     perturbation must lose block positivity.  (4) The surviving direction is
@@ -332,23 +321,12 @@ def exposedness_certificate(
     """
     grid = grid or KernelGrid.default()
     choi = choi_explicit(w)
-    states = _dual_face_states(
-        w,
-        grid,
-        tags=FAMILY_TAGS if include_eta_zeta else PV1_TAGS,
-        include_dual_states=include_dual_states,
-    )
+    tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
+    states = _dual_face_states(w, grid, tags=tags, include_dual_states=include_dual_states)
     rows = herm_to_vec(states.conj())
-    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(sv > tol * sv[0]))
-    if rank < len(sv) and rank > 0:
-        smallest_kept = sv[rank - 1]
-        if smallest_kept < 10.0 * tol * sv[0]:
-            raise ValueError(
-                "nullspace computation is ill-conditioned "
-                f"(singular-value gap {smallest_kept / sv[0]:.3e}); refine the grid"
-            )
-    null_basis = vt[rank:]
+    # all 64 right singular vectors are needed only when rows are fewer
+    _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
+    null_basis = vt[_rank(sv, tol) :]
     nullspace_dim = null_basis.shape[0]
 
     # The basis kernel vectors force these diagonals to vanish on all of N.
@@ -371,7 +349,15 @@ def exposedness_certificate(
         survivor_unit = -survivor_unit
     direction_match_error = float(np.linalg.norm(survivor_unit - cunit))
 
-    surviving_ray_dim = _intersection_dim(null_basis, _structural_basis(w), tol)
+    # <a|W|x> for W in N, x each product vector where the projectors pair to zero,
+    # a that x with one party's factor (axis 0) replaced by its orthogonal complement
+    x = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS]).conj()
+    xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
+    a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
+    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * tensor3(*x.swapaxes(0, 1))[:, None]
+    values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
+    tangent = np.concatenate([values.real, values.imag])
+    surviving_ray_dim = nullspace_dim - _rank(np.linalg.svd(tangent, compute_uv=False), tol)
 
     # Equality-case data of the surviving direction.
     survivor_mat = vec_to_herm(survivor_unit)
@@ -508,8 +494,7 @@ def find_ppt_entangled(
     choi = choi_explicit(w)
     anchor = separable_anchor(w, grid)
     if direction == "x":
-        zeros = np.zeros(4)
-        d = XMatrix(zeros, zeros, -_X_DIRECTION / (2.0 * _SQRT2)).to_matrix()
+        d = _x_matrices(np.zeros(4), np.zeros(4), -_X_DIRECTION / (2.0 * _SQRT2))
     elif direction == "random":
         rng = np.random.default_rng(seed)
         while True:
@@ -524,12 +509,11 @@ def find_ppt_entangled(
     else:
         raise ValueError("direction must be 'x' or 'random'")
 
-    # masks 0..3 only, as in ppt_check: the complements share their spectra
     try:
-        chol = np.linalg.cholesky([partial_transpose(anchor, SUBSETS[k]) for k in range(4)])
+        chol = np.linalg.cholesky(_pt_stack(anchor))
     except np.linalg.LinAlgError:
         raise RuntimeError("separable anchor failed the PPT check") from None
-    pt_d = np.array([partial_transpose(d, SUBSETS[k]) for k in range(4)])
+    pt_d = _pt_stack(d)
     left = np.linalg.solve(chol, pt_d)  # L^-1 PT(d)
     m = -np.linalg.solve(chol, left.conj().swapaxes(1, 2))  # -L^-1 PT(d) L^-H
     top = float(np.max(np.linalg.eigvalsh(m)))

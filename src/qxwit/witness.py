@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcore import ProductVector, check_hermitian, _square
+from .qcore import ProductVector, check_hermitian, _check_hermitian_stack, _square
 from .xstate import XMatrix
 
 #: Eighth root of unity used by every kernel family and dual state.
@@ -210,24 +210,26 @@ def pv4_vectors() -> list:
     return [ProductVector(*f) for f in _PV4_FACTORS]
 
 
-def dual_state(w: WitnessFamily, kind: int, a1: float, a2: float) -> XMatrix:
-    """Rank-four separable X states pairing to zero with the Choi matrix.
-
-    Both kinds share the diagonal (a1, a2, u a1/a2, u) / (1/a1, 1/a2,
-    a2/(u a1), 1/u); they differ in the anti-diagonal phase pattern.
-    """
-    if kind not in (1, 2):
+def _dual_entries(w: WitnessFamily, params) -> tuple:
+    """X-matrix fields (a, b, c), each (m, 4), of the dual states with (kind,
+    a1, a2) in the rows of ``params``.  Both kinds share the diagonal (a1, a2,
+    u a1/a2, u) / (1/a1, 1/a2, a2/(u a1), 1/u); they differ in the
+    anti-diagonal phase pattern."""
+    params = np.asarray(params, dtype=float).reshape(-1, 3)
+    kind, a1, a2 = params.T
+    if not set(kind.tolist()) <= {1, 2}:
         raise ValueError("kind must be 1 or 2")
-    if a1 <= 0.0 or a2 <= 0.0:
+    if (params[:, 1:] <= 0.0).any():
         raise ValueError("dual state parameters must be positive")
     u = w.u
-    a = np.array([a1, a2, u * a1 / a2, u])
-    b = np.array([1.0 / a1, 1.0 / a2, a2 / (u * a1), 1.0 / u])
-    if kind == 1:
-        c = OMEGA ** np.array([-3, 3, -1, -3])
-    else:
-        c = OMEGA ** np.array([3, -3, 1, 3])
-    return XMatrix(a, b, c)
+    a = np.array([a1, a2, u * a1 / a2, np.full_like(a1, u)]).T
+    b = np.array([1.0 / a1, 1.0 / a2, a2 / (u * a1), np.full_like(a1, 1.0 / u)]).T
+    return a, b, OMEGA ** np.array([[-3, 3, -1, -3], [3, -3, 1, 3]])[kind.astype(int) - 1]
+
+
+def dual_state(w: WitnessFamily, kind: int, a1: float, a2: float) -> XMatrix:
+    """Rank-four separable X state pairing to zero with C: one row of ``_dual_entries``."""
+    return XMatrix(*(f[0] for f in _dual_entries(w, [(kind, a1, a2)])))
 
 
 @dataclass(frozen=True)
@@ -400,12 +402,12 @@ def _seesaw(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    checked = [check_hermitian(m) for m in matrices]
-    if any(m.shape != (8, 8) for m in checked):
+    if any(np.shape(m) != (8, 8) for m in matrices):
         raise ValueError("see-saw needs an 8x8 Hermitian matrix")
-    if len(seeds) != len(checked):
-        raise ValueError(f"got {len(seeds)} seeds for {len(checked)} matrices")
-    c6 = np.array(checked, dtype=complex).reshape((-1,) + (2,) * 6)
+    if len(seeds) != len(matrices):
+        raise ValueError(f"got {len(seeds)} seeds for {len(matrices)} matrices")
+    c8 = _check_hermitian_stack(np.array(matrices, dtype=complex).reshape(-1, 8, 8))
+    c6 = c8.reshape((-1,) + (2,) * 6)
     tasks = c6.shape[0]
     perms = [c6.transpose(0, *(1 + a for a in axes)).reshape(tasks, 16, 4) for axes in _PARTY_AXES]
 

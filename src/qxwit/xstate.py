@@ -59,13 +59,7 @@ class XMatrix:
         object.__setattr__(self, "c", c)
 
     def to_matrix(self) -> np.ndarray:
-        m = np.zeros((8, 8), dtype=complex)
-        idx = np.arange(4)
-        m[idx, idx] = self.a
-        m[idx + 4, idx + 4] = self.b[::-1]
-        m[idx, 7 - idx] = self.c
-        m[7 - idx, idx] = self.c.conj()
-        return m
+        return _x_matrices(self.a, self.b, self.c)
 
     def to_json(self) -> dict:
         return {
@@ -88,6 +82,17 @@ class XMatrix:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed X matrix JSON: {exc}") from exc
         return cls(a, b, c)
+
+
+def _x_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Matrices (..., 8, 8) of stacks (..., 4) of X-matrix fields."""
+    m = np.zeros(c.shape[:-1] + (8, 8), dtype=complex)
+    idx = np.arange(4)
+    m[..., idx, idx] = a
+    m[..., idx + 4, idx + 4] = b[..., ::-1]
+    m[..., idx, 7 - idx] = c
+    m[..., 7 - idx, idx] = c.conj()
+    return m
 
 
 def xpart(m) -> XMatrix:

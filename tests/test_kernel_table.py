@@ -29,6 +29,8 @@ from qxwit import (
     spanning_check,
 )
 from qxwit.certify import RANK_THRESHOLD, _dual_face_states
+from qxwit.witness import _dual_entries
+from qxwit.xstate import _x_matrices
 
 GRIDS = st.sampled_from([KernelGrid.small(), KernelGrid.default(), KernelGrid.fine()])
 LOG_S = st.floats(-6.0, 6.0)
@@ -199,3 +201,28 @@ class TestNoPerMemberCalls:
 
         assert not hasattr(certify, "kernel_vector")
         assert not hasattr(certify, "partial_conjugate")
+
+
+def scalar_dual(w, kind, a1, a2) -> tuple:
+    """The X fields (a, b, c) of a dual state from the closed form, one
+    scalar at a time."""
+    u = w.u
+    a = np.array([a1, a2, u * a1 / a2, u])
+    b = np.array([1.0 / a1, 1.0 / a2, a2 / (u * a1), 1.0 / u])
+    c = OMEGA ** np.array([-3, 3, -1, -3] if kind == 1 else [3, -3, 1, 3])
+    return a, b, c
+
+
+class TestDualBuilderMatchesSingleStates:
+    @settings(max_examples=40, deadline=None)
+    @given(GRIDS, LOG_S)
+    def test_batch_is_the_per_state_loop_bitwise(self, grid, log_s):
+        w = family(log_s)
+        params = grid.dual_params()
+        batch = _x_matrices(*_dual_entries(w, params))
+        loop = np.array([dual_state(w, *p).to_matrix() for p in params])
+        assert batch.tobytes() == loop.tobytes()
+        for p in params:
+            x = dual_state(w, *p)
+            for got, want in zip((x.a, x.b, x.c), scalar_dual(w, *p)):
+                assert got.tobytes() == want.tobytes()

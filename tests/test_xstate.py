@@ -397,3 +397,19 @@ class TestScaleAwareTolerances:
         assert chk.holds and chk.equality
         chk = x_norm_lower_bound_check(lam * np.array([1, 0, 0, 0]))
         assert chk.holds and not chk.equality
+
+
+LOG_MODULUS = st.floats(-1.0, 1.0)
+ANGLE = st.floats(0.0, 2.0 * math.pi)
+
+
+class TestReconstructRoundTrip:
+    @given(st.lists(LOG_MODULUS, min_size=6, max_size=6), st.lists(ANGLE, min_size=6, max_size=6))
+    def test_xpart_of_product_vector(self, log_mods, angles):
+        entries = [10.0**r * np.exp(1j * phi) for r, phi in zip(log_mods, angles)]
+        v = ProductVector(*np.reshape(entries, (3, 2)))
+        x = xpart(v.projector())
+        rec = reconstruct_product_vector(x)
+        back = xpart(rec.vector.projector()).to_matrix()
+        target = rec.scale * x.to_matrix()
+        assert np.max(np.abs(back - target)) <= 1e-10 * np.max(np.abs(target))
