@@ -266,9 +266,10 @@ class ExposednessCertificate:
 
 
 def _orthonormal_rows(rows: np.ndarray, threshold: float) -> np.ndarray:
-    """Row-orthonormal basis of the row space of a real matrix."""
+    """Row-orthonormal basis of the row space of a real matrix, its dimension
+    decided by ``_rank``."""
     _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    return vt[: int(np.sum(sv > threshold * sv[0]))]
+    return vt[: _rank(sv, threshold)]
 
 
 def _rank(sv: np.ndarray, tol: float) -> int:
@@ -377,16 +378,15 @@ def exposedness_certificate(
     # its verdict is fixed from then on.
     perp = null_basis - np.outer(null_basis @ cunit, cunit)
     directions = vec_to_herm(_orthonormal_rows(perp, 1e-10))
-    rng = np.random.default_rng(seed)
     tasks = [
-        (k, eps, choi + eps * direction, int(rng.integers(2**63)))
+        (k, eps, choi + eps * direction)
         for k, direction in enumerate(directions)
         for eps in (prune_step, -prune_step)
     ]
     results = min_product_values(
-        [pert for _, _, pert, _ in tasks],
+        [pert for *_, pert in tasks],
         prune_restarts,
-        [sub_seed for *_, sub_seed in tasks],
+        np.random.default_rng(seed).integers(2**63, size=len(tasks)).tolist(),
         stop_below=PRUNE_VIOLATION,
     )
     records = [
@@ -400,7 +400,7 @@ def exposedness_certificate(
             stopped_below=res.stopped_below,
             perturbation=pert,
         )
-        for (k, eps, pert, _), res in zip(tasks, results)
+        for (k, eps, pert), res in zip(tasks, results)
     ]
     # A direction is pruned when both of its signed perturbations violate.
     unpruned = len({rec.direction for rec in records if not rec.violated})

@@ -261,6 +261,9 @@ def cmd_certify(args):
             "restarts": res.restarts,
             "min_value": res.min_value,
             "argmin": product_vector_to_json(res.argmin),
+            "cycles": res.cycles,
+            "max_cycles": res.max_cycles,
+            "converged": res.converged,
             "certified": ok,
         }
         note = f"see-saw minimum = {res.min_value:.3e}"

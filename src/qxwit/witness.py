@@ -312,7 +312,7 @@ def kernel_vectors(w: WitnessFamily, grid: KernelGrid) -> list:
 # --- see-saw minimization over product vectors -------------------------------
 
 #: A see-saw task has stalled once no restart's value moved by this much in a
-#: cycle.
+#: cycle, relative to the task's scale (see ``_seesaw``).
 STALL_TOL = 1e-12
 
 
@@ -335,47 +335,67 @@ class SeesawResult:
         return not self.stopped_below and self.cycles < self.max_cycles
 
 
-def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Unit minimal eigenvectors of a batch of 2x2 Hermitian matrices.
+def _min_eigpair(m: np.ndarray, current: np.ndarray) -> tuple:
+    """Minimal eigenvalues and unit eigenvectors of a batch of 2x2 Hermitian
+    matrices, each given by its entries (m00, m11, m01) along axis -2 of
+    ``m``; the vectors hold their two components along axis -2, like
+    ``current``.
 
-    Rows whose matrix is (numerically) a multiple of the identity keep the
-    current vector, since any unit vector is then optimal.
+    With h = (m00 - m11) / 2, r = hypot(h, |m01|) and top = r + |h|, the
+    eigenvalue is (m00 + m11) / 2 - r and the vector is (-m01, top) if h > 0,
+    else (-top, conj m01): of the two eigenvector formulas the one free of
+    cancellation.  Rows whose matrix is (numerically) a multiple of the
+    identity keep the current vector, since any unit vector is then optimal.
     """
-    a = m[..., 0, 0].real
-    d = m[..., 1, 1].real
-    od = m[..., 0, 1]
+    a = m[..., 0, :].real
+    d = m[..., 1, :].real
+    od = m[..., 2, :]
+    mean = 0.5 * (a + d)
     half = 0.5 * (a - d)
-    lam = 0.5 * (a + d) - np.sqrt(half * half + np.abs(od) ** 2)
-    v1 = np.stack([lam - d, od.conj()], axis=-1)
-    v2 = np.stack([-od, a - lam], axis=-1)
-    n1 = np.linalg.norm(v1, axis=-1)
-    n2 = np.linalg.norm(v2, axis=-1)
-    use2 = n2 > n1
-    vec = np.where(use2[..., None], v2, v1)
-    nrm = np.where(use2, n2, n1)
-    scale = np.abs(a) + np.abs(d) + 2.0 * np.abs(od) + 1e-300
-    degenerate = nrm <= 1e-14 * scale
-    safe = np.where(degenerate, 1.0, nrm)
-    vec = np.where(degenerate[..., None], current, vec / safe[..., None])
-    norms = np.linalg.norm(vec, axis=-1)
-    return vec / norms[..., None]
+    aod = np.abs(od)
+    abs_half = np.abs(half)
+    r = np.hypot(half, aod)
+    top = r + abs_half
+    use2 = half > 0
+    vec = np.empty(current.shape, dtype=complex)
+    np.negative(np.where(use2, od, top), out=vec[..., 0, :])
+    vec[..., 1, :] = np.where(use2, top, od.conj())
+    nrm = np.hypot(top, aod)
+    # |m00| + |m11| + 2 |m01| = 2 (max(|mean|, |half|) + |m01|)
+    degenerate = nrm <= 2e-14 * (np.maximum(np.abs(mean), abs_half) + aod)
+    vec /= np.where(degenerate, 1.0, nrm)[..., None, :]
+    return mean - r, np.where(degenerate[..., None, :], current, vec)
+
+
+def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Unit minimal eigenvectors (..., 2) of a batch (..., 2, 2) of 2x2
+    Hermitian matrices; rows whose matrix is (numerically) a multiple of the
+    identity keep the current vector."""
+    entries = np.asarray(m).reshape(*np.shape(m)[:-2], 4)[..., [0, 3, 1], None]
+    return _min_eigpair(entries, np.asarray(current)[..., None])[1][..., 0]
 
 
 #: Axis orders of the Choi tensor C[a, b, c, d, e, f] (row abc, column def)
-#: that put first the indices one party's effective matrix sums over, and last
-#: the (row, column) pair it keeps: party one keeps (a, d), two (b, e), three
+#: that put first the (row, column) pair one party's effective matrix keeps,
+#: then the indices it sums over: party one keeps (a, d), two (b, e), three
 #: (c, f).
-_PARTY_AXES = ((1, 2, 4, 5, 0, 3), (0, 2, 3, 5, 1, 4), (0, 1, 3, 4, 2, 5))
+_PARTY_AXES = ((0, 3, 1, 2, 4, 5), (1, 4, 0, 2, 3, 5), (2, 5, 0, 1, 3, 4))
 
 
-def _effective(perm: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Effective 2x2 matrices of one party, (task, restart, 2, 2), given the
-    factors f1, f2 of the other two parties and that party's (task, 16, 4)
-    permutation of the Choi tensor."""
-    lead = f1.shape[:-1]
-    g = (f1[..., :, None] * f2[..., None, :]).reshape(*lead, 4)
-    w = (g.conj()[..., :, None] * g[..., None, :]).reshape(*lead, 16)
-    return np.matmul(w, perm).reshape(*lead, 2, 2)
+def _effective(rows: np.ndarray, f1: np.ndarray, f2: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Entries (m00, m11, m01), (task, 3, restart), of one party's effective
+    2x2 matrices, given the factors f1, f2 (task, 2, restart) of the other
+    two parties and that party's (task, 3, 16) rows of the Choi tensor.
+
+    The (task, 16, restart) products of the other parties' entries go into
+    the first tasks of ``work``: reusing one buffer spares the allocator a
+    fresh array, often a few hundred kB, per party update.
+    """
+    tasks = f1.shape[0]
+    g = (f1[:, :, None] * f2[:, None, :]).reshape(tasks, 4, -1)
+    w = work[:tasks]
+    np.multiply(g.conj()[:, :, None], g[:, None, :], out=w.reshape(tasks, 4, 4, -1))
+    return np.matmul(rows, w)
 
 
 def _seesaw(
@@ -391,14 +411,18 @@ def _seesaw(
 
     Minimizes <eta| C |eta> over unit product vectors eta for each matrix C;
     one party at a time is replaced by the minimal eigenvector of its
-    effective 2x2 matrix.  Task k draws its starting factors from
+    effective 2x2 matrix, and a cycle's values are the third party's minimal
+    eigenvalues.  Task k draws its starting factors from
     ``default_rng(seeds[k])`` and stops when no restart's value moved by
-    ``stall_tol`` or more in the last cycle, when its best value is below
-    ``stop_below`` (if given), or at ``max_cycles``; stopped tasks leave the
-    batch.  Every update is an exact minimization, so a restart's value never
-    rises and a value below ``stop_below`` stays below it.  Returns the values
-    (task, restart), the factors (party, task, restart, 2) and the cycles run
-    per task.
+    ``stall_tol`` times its scale or more in the last cycle, when its best
+    value is below ``stop_below`` (if given), or at ``max_cycles``; stopped
+    tasks leave the batch.  A task's scale is the largest power of two not
+    above its largest entry: each task runs on its matrix divided by it, which
+    is exact, so the run neither under- nor overflows and its stall test
+    does not depend on the input's scale.  Every update is an exact
+    minimization, so a restart's value never rises and a value below
+    ``stop_below`` stays below it.  Returns the values (task, restart), the
+    factors (party, task, restart, 2) and the cycles run per task.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -407,19 +431,26 @@ def _seesaw(
     if len(seeds) != len(matrices):
         raise ValueError(f"got {len(seeds)} seeds for {len(matrices)} matrices")
     c8 = _check_hermitian_stack(np.array(matrices, dtype=complex).reshape(-1, 8, 8))
-    c6 = c8.reshape((-1,) + (2,) * 6)
-    tasks = c6.shape[0]
-    perms = [c6.transpose(0, *(1 + a for a in axes)).reshape(tasks, 16, 4) for axes in _PARTY_AXES]
+    tasks = c8.shape[0]
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(c8), axis=(1, 2), initial=0.0))[1] - 1)
+    c6 = (c8 / scale[:, None, None]).reshape((tasks,) + (2,) * 6)
+    party_rows = [
+        c6.transpose(0, *(1 + a for a in axes)).reshape(tasks, 4, 16)[:, [0, 3, 1]]
+        for axes in _PARTY_AXES
+    ]
+    limit = np.full(tasks, -np.inf if stop_below is None else stop_below) / scale
 
     # Starting factors; each task's final factors overwrite its slice.  Task k
     # draws from default_rng(seeds[k]) in the order (party, real/imaginary
-    # part, restart, component); the reshape keeps an empty batch 5-D.
+    # part, restart, component); the reshape keeps an empty batch 5-D.  The
+    # loop holds factors as (task, component, restart).
     draws = np.array(
         [np.random.default_rng(seed).standard_normal((3, 2, restarts, 2)) for seed in seeds]
     ).reshape(tasks, 3, 2, restarts, 2)
     v = draws[:, :, 0] + 1j * draws[:, :, 1]
-    factors = np.ascontiguousarray((v / np.linalg.norm(v, axis=-1, keepdims=True)).swapaxes(0, 1))
+    factors = (v / np.linalg.norm(v, axis=-1, keepdims=True)).transpose(1, 0, 3, 2).copy()
     fa, fb, fz = factors
+    work = np.empty((tasks, 16, restarts), dtype=complex)
     values = np.full((tasks, restarts), np.inf)
     out_values = np.empty_like(values)
     out_cycles = np.full(tasks, max_cycles)
@@ -427,14 +458,11 @@ def _seesaw(
     for cycle in range(1, max_cycles + 1):
         if active.size == 0:
             break
-        fa = _batched_min_eigvec(_effective(perms[0], fb, fz), fa)
-        fb = _batched_min_eigvec(_effective(perms[1], fa, fz), fb)
-        m = _effective(perms[2], fa, fb)
-        fz = _batched_min_eigvec(m, fz)
-        new = np.einsum("...i,...ij,...j->...", fz.conj(), m, fz).real
+        fa = _min_eigpair(_effective(party_rows[0], fb, fz, work), fa)[1]
+        fb = _min_eigpair(_effective(party_rows[1], fa, fz, work), fb)[1]
+        new, fz = _min_eigpair(_effective(party_rows[2], fa, fb, work), fz)
         stop = (cycle > 1) & (np.max(np.abs(new - values), axis=1) < stall_tol)
-        if stop_below is not None:
-            stop |= new.min(axis=1) < stop_below
+        stop |= new.min(axis=1) < limit
         values = new
         if stop.any():
             done = active[stop]
@@ -442,11 +470,12 @@ def _seesaw(
             factors[:, done] = np.array([fa[stop], fb[stop], fz[stop]])
             out_cycles[done] = cycle
             keep = ~stop
-            active, values, fa, fb, fz = active[keep], values[keep], fa[keep], fb[keep], fz[keep]
-            perms = [p[keep] for p in perms]
+            active, values, limit = active[keep], values[keep], limit[keep]
+            fa, fb, fz = fa[keep], fb[keep], fz[keep]
+            party_rows = [p[keep] for p in party_rows]
     out_values[active] = values
     factors[:, active] = np.array([fa, fb, fz])
-    return out_values, factors, out_cycles
+    return out_values * scale[:, None], factors.swapaxes(-1, -2), out_cycles
 
 
 def seesaw_minima(
@@ -478,12 +507,19 @@ def min_product_values(
     """Global see-saw minima over unit product vectors of several matrices,
     run as one batch; ``seeds[k]`` seeds the restarts of ``matrices[k]``.
 
+    Each party update solves its 2x2 eigenproblem in closed form, and a
+    restart's value is the last update's minimal eigenvalue, equal up to
+    rounding to the form at ``argmin``.  A task has converged once no
+    restart's value moved by ``STALL_TOL`` times the largest power of two
+    not above the matrix's largest entry, so the number of cycles does not
+    depend on the matrix's scale.
+
     Without ``stop_below`` each result equals, up to rounding,
-    ``min_product_value`` of that matrix and seed.  With it a task stops at the first cycle where its
-    best value is below that threshold; its ``min_value`` is then that first
-    value below the threshold, not the minimum a full run would reach, and
-    ``stopped_below`` is set.  Returns a tuple of SeesawResult in the order
-    of ``matrices``.
+    ``min_product_value`` of that matrix and seed.  With it a task stops at
+    the first cycle where its best value is below that threshold; its
+    ``min_value`` is then that first value below the threshold, not the
+    minimum a full run would reach, and ``stopped_below`` is set.  Returns a
+    tuple of SeesawResult in the order of ``matrices``.
     """
     values, (fa, fb, fz), cycles = _seesaw(
         matrices, restarts, seeds, max_cycles, STALL_TOL, stop_below=stop_below

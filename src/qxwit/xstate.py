@@ -272,10 +272,16 @@ def xpart_decompose(v: ProductVector) -> list:
 
 
 def _half_phase(sq: complex) -> complex:
-    """Unimodular square root of a unimodular number with argument in [0, pi)."""
+    """Unimodular square root of a unimodular number with argument in [0, pi).
+
+    A half-angle above -1e-13 is rounding of 0 (the argument is rounded to a
+    few 1e-16) and counts as 0, so a square of 1 computed as 1 - 1e-16i does
+    not give a root at the far end, pi.
+    """
     half = np.angle(sq) / 2.0
-    if half < 0.0:
+    if half < -1e-13:
         half += np.pi
+    half = max(half, 0.0)
     return complex(np.cos(half), np.sin(half))
 
 

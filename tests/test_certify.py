@@ -152,6 +152,23 @@ class TestDualFaceSpan:
         assert np.max(np.abs(gram - np.eye(span.dim))) < 1e-10
 
 
+class TestDualFaceSpanConditioning:
+    """The dual-face dimension is a rank decision with a gap check: where the
+    exposedness nullspace is refused as ill-conditioned, so is the span."""
+
+    @pytest.mark.parametrize("s", [1e-7, 1e-6, 3e6, 1e7])
+    def test_small_gap_raises(self, s):
+        w = WitnessFamily(s, 8.0 / s)
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            dual_face_span(w)
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            exposedness_certificate(w, prune_restarts=1)
+
+    @pytest.mark.parametrize("s", [1e-3, 2 * math.sqrt(2.0), 1e6])
+    def test_dimension_along_the_curve(self, s):
+        assert dual_face_span(WitnessFamily(s, 8.0 / s)).dim == 32
+
+
 class TestDualStateRedundancy:
     def test_dual_states_are_projector_averages(self, w):
         # each dual state is an exact average of the four matching curved

@@ -13,6 +13,7 @@ from qxwit import (
     kernel_vector,
     matrix_to_json,
     product_vector_to_json,
+    verify_positive,
     x_norm,
     xpart,
 )
@@ -435,3 +436,17 @@ class TestXStateExitScale:
         )
         assert code in (0, 1)
         assert code_scaled == code
+
+
+class TestPositivityConvergence:
+    @pytest.mark.parametrize("s", [0.5, 2 * SQRT2, 16.0])
+    def test_reports_the_see_saw_run(self, capsys, s):
+        code, payload = run_json(
+            capsys, "certify", "positivity", "--s", repr(s), "--t", repr(8.0 / s), "--restarts", "50"
+        )
+        res = verify_positive(WitnessFamily(s, 8.0 / s), restarts=50)
+        assert code == 0
+        assert payload["cycles"] == res.cycles
+        assert payload["max_cycles"] == res.max_cycles == 300
+        assert payload["converged"] is res.converged is True
+        assert 1 <= payload["cycles"] < payload["max_cycles"]

@@ -1,0 +1,143 @@
+"""The see-saw's closed-form 2x2 eigenpair and its scale-relative stall test,
+checked against oracles that share no code with the engine: numpy's
+``eigh``/``eigvalsh`` for the kernel, and a serial see-saw built on ``eigh``
+for the whole run."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qxwit import WitnessFamily, choi_explicit, min_product_value, min_product_values, pairing
+from qxwit.witness import STALL_TOL, _batched_min_eigvec, _seesaw
+
+SQRT2 = math.sqrt(2.0)
+
+unit = st.floats(-1.0, 1.0)
+log_scale = st.floats(-150.0, 150.0)
+
+
+def hermitian_2x2(kind, a, d, re, im, scale):
+    """A 2x2 Hermitian matrix of the given kind, entries scaled by ``scale``."""
+    if kind == "zero":
+        a = d = re = im = 0.0
+    elif kind == "od = 0":
+        re = im = 0.0
+    elif kind == "a = d":
+        d = a
+    elif kind == "a < d":
+        a, d = min(a, d), max(a, d) + 0.5
+    elif kind == "a > d":
+        a, d = max(a, d) + 0.5, min(a, d)
+    elif kind == "identity multiple":
+        d, re, im = a, 0.0, 0.0
+    od = complex(re, im)
+    return scale * np.array([[a, od], [od.conjugate(), d]])
+
+
+class TestKernelAgainstEigh:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["generic", "zero", "od = 0", "a = d", "a < d", "a > d", "identity multiple"]),
+        unit,
+        unit,
+        unit,
+        unit,
+        log_scale,
+        st.tuples(unit, unit, unit, unit).filter(lambda c: math.hypot(*c) > 1e-3),
+    )
+    def test_minimal_eigenpair(self, kind, a, d, re, im, log10_scale, cur):
+        m = hermitian_2x2(kind, a, d, re, im, 10.0**log10_scale)
+        current = np.array([complex(cur[0], cur[1]), complex(cur[2], cur[3])])
+        current /= np.linalg.norm(current)
+        v = _batched_min_eigvec(m[None], current[None])[0]
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        size = float(np.max(np.abs(m)))
+        lam = np.linalg.eigvalsh(m)[0]
+        assert np.linalg.norm(m @ v - lam * v) <= 1e-12 * size
+        if m[0, 0] == m[1, 1] and m[0, 1] == 0:
+            # every unit vector is optimal: the current one is kept
+            assert np.array_equal(v, current)
+        elif np.ptp(np.linalg.eigvalsh(m)) > 1e-6 * size:
+            _, vecs = np.linalg.eigh(m)
+            assert abs(np.vdot(vecs[:, 0], v)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_batch_shapes(self):
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+        m = g + g.conj().swapaxes(-1, -2)
+        current = np.ones((3, 5, 2), dtype=complex) / SQRT2
+        v = _batched_min_eigvec(m, current)
+        lam = np.linalg.eigvalsh(m)[..., 0]
+        assert v.shape == (3, 5, 2)
+        assert np.max(np.abs(np.einsum("...ij,...j->...i", m, v) - lam[..., None] * v)) <= 1e-12
+
+
+def eigh_seesaw(c8, restarts, seed, max_cycles=300):
+    """Serial see-saw of one matrix: numpy's eigh for each party update and
+    einsum for the effective matrices; the stall tolerance is STALL_TOL times
+    the largest power of two not above max|C|.  Returns the per-restart
+    values and the cycles run."""
+    c6 = c8.reshape((2,) * 6)
+    tol = STALL_TOL * 2.0 ** math.floor(math.log2(np.max(np.abs(c8))))
+    draws = np.random.default_rng(seed).standard_normal((3, 2, restarts, 2))
+    v = draws[:, 0] + 1j * draws[:, 1]
+    fa, fb, fz = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    values = np.full(restarts, np.inf)
+    for cycles in range(1, max_cycles + 1):
+        fa = np.linalg.eigh(np.einsum("abcdef,nb,nc,ne,nf->nad", c6, fb.conj(), fz.conj(), fb, fz))[1][..., 0]
+        fb = np.linalg.eigh(np.einsum("abcdef,na,nc,nd,nf->nbe", c6, fa.conj(), fz.conj(), fa, fz))[1][..., 0]
+        lam, vecs = np.linalg.eigh(np.einsum("abcdef,na,nb,nd,ne->ncf", c6, fa.conj(), fb.conj(), fa, fb))
+        fz = vecs[..., 0]
+        stalled = cycles > 1 and float(np.max(np.abs(lam[:, 0] - values))) < tol
+        values = lam[:, 0]
+        if stalled:
+            break
+    return values, cycles
+
+
+class TestSeesawAgainstEighOracle:
+    @pytest.mark.parametrize("s", [0.5, 2 * SQRT2, 5.0, 16.0])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_choi_cycles_and_values(self, s, seed):
+        c = choi_explicit(WitnessFamily(s, 8.0 / s))
+        values, cycles = eigh_seesaw(c, 24, seed)
+        engine_values, _, engine_cycles = _seesaw([c], 24, [seed], 300, STALL_TOL)
+        assert engine_cycles[0] == cycles
+        assert np.max(np.abs(engine_values[0] - values)) <= 1e-12 * np.max(np.abs(c))
+        (res,) = min_product_values([c], 24, [seed])
+        assert res.cycles == cycles
+        assert res.min_value == pytest.approx(values.min(), abs=1e-12 * np.max(np.abs(c)))
+
+
+class TestScaleRelativeStall:
+    """min over unit product vectors of lam (C - I/2) is -lam/2 at every scale."""
+
+    SHIFTED = choi_explicit(WitnessFamily()) - 0.5 * np.eye(8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-150.0, 150.0))
+    def test_homogeneity(self, log10_lam):
+        lam = 10.0**log10_lam
+        with np.errstate(all="raise"):
+            res = min_product_value(lam * self.SHIFTED, 16, 3)
+        assert res.converged
+        assert res.min_value / lam == pytest.approx(-0.5, abs=1e-12)
+        assert pairing(res.argmin.projector(), self.SHIFTED) == pytest.approx(-0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-160, 1e150, 1e155])
+    def test_extreme_scales(self, lam):
+        with np.errstate(all="raise"):
+            res = min_product_value(lam * self.SHIFTED, 16, 3)
+        assert res.converged and res.cycles < 20
+        assert res.min_value / lam == pytest.approx(-0.5, abs=1e-12)
+
+    def test_power_of_two_scaling_is_exact(self):
+        # dividing by a power of two is exact, so the run is the same run
+        one = min_product_value(self.SHIFTED, 16, 3)
+        big = min_product_value(2.0**300 * self.SHIFTED, 16, 3)
+        assert big.min_value == 2.0**300 * one.min_value
+        assert big.cycles == one.cycles
+        assert np.array_equal(big.argmin.full, one.argmin.full)

@@ -413,3 +413,32 @@ class TestReconstructRoundTrip:
         back = xpart(rec.vector.projector()).to_matrix()
         target = rec.scale * x.to_matrix()
         assert np.max(np.abs(back - target)) <= 1e-10 * np.max(np.abs(target))
+
+
+class TestReconstructIdempotent:
+    """Reconstructing from the X part of a reconstruction gives back the same
+    factors, with arg q1 and arg q2 on the documented branch [0, pi)."""
+
+    @staticmethod
+    def twice(v):
+        first = reconstruct_product_vector(xpart(v.projector())).vector
+        second = reconstruct_product_vector(xpart(first.projector())).vector
+        return first, second
+
+    @given(st.lists(LOG_MODULUS, min_size=6, max_size=6), st.lists(ANGLE, min_size=6, max_size=6))
+    def test_reconstruction_is_a_fixed_point(self, log_mods, angles):
+        entries = [10.0**r * np.exp(1j * phi) for r, phi in zip(log_mods, angles)]
+        first, second = self.twice(ProductVector(*np.reshape(entries, (3, 2))))
+        for f, g in zip(first.factors(), second.factors()):
+            assert np.max(np.abs(f - g)) <= 1e-10 * np.max(np.abs(f))
+        for q in (second.x[1], second.y[1]):
+            assert 0.0 <= np.angle(q) < math.pi
+
+    def test_zero_half_angle_stays_zero(self):
+        # the second reconstruction's half-angle of y rounds to -6e-17
+        v = ProductVector(
+            np.array([1.0, np.exp(0.5j)]), np.array([1.0, 1.0]), np.array([np.exp(1j), 10.0])
+        )
+        first, second = self.twice(v)
+        assert second.y[1] == first.y[1] == 1.0
+        assert np.allclose(second.z, first.z, rtol=0.0, atol=1e-12)
