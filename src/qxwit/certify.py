@@ -34,7 +34,10 @@ from .witness import (
     _PV4_FACTORS,
     _dual_entries,
     _family_factors,
+    _effective,
     _kernel_table,
+    _min_eigpair,
+    _party_rows,
 )
 from .xstate import xpart, _x_matrices
 
@@ -223,11 +226,13 @@ def dual_face_span(w: WitnessFamily, grid: KernelGrid | None = None) -> DualFace
 class PruneRecord:
     direction: int
     epsilon: float
-    #: The first see-saw value below PRUNE_VIOLATION, reached at ``argmin``;
-    #: or, if none was, the value at the stall or the cycle cap.
+    #: The probe's value (``cycles`` 0) or the first see-saw value below
+    #: PRUNE_VIOLATION, reached at ``argmin``; or, if neither was below it,
+    #: the see-saw value at the stall or the cycle cap.
     min_value: float
     argmin: ProductVector
     violated: bool
+    #: 0 when the probe settled the task, else the see-saw cycles run.
     cycles: int
     stopped_below: bool
     perturbation: np.ndarray = field(repr=False, default=None)
@@ -291,6 +296,45 @@ _PV4_DIAG_INDICES = (0, 1, 2, 5, 6, 7)
 _X_DIRECTION = np.array([1.0, 1.0, -1.0, 1.0])
 
 
+def _prune_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
+    """Cycle 0 of the prune search: for each matrix M of a stack (task, 8,
+    8), the best product vector one see-saw party update reaches from any
+    product vector x of a stack (n, party, 2).  Returns its unit factors
+    (task, party, 2) and the form of M itself there.
+
+    Where the form of M vanishes at x but a partial gradient there does not,
+    changing one party's factor of x takes the form below zero, and the best
+    change is the lowest eigenvector of that party's effective 2x2 matrix at
+    the other two unit factors of x.  Every (party, task, x) needs only the
+    lowest eigenvalue, (m00 + m11)/2 - sqrt(((m00 - m11)/2)^2 + |m01|^2) as
+    in _min_eigpair, and each task's lowest one its eigenvector.
+    """
+    tasks, n = len(perts), len(x)
+    pick = np.arange(tasks)
+    unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    columns = unit.transpose(1, 2, 0)[:, None]  # (party, 1, component, x)
+    work = np.empty((1, 16, n), dtype=complex)
+    best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
+    best_entries = np.empty((3, 3, tasks), dtype=complex)
+    # entries scaled to at most 1, so that the squares below cannot overflow
+    scaled = perts / np.max(np.abs(perts), initial=1.0)
+    for p, rows in enumerate(_party_rows(scaled)):
+        partners = np.delete(columns, p, axis=0)
+        entries = _effective(rows.reshape(1, -1, 16), *partners, work).reshape(tasks, 3, n)
+        m00, m11, m01 = entries.real[:, 0], entries.real[:, 1], entries[:, 2]
+        half = 0.5 * (m00 - m11)
+        lowest = 0.5 * (m00 + m11) - np.sqrt(half * half + np.abs(m01) ** 2)
+        best_x[p] = np.argmin(lowest, axis=1)
+        best_value[p] = lowest[pick, best_x[p]]
+        best_entries[p] = entries[pick, :, best_x[p]].T
+    party = np.argmin(best_value, axis=0)
+    probe = unit[best_x[party, pick]]
+    current = probe[pick, party].T
+    probe[pick, party] = _min_eigpair(best_entries[party, :, pick].T, current)[1].T
+    psi = tensor3(probe[:, 0], probe[:, 1], probe[:, 2])
+    return probe, np.einsum("ti,tij,tj->t", psi.conj(), perts, psi).real
+
+
 def exposedness_certificate(
     w: WitnessFamily,
     grid: KernelGrid | None = None,
@@ -311,15 +355,24 @@ def exposedness_certificate(
     vanishes at a product vector has vanishing partial gradients there too
     (the dimension of the subspace of N meeting them at every constraint
     product vector is reported as ``surviving_ray_dim``), and by
-    falsification, running a see-saw on both signed perturbations of the Choi
-    matrix along every nullspace direction orthogonal to it; each such
-    perturbation must lose block positivity.  (4) The surviving direction is
-    compared to the Choi matrix (``direction_match_error``).
+    falsification: both signed perturbations C +- ``prune_step`` D of the
+    Choi matrix along every nullspace direction D orthogonal to it must lose
+    block positivity, shown by a value below ``PRUNE_VIOLATION``.  A
+    closed-form probe (``_prune_probe``) tries one party update from every
+    constraint product vector and settles each perturbation it takes below
+    the threshold, with ``cycles`` 0; only the rest run a see-saw of
+    ``prune_restarts`` restarts, seeded per task from ``seed``.  (4) The
+    surviving direction is compared to the Choi matrix
+    (``direction_match_error``).
 
     With ``include_eta_zeta`` and ``include_dual_states`` both false the
     constraints reduce to the flat families, which is known to leave a
     surviving dimension larger than one.
     """
+    if not math.isfinite(prune_step):
+        raise ValueError(f"prune_step must be finite, got {prune_step!r}")
+    if prune_restarts < 1:
+        raise ValueError("prune_restarts must be at least 1")
     grid = grid or KernelGrid.default()
     choi = choi_explicit(w)
     tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
@@ -373,34 +426,44 @@ def exposedness_certificate(
     }
 
     # Falsification route: every direction in N orthogonal to the ray must
-    # break block positivity under both signed perturbations.  See-saw values
-    # never rise, so each task stops at its first value below the threshold:
-    # its verdict is fixed from then on.
+    # break block positivity under both signed perturbations M = C + eps D.
     perp = null_basis - np.outer(null_basis @ cunit, cunit)
     directions = vec_to_herm(_orthonormal_rows(perp, 1e-10))
-    tasks = [
-        (k, eps, choi + eps * direction)
-        for k, direction in enumerate(directions)
-        for eps in (prune_step, -prune_step)
+    task_direction = np.repeat(np.arange(len(directions)), 2)
+    task_eps = np.tile([prune_step, -prune_step], len(directions))
+    perts = choi + task_eps[:, None, None] * directions[task_direction]
+
+    # Cycle 0: the probe settles every task it takes below the threshold.
+    probe, probe_values = _prune_probe(x, perts)
+
+    # Tasks the probe leaves open go to the see-saw, seeded as before.  See-saw
+    # values never rise, so each stops at its first value below the threshold:
+    # its verdict is fixed from then on.
+    outcomes = [
+        (value, ProductVector(*f), 0, True) for value, f in zip(probe_values.tolist(), probe.conj())
     ]
-    results = min_product_values(
-        [pert for *_, pert in tasks],
-        prune_restarts,
-        np.random.default_rng(seed).integers(2**63, size=len(tasks)).tolist(),
-        stop_below=PRUNE_VIOLATION,
-    )
+    open_tasks = np.flatnonzero(probe_values >= PRUNE_VIOLATION)
+    if open_tasks.size:
+        seeds = np.random.default_rng(seed).integers(2**63, size=len(perts))[open_tasks]
+        results = min_product_values(
+            perts[open_tasks], prune_restarts, seeds.tolist(), stop_below=PRUNE_VIOLATION
+        )
+        for t, res in zip(open_tasks.tolist(), results):
+            outcomes[t] = (res.min_value, res.argmin, res.cycles, res.stopped_below)
     records = [
         PruneRecord(
             direction=k,
             epsilon=eps,
-            min_value=res.min_value,
-            argmin=res.argmin,
-            violated=res.min_value < PRUNE_VIOLATION,
-            cycles=res.cycles,
-            stopped_below=res.stopped_below,
+            min_value=value,
+            argmin=argmin,
+            violated=value < PRUNE_VIOLATION,
+            cycles=cycles,
+            stopped_below=stopped,
             perturbation=pert,
         )
-        for (k, eps, pert), res in zip(tasks, results)
+        for k, eps, pert, (value, argmin, cycles, stopped) in zip(
+            task_direction.tolist(), task_eps.tolist(), perts, outcomes
+        )
     ]
     # A direction is pruned when both of its signed perturbations violate.
     unpruned = len({rec.direction for rec in records if not rec.violated})

@@ -66,7 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=float, default=_DEFAULT_ST, help="witness parameter s")
         p.add_argument("--t", type=float, default=_DEFAULT_ST, help="witness parameter t")
         p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=0,
+            help="random seed (exposedness: seeds only the see-saw on perturbations the probe "
+            "leaves open)",
+        )
         p.add_argument(
             "--grid",
             choices=("small", "default", "fine"),
@@ -110,7 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("spanning", "exposedness", "detect", "positivity"))
     p.add_argument("--restarts", type=int, default=200, help="see-saw restarts (positivity)")
     p.add_argument("--prune-step", type=float, default=0.05, help="perturbation size (exposedness)")
-    p.add_argument("--prune-restarts", type=int, default=32, help="see-saw restarts per direction")
+    p.add_argument(
+        "--prune-restarts",
+        type=int,
+        default=32,
+        help="exposedness: see-saw restarts per perturbation the closed-form probe leaves open",
+    )
     p.add_argument("--direction", choices=("x", "random"), default="x", help="detect direction")
     p.add_argument(
         "--drop-curved-constraints",

@@ -8,6 +8,7 @@ significant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +137,12 @@ def hermiticity_defect(m) -> float:
 
 def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = _square(m)
-    defect = hermiticity_defect(m)
+    # NaN fails every comparison, so the defect test alone would pass it;
+    # testing the scale first also keeps inf - inf out of the defect.
     scale = float(np.max(np.abs(m)))
+    if not math.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    defect = hermiticity_defect(m)
     if defect > tol * scale:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.0e} "
@@ -148,8 +153,11 @@ def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
 def _check_hermitian_stack(ms: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """``check_hermitian`` on every matrix of a stack (k, n, n), in one pass."""
+    scale = np.max(np.abs(ms), axis=(1, 2), initial=0.0)
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has non-finite entries")
     defect = np.max(np.abs(ms - ms.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
-    for k in np.flatnonzero(defect > tol * np.max(np.abs(ms), axis=(1, 2), initial=0.0)):
+    for k in np.flatnonzero(defect > tol * scale):
         check_hermitian(ms[k], tol)  # the same test, so it raises, with its message
     return ms
 

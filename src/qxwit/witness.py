@@ -382,6 +382,16 @@ def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
 _PARTY_AXES = ((0, 3, 1, 2, 4, 5), (1, 4, 0, 2, 3, 5), (2, 5, 0, 1, 3, 4))
 
 
+def _party_rows(c8: np.ndarray) -> list:
+    """Per party, the (task, 3, 16) rows of a stack (task, 8, 8) of matrices
+    that ``_effective`` pairs with the other two parties' factors."""
+    c6 = c8.reshape((len(c8),) + (2,) * 6)
+    return [
+        c6.transpose(0, *(1 + a for a in axes)).reshape(len(c8), 4, 16)[:, [0, 3, 1]]
+        for axes in _PARTY_AXES
+    ]
+
+
 def _effective(rows: np.ndarray, f1: np.ndarray, f2: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Entries (m00, m11, m01), (task, 3, restart), of one party's effective
     2x2 matrices, given the factors f1, f2 (task, 2, restart) of the other
@@ -433,11 +443,7 @@ def _seesaw(
     c8 = _check_hermitian_stack(np.array(matrices, dtype=complex).reshape(-1, 8, 8))
     tasks = c8.shape[0]
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(c8), axis=(1, 2), initial=0.0))[1] - 1)
-    c6 = (c8 / scale[:, None, None]).reshape((tasks,) + (2,) * 6)
-    party_rows = [
-        c6.transpose(0, *(1 + a for a in axes)).reshape(tasks, 4, 16)[:, [0, 3, 1]]
-        for axes in _PARTY_AXES
-    ]
+    party_rows = _party_rows(c8 / scale[:, None, None])
     limit = np.full(tasks, -np.inf if stop_below is None else stop_below) / scale
 
     # Starting factors; each task's final factors overwrite its slice.  Task k
@@ -514,7 +520,9 @@ def min_product_values(
     not above the matrix's largest entry, so the number of cycles does not
     depend on the matrix's scale.
 
-    Without ``stop_below`` each result equals, up to rounding,
+    ``argmin`` is the first restart whose value is within 32 ulps of the
+    matrix's largest entry of ``min_value``, so rounding-level changes do not
+    move it.  Without ``stop_below`` each result equals, up to rounding,
     ``min_product_value`` of that matrix and seed.  With it a task stops at
     the first cycle where its best value is below that threshold; its
     ``min_value`` is then that first value below the threshold, not the
@@ -526,8 +534,15 @@ def min_product_values(
     )
     results = []
     for t, seed in enumerate(seeds):
-        k = int(np.argmin(values[t]))
-        min_value = float(values[t, k])
+        min_value = float(values[t].min())
+        # Restarts that end at the same minimum agree only up to rounding: a
+        # value is the eigenvalue of a 2x2 matrix whose entries are 16-term
+        # sums over the matrix's entries, and on Choi matrices along the curve
+        # all 1000 restarts end within one ulp of the largest entry.  So that
+        # rounding does not choose the argmin, it is the first restart within
+        # 32 such ulps of the minimum, far below any threshold a verdict reads.
+        window = 32.0 * np.spacing(np.max(np.abs(np.asarray(matrices[t]))))
+        k = int(np.argmax(values[t] <= min_value + window))
         results.append(
             SeesawResult(
                 min_value=min_value,

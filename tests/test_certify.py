@@ -247,6 +247,9 @@ class TestPruneEarlyStop:
         )
         assert sum(r.cycles for r in cert.prune_records) <= 10 * len(cert.prune_records)
 
+    def test_certificate_runs_no_see_saw_cycle(self, default_cert):
+        assert sum(r.cycles for r in default_cert.prune_records) == 0
+
 
 class TestDetection:
     def test_anchor_is_interior_dual_face_point(self, w):
