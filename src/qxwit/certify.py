@@ -28,7 +28,6 @@ from .witness import (
     KernelGrid,
     WitnessFamily,
     choi_explicit,
-    min_product_values,
     pairing,
     _PV1_SLOTS,
     _PV4_FACTORS,
@@ -44,9 +43,13 @@ from .xstate import xpart, _x_matrices
 #: Relative singular-value cutoff for numerical ranks and nullspaces.
 RANK_THRESHOLD = 1e-8
 
-#: A prune perturbation C + eps D has lost block positivity once its see-saw
+#: Step eps of the prune perturbations C +- eps D along unit directions D.
+PRUNE_STEP = 0.05
+
+#: A prune perturbation C + eps D has lost block positivity once its probe
 #: value is below this.  The threshold is absolute because the scale is fixed:
-#: every direction D has unit Hilbert-Schmidt norm and the step eps is 0.05.
+#: every direction D has unit Hilbert-Schmidt norm and the step eps is
+#: PRUNE_STEP.
 PRUNE_VIOLATION = -1e-9
 
 
@@ -226,15 +229,10 @@ def dual_face_span(w: WitnessFamily, grid: KernelGrid | None = None) -> DualFace
 class PruneRecord:
     direction: int
     epsilon: float
-    #: The probe's value (``cycles`` 0) or the first see-saw value below
-    #: PRUNE_VIOLATION, reached at ``argmin``; or, if neither was below it,
-    #: the see-saw value at the stall or the cycle cap.
+    #: The probe's value, the form of the perturbation at ``argmin``.
     min_value: float
     argmin: ProductVector
     violated: bool
-    #: 0 when the probe settled the task, else the see-saw cycles run.
-    cycles: int
-    stopped_below: bool
     perturbation: np.ndarray = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
@@ -247,7 +245,6 @@ class ExposednessCertificate:
     t: float
     grid: dict
     tol: float
-    seed: int
     constraint_count: int
     nullspace_dim: int
     surviving_ray_dim: int
@@ -283,8 +280,8 @@ def _rank(sv: np.ndarray, tol: float) -> int:
     rank = int(np.sum(sv > tol * sv[0]))
     if 0 < rank < len(sv) and sv[rank - 1] < 10.0 * tol * sv[0]:
         raise ValueError(
-            "nullspace computation is ill-conditioned "
-            f"(singular-value gap {sv[rank - 1] / sv[0]:.3e}); refine the grid"
+            "nullspace computation is ill-conditioned (singular-value gap "
+            f"{sv[rank - 1] / sv[0]:.3e} is within a factor 10 of the cutoff {tol:.3e})"
         )
     return rank
 
@@ -297,10 +294,10 @@ _X_DIRECTION = np.array([1.0, 1.0, -1.0, 1.0])
 
 
 def _prune_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
-    """Cycle 0 of the prune search: for each matrix M of a stack (task, 8,
-    8), the best product vector one see-saw party update reaches from any
-    product vector x of a stack (n, party, 2).  Returns its unit factors
-    (task, party, 2) and the form of M itself there.
+    """For each matrix M of a stack (task, 8, 8), the best product vector
+    one see-saw party update reaches from any product vector x of a stack
+    (n, party, 2).  Returns its unit factors (task, party, 2) and the form of
+    M itself there.
 
     Where the form of M vanishes at x but a partial gradient there does not,
     changing one party's factor of x takes the form below zero, and the best
@@ -339,9 +336,6 @@ def exposedness_certificate(
     w: WitnessFamily,
     grid: KernelGrid | None = None,
     tol: float = 1e-8,
-    prune_step: float = 0.05,
-    prune_restarts: int = 32,
-    seed: int = 0,
     include_eta_zeta: bool = True,
     include_dual_states: bool = True,
 ) -> ExposednessCertificate:
@@ -355,13 +349,13 @@ def exposedness_certificate(
     vanishes at a product vector has vanishing partial gradients there too
     (the dimension of the subspace of N meeting them at every constraint
     product vector is reported as ``surviving_ray_dim``), and by
-    falsification: both signed perturbations C +- ``prune_step`` D of the
+    falsification: both signed perturbations C +- ``PRUNE_STEP`` D of the
     Choi matrix along every nullspace direction D orthogonal to it must lose
     block positivity, shown by a value below ``PRUNE_VIOLATION``.  A
     closed-form probe (``_prune_probe``) tries one party update from every
-    constraint product vector and settles each perturbation it takes below
-    the threshold, with ``cycles`` 0; only the rest run a see-saw of
-    ``prune_restarts`` restarts, seeded per task from ``seed``.  (4) The
+    constraint product vector; a perturbation it does not take below the
+    threshold stays open, and its direction counts as unpruned, so it can
+    only withhold the certificate, never grant it.  (4) The
     surviving direction is compared to the Choi matrix
     (``direction_match_error``).
 
@@ -369,10 +363,6 @@ def exposedness_certificate(
     constraints reduce to the flat families, which is known to leave a
     surviving dimension larger than one.
     """
-    if not math.isfinite(prune_step):
-        raise ValueError(f"prune_step must be finite, got {prune_step!r}")
-    if prune_restarts < 1:
-        raise ValueError("prune_restarts must be at least 1")
     grid = grid or KernelGrid.default()
     choi = choi_explicit(w)
     tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
@@ -430,39 +420,21 @@ def exposedness_certificate(
     perp = null_basis - np.outer(null_basis @ cunit, cunit)
     directions = vec_to_herm(_orthonormal_rows(perp, 1e-10))
     task_direction = np.repeat(np.arange(len(directions)), 2)
-    task_eps = np.tile([prune_step, -prune_step], len(directions))
+    task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
     perts = choi + task_eps[:, None, None] * directions[task_direction]
 
-    # Cycle 0: the probe settles every task it takes below the threshold.
     probe, probe_values = _prune_probe(x, perts)
-
-    # Tasks the probe leaves open go to the see-saw, seeded as before.  See-saw
-    # values never rise, so each stops at its first value below the threshold:
-    # its verdict is fixed from then on.
-    outcomes = [
-        (value, ProductVector(*f), 0, True) for value, f in zip(probe_values.tolist(), probe.conj())
-    ]
-    open_tasks = np.flatnonzero(probe_values >= PRUNE_VIOLATION)
-    if open_tasks.size:
-        seeds = np.random.default_rng(seed).integers(2**63, size=len(perts))[open_tasks]
-        results = min_product_values(
-            perts[open_tasks], prune_restarts, seeds.tolist(), stop_below=PRUNE_VIOLATION
-        )
-        for t, res in zip(open_tasks.tolist(), results):
-            outcomes[t] = (res.min_value, res.argmin, res.cycles, res.stopped_below)
     records = [
         PruneRecord(
             direction=k,
             epsilon=eps,
             min_value=value,
-            argmin=argmin,
+            argmin=ProductVector(*f),
             violated=value < PRUNE_VIOLATION,
-            cycles=cycles,
-            stopped_below=stopped,
             perturbation=pert,
         )
-        for k, eps, pert, (value, argmin, cycles, stopped) in zip(
-            task_direction.tolist(), task_eps.tolist(), perts, outcomes
+        for k, eps, pert, value, f in zip(
+            task_direction.tolist(), task_eps.tolist(), perts, probe_values.tolist(), probe.conj()
         )
     ]
     # A direction is pruned when both of its signed perturbations violate.
@@ -473,7 +445,6 @@ def exposedness_certificate(
         t=w.t,
         grid=grid.describe(),
         tol=tol,
-        seed=seed,
         constraint_count=len(states),
         nullspace_dim=nullspace_dim,
         surviving_ray_dim=surviving_ray_dim,

@@ -70,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed",
             type=int,
             default=0,
-            help="random seed (exposedness: seeds only the see-saw on perturbations the probe "
-            "leaves open)",
+            help="random seed (certify positivity and detect; exposedness does not depend on it)",
         )
         p.add_argument(
             "--grid",
@@ -115,13 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("which", choices=("spanning", "exposedness", "detect", "positivity"))
     p.add_argument("--restarts", type=int, default=200, help="see-saw restarts (positivity)")
-    p.add_argument("--prune-step", type=float, default=0.05, help="perturbation size (exposedness)")
-    p.add_argument(
-        "--prune-restarts",
-        type=int,
-        default=32,
-        help="exposedness: see-saw restarts per perturbation the closed-form probe leaves open",
-    )
     p.add_argument("--direction", choices=("x", "random"), default="x", help="detect direction")
     p.add_argument(
         "--drop-curved-constraints",
@@ -284,9 +276,6 @@ def cmd_certify(args):
             w,
             grid,
             tol=tol,
-            prune_step=args.prune_step,
-            prune_restarts=args.prune_restarts,
-            seed=args.seed,
             include_eta_zeta=not args.drop_curved_constraints,
             include_dual_states=not args.drop_curved_constraints,
         )

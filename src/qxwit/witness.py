@@ -324,15 +324,12 @@ class SeesawResult:
     seed: int
     cycles: int
     max_cycles: int
-    #: The run stopped because its best value dropped below ``stop_below``.
-    stopped_below: bool = False
 
     @property
     def converged(self) -> bool:
         """The stall test stopped the run before its cycle cap.  A run that
-        stalls on its last allowed cycle, or that ``stop_below`` stopped,
-        reads as not converged."""
-        return not self.stopped_below and self.cycles < self.max_cycles
+        stalls on its last allowed cycle reads as not converged."""
+        return self.cycles < self.max_cycles
 
 
 def _min_eigpair(m: np.ndarray, current: np.ndarray) -> tuple:
@@ -408,15 +405,7 @@ def _effective(rows: np.ndarray, f1: np.ndarray, f2: np.ndarray, work: np.ndarra
     return np.matmul(rows, w)
 
 
-def _seesaw(
-    matrices,
-    restarts: int,
-    seeds,
-    max_cycles: int,
-    stall_tol: float,
-    *,
-    stop_below: float | None = None,
-):
+def _seesaw(matrices, restarts: int, seeds, max_cycles: int, stall_tol: float):
     """Run every restart of the cyclic see-saw of every matrix as one batch.
 
     Minimizes <eta| C |eta> over unit product vectors eta for each matrix C;
@@ -424,15 +413,14 @@ def _seesaw(
     effective 2x2 matrix, and a cycle's values are the third party's minimal
     eigenvalues.  Task k draws its starting factors from
     ``default_rng(seeds[k])`` and stops when no restart's value moved by
-    ``stall_tol`` times its scale or more in the last cycle, when its best
-    value is below ``stop_below`` (if given), or at ``max_cycles``; stopped
-    tasks leave the batch.  A task's scale is the largest power of two not
-    above its largest entry: each task runs on its matrix divided by it, which
-    is exact, so the run neither under- nor overflows and its stall test
-    does not depend on the input's scale.  Every update is an exact
-    minimization, so a restart's value never rises and a value below
-    ``stop_below`` stays below it.  Returns the values (task, restart), the
-    factors (party, task, restart, 2) and the cycles run per task.
+    ``stall_tol`` times its scale or more in the last cycle, or at
+    ``max_cycles``; stopped tasks leave the batch.  A task's scale is the
+    largest power of two not above its largest entry: each task runs on its
+    matrix divided by it, which is exact, so the run neither under- nor
+    overflows and its stall test does not depend on the input's scale.
+    Every update is an exact minimization, so a restart's value never rises.
+    Returns the values (task, restart), the factors (party, task, restart, 2)
+    and the cycles run per task.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -444,7 +432,6 @@ def _seesaw(
     tasks = c8.shape[0]
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(c8), axis=(1, 2), initial=0.0))[1] - 1)
     party_rows = _party_rows(c8 / scale[:, None, None])
-    limit = np.full(tasks, -np.inf if stop_below is None else stop_below) / scale
 
     # Starting factors; each task's final factors overwrite its slice.  Task k
     # draws from default_rng(seeds[k]) in the order (party, real/imaginary
@@ -468,7 +455,6 @@ def _seesaw(
         fb = _min_eigpair(_effective(party_rows[1], fa, fz, work), fb)[1]
         new, fz = _min_eigpair(_effective(party_rows[2], fa, fb, work), fz)
         stop = (cycle > 1) & (np.max(np.abs(new - values), axis=1) < stall_tol)
-        stop |= new.min(axis=1) < limit
         values = new
         if stop.any():
             done = active[stop]
@@ -476,7 +462,7 @@ def _seesaw(
             factors[:, done] = np.array([fa[stop], fb[stop], fz[stop]])
             out_cycles[done] = cycle
             keep = ~stop
-            active, values, limit = active[keep], values[keep], limit[keep]
+            active, values = active[keep], values[keep]
             fa, fb, fz = fa[keep], fb[keep], fz[keep]
             party_rows = [p[keep] for p in party_rows]
     out_values[active] = values
@@ -507,8 +493,6 @@ def min_product_values(
     restarts: int,
     seeds,
     max_cycles: int = 300,
-    *,
-    stop_below: float | None = None,
 ) -> tuple:
     """Global see-saw minima over unit product vectors of several matrices,
     run as one batch; ``seeds[k]`` seeds the restarts of ``matrices[k]``.
@@ -522,16 +506,11 @@ def min_product_values(
 
     ``argmin`` is the first restart whose value is within 32 ulps of the
     matrix's largest entry of ``min_value``, so rounding-level changes do not
-    move it.  Without ``stop_below`` each result equals, up to rounding,
-    ``min_product_value`` of that matrix and seed.  With it a task stops at
-    the first cycle where its best value is below that threshold; its
-    ``min_value`` is then that first value below the threshold, not the
-    minimum a full run would reach, and ``stopped_below`` is set.  Returns a
-    tuple of SeesawResult in the order of ``matrices``.
+    move it.  Each result equals, up to rounding, ``min_product_value`` of
+    that matrix and seed.  Returns a tuple of SeesawResult in the order of
+    ``matrices``.
     """
-    values, (fa, fb, fz), cycles = _seesaw(
-        matrices, restarts, seeds, max_cycles, STALL_TOL, stop_below=stop_below
-    )
+    values, (fa, fb, fz), cycles = _seesaw(matrices, restarts, seeds, max_cycles, STALL_TOL)
     results = []
     for t, seed in enumerate(seeds):
         min_value = float(values[t].min())
@@ -551,10 +530,6 @@ def min_product_values(
                 seed=seed,
                 cycles=int(cycles[t]),
                 max_cycles=max_cycles,
-                # The threshold is tested on every cycle's values, the stored
-                # last ones included, so a task ends below it exactly when the
-                # threshold stopped it.
-                stopped_below=stop_below is not None and min_value < stop_below,
             )
         )
     return tuple(results)

@@ -168,15 +168,13 @@ def test_criterion_08_full_spanning():
 def test_criterion_09_exposedness():
     crit = _Criterion("criterion 9: exposed ray certified; flat constraints leave more")
     w = WitnessFamily()
-    cert = exposedness_certificate(w, seed=0)
+    cert = exposedness_certificate(w)
     ok = (
         cert.surviving_ray_dim == 1
         and cert.direction_match_error < 1e-8
         and cert.unpruned_directions == 0
     )
-    reduced = exposedness_certificate(
-        w, include_eta_zeta=False, include_dual_states=False, seed=0
-    )
+    reduced = exposedness_certificate(w, include_eta_zeta=False, include_dual_states=False)
     ok = ok and reduced.surviving_ray_dim > 1
     crit.finish(
         ok,

@@ -229,9 +229,7 @@ class TestCertify:
         assert all(e >= -1e-10 for e in payload["min_pt_eigs"])
 
     def test_exposedness_small_grid(self, capsys):
-        code, payload = run_json(
-            capsys, "certify", "exposedness", "--grid", "small", "--prune-restarts", "16"
-        )
+        code, payload = run_json(capsys, "certify", "exposedness", "--grid", "small")
         assert code == 0
         assert payload["certified"]
         assert payload["surviving_ray_dim"] == 1
@@ -243,12 +241,18 @@ class TestCertify:
             "exposedness",
             "--grid",
             "small",
-            "--prune-restarts",
-            "8",
             "--drop-curved-constraints",
         )
         assert code == 1
         assert payload["surviving_ray_dim"] > 1
+
+    @pytest.mark.parametrize("extra", [(), ("--drop-curved-constraints",)])
+    def test_exposedness_does_not_depend_on_seed(self, capsys, extra):
+        argv = ("certify", "exposedness", "--grid", "small", *extra)
+        code0, out0, _ = run(capsys, *argv, "--seed", "0")
+        code7, out7, _ = run(capsys, *argv, "--seed", "7")
+        assert out0 and out0 == out7
+        assert code0 == code7
 
 
 def _x_files():

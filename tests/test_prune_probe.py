@@ -1,5 +1,5 @@
-"""The exposedness prune probe, the prune argument checks, the non-finite
-input check and the see-saw argmin window."""
+"""The exposedness prune probe, the non-finite input check and the see-saw
+argmin window."""
 
 import json
 import math
@@ -17,10 +17,10 @@ from qxwit import (
     exposedness_certificate,
     matrix_to_json,
     min_product_value,
-    min_product_values,
     pairing,
     ppt_check,
 )
+from qxwit import certify, witness
 from qxwit.certify import PRUNE_VIOLATION
 from qxwit.cli import main
 from qxwit.qcore import _check_hermitian_stack
@@ -32,88 +32,63 @@ def curve(s: float) -> WitnessFamily:
     return WitnessFamily(s, 8.0 / s)
 
 
+GRIDS = {"small": KernelGrid.small(), "default": KernelGrid.default(), "fine": KernelGrid.fine()}
+
+
 class TestProbeSettlesCertificates:
+    """The closed-form probe is the only falsification route, so along the
+    curve and on every grid it must take every perturbation below the
+    threshold by itself."""
+
     @settings(max_examples=25, deadline=None)
-    @given(st.floats(-4.0, 5.0))
-    def test_every_record_from_the_probe(self, log_s):
+    @given(st.sampled_from(sorted(GRIDS)), st.floats(-5.0, 5.5))
+    def test_every_record_from_the_probe(self, grid, log_s):
         w = curve(10.0**log_s)
-        cert = exposedness_certificate(w, grid=KernelGrid.small())
+        cert = exposedness_certificate(w, grid=GRIDS[grid])
         scale = float(np.max(np.abs(choi_explicit(w))))
         assert cert.certified
         for rec in cert.prune_records:
-            assert rec.cycles == 0 and rec.stopped_below and rec.violated
+            assert rec.violated and rec.min_value < PRUNE_VIOLATION
             norms = [np.linalg.norm(f) for f in rec.argmin.factors()]
             assert norms == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
             again = pairing(rec.argmin.projector(), rec.perturbation)
             assert again == pytest.approx(rec.min_value, abs=1e-12 * scale)
 
-    def test_control_settled_too(self):
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(GRIDS)), st.floats(-5.0, 5.5))
+    def test_control_settled_too(self, grid, log_s):
         cert = exposedness_certificate(
-            WitnessFamily(),
-            grid=KernelGrid.small(),
+            curve(10.0**log_s),
+            grid=GRIDS[grid],
             include_eta_zeta=False,
             include_dual_states=False,
         )
         assert cert.unpruned_directions == 0 and not cert.certified
-        assert all(rec.cycles == 0 and rec.violated for rec in cert.prune_records)
+        assert all(rec.violated for rec in cert.prune_records)
 
+    def test_no_see_saw_runs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("exposedness ran a see-saw")
 
-class TestProbeFallback:
-    """At a step too small for the probe to reach the threshold everywhere,
-    the open tasks run the seeded see-saw as before."""
+        monkeypatch.setattr(witness, "_seesaw", fail)
+        for flat in (False, True):
+            exposedness_certificate(
+                WitnessFamily(), include_eta_zeta=not flat, include_dual_states=not flat
+            )
 
-    SEED = 5
-
-    @pytest.fixture(scope="class", params=[2 * SQRT2, 0.5])
-    def cert(self, request):
-        return exposedness_certificate(
-            curve(request.param), grid=KernelGrid.small(), prune_step=1e-4, seed=self.SEED
-        )
-
-    def test_records_mix_probe_and_search(self, cert):
-        cycles = [rec.cycles for rec in cert.prune_records]
-        assert 0 in cycles
-        assert any(c >= 1 for c in cycles)
-
-    def test_searched_records_equal_single_runs(self, cert):
-        seeds = np.random.default_rng(self.SEED).integers(2**63, size=len(cert.prune_records))
-        for rec, seed in zip(cert.prune_records, seeds.tolist()):
-            if rec.cycles == 0:
-                assert rec.stopped_below and rec.min_value < PRUNE_VIOLATION
-                continue
-            (one,) = min_product_values([rec.perturbation], 32, [seed], stop_below=PRUNE_VIOLATION)
-            assert rec.min_value == pytest.approx(one.min_value, abs=1e-12)
-            assert rec.cycles == one.cycles
-            assert rec.stopped_below == one.stopped_below
-            assert abs(np.vdot(rec.argmin.full, one.argmin.full)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_unpruned_counts_unviolated_directions(self, cert):
+    @pytest.mark.parametrize("s", [2 * SQRT2, 0.5])
+    def test_open_perturbations_withhold_the_certificate(self, monkeypatch, s):
+        # At a step far below PRUNE_STEP the probe leaves perturbations open;
+        # they must count as unpruned, never as settled.
+        monkeypatch.setattr(certify, "PRUNE_STEP", 1e-4)
+        cert = exposedness_certificate(curve(s), grid=KernelGrid.small())
         open_directions = {
             rec.direction for rec in cert.prune_records if rec.min_value >= PRUNE_VIOLATION
         }
         assert open_directions
+        assert all(rec.violated == (rec.min_value < PRUNE_VIOLATION) for rec in cert.prune_records)
         assert cert.unpruned_directions == len(open_directions)
-
-
-class TestPruneArguments:
-    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
-    def test_non_finite_step(self, step):
-        with pytest.raises(ValueError, match="prune_step"):
-            exposedness_certificate(WitnessFamily(), grid=KernelGrid.small(), prune_step=step)
-
-    def test_no_restarts(self):
-        with pytest.raises(ValueError, match="prune_restarts"):
-            exposedness_certificate(WitnessFamily(), grid=KernelGrid.small(), prune_restarts=0)
-
-    @pytest.mark.parametrize(
-        "flags", [("--prune-step", "nan"), ("--prune-step", "inf"), ("--prune-restarts", "0")]
-    )
-    def test_cli_exits_two(self, capsys, flags):
-        code = main(["certify", "exposedness", "--grid", "small", *flags])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not cert.certified
 
 
 def _with(value, i=0, j=0):

@@ -35,7 +35,6 @@ from qxwit import (
     verify_positive,
     xpart,
 )
-from qxwit.certify import PRUNE_VIOLATION
 from qxwit.witness import _batched_min_eigvec, _seesaw
 
 SQRT2 = math.sqrt(2.0)
@@ -413,7 +412,7 @@ class TestBatchedSeesaw:
     @pytest.fixture(scope="class")
     def batch(self):
         w = WitnessFamily()
-        cert = exposedness_certificate(w, grid=KernelGrid.small(), prune_restarts=1)
+        cert = exposedness_certificate(w, grid=KernelGrid.small())
         matrices = [choi_explicit(w)] + [r.perturbation for r in cert.prune_records[:4]]
         return matrices, min_product_values(matrices, self.RESTARTS, self.SEEDS)
 
@@ -449,54 +448,6 @@ class TestBatchedSeesaw:
             for party in range(3):
                 v = rng.standard_normal((self.RESTARTS, 2)) + 1j * rng.standard_normal((self.RESTARTS, 2))
                 assert np.array_equal(factors[party, k], v / np.linalg.norm(v, axis=1)[:, None])
-
-
-class TestEarlyStop:
-    """Every prune perturbation C +- 0.05 D of a small-grid certificate, plus
-    C itself, run to the cap and with ``stop_below``: stopping at the first
-    value below the threshold changes no verdict."""
-
-    RESTARTS = 32
-
-    @pytest.fixture(scope="class", params=[(2 * SQRT2, 2 * SQRT2), (0.5, 16.0)])
-    def runs(self, request):
-        w = WitnessFamily(*request.param)
-        cert = exposedness_certificate(w, grid=KernelGrid.small(), prune_restarts=1)
-        matrices = [choi_explicit(w)] + [r.perturbation for r in cert.prune_records]
-        seeds = list(range(len(matrices)))
-        capped = min_product_values(matrices, self.RESTARTS, seeds)
-        early = min_product_values(matrices, self.RESTARTS, seeds, stop_below=PRUNE_VIOLATION)
-        return matrices, capped, early
-
-    def test_same_violated_flags(self, runs):
-        _, capped, early = runs
-        assert [r.min_value < PRUNE_VIOLATION for r in early] == [
-            r.min_value < PRUNE_VIOLATION for r in capped
-        ]
-
-    def test_early_value_is_a_violation_no_lower_than_capped(self, runs):
-        _, capped, early = runs
-        for cap, res in zip(capped[1:], early[1:]):
-            assert res.min_value < PRUNE_VIOLATION
-            assert res.min_value >= cap.min_value - 1e-12
-            assert res.stopped_below and not res.converged
-
-    def test_early_cycles_at_most_capped(self, runs):
-        _, capped, early = runs
-        for cap, res in zip(capped, early):
-            assert res.cycles <= cap.cycles
-        assert sum(r.cycles for r in early) < sum(r.cycles for r in capped)
-
-    def test_argmin_reproduces_value(self, runs):
-        matrices, _, early = runs
-        for m, res in zip(matrices, early):
-            assert pairing(res.argmin.projector(), m) == pytest.approx(res.min_value, abs=1e-12)
-
-    def test_choi_never_crosses_threshold(self, runs):
-        _, capped, early = runs
-        assert not early[0].stopped_below and early[0].converged
-        assert early[0].min_value == pytest.approx(capped[0].min_value, abs=1e-12)
-        assert early[0].cycles == capped[0].cycles
 
 
 class TestMotivatingSum:
