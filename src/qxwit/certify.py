@@ -196,29 +196,25 @@ class DualFaceSpan:
     dim: int
 
 
-def _dual_face_states(
-    w: WitnessFamily,
-    grid: KernelGrid,
-    tags=FAMILY_TAGS,
-    include_dual_states: bool = True,
-) -> np.ndarray:
+def _dual_face_states(w: WitnessFamily, grid: KernelGrid) -> np.ndarray:
     """Unnormalized members (m, 8, 8) of the dual face sampled by a grid: the
-    projectors of its kernel vectors in ``tags`` and of the six basis kernel
-    vectors, then the dual states."""
-    factors = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS])
+    projectors of its kernel vectors and of the six basis kernel vectors, then
+    the dual states.  A dual state times its a1 is the average of the four
+    curved kernel projectors of its kind at the same (a1, a2), so it adds
+    nothing to the span; it does weight the anchor built from these states."""
+    factors = np.concatenate([_kernel_table(w, grid), _PV4_FACTORS])
     full = tensor3(factors[:, 0], factors[:, 1], factors[:, 2])
     states = full[:, :, None] * full[:, None, :].conj()
-    if include_dual_states:
-        states = np.concatenate([states, _x_matrices(*_dual_entries(w, grid.dual_params()))])
-    return states
+    return np.concatenate([states, _x_matrices(*_dual_entries(w, grid.dual_params()))])
 
 
 def dual_face_span(w: WitnessFamily, grid: KernelGrid | None = None) -> DualFaceSpan:
     """Orthonormal basis of the real span of the sampled dual-face states
-    inside the 64-dimensional space of Hermitian 8x8 matrices."""
+    inside the 64-dimensional space of Hermitian 8x8 matrices, its dimension
+    decided by ``_rank``."""
     grid = grid or KernelGrid.default()
-    rows = herm_to_vec(_dual_face_states(w, grid))
-    basis = tuple(vec_to_herm(_orthonormal_rows(rows, RANK_THRESHOLD)))
+    _, sv, vt = np.linalg.svd(herm_to_vec(_dual_face_states(w, grid)), full_matrices=False)
+    basis = tuple(vec_to_herm(vt[: _rank(sv, RANK_THRESHOLD)]))
     return DualFaceSpan(basis=basis, dim=len(basis))
 
 
@@ -265,13 +261,6 @@ class ExposednessCertificate:
 
     def to_json_dict(self) -> dict:
         return {**_field_dict(self, "prune_records"), "certified": self.certified}
-
-
-def _orthonormal_rows(rows: np.ndarray, threshold: float) -> np.ndarray:
-    """Row-orthonormal basis of the row space of a real matrix, its dimension
-    decided by ``_rank``."""
-    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    return vt[: _rank(sv, threshold)]
 
 
 def _rank(sv: np.ndarray, tol: float) -> int:
@@ -335,14 +324,17 @@ def _prune_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
 def exposedness_certificate(
     w: WitnessFamily,
     grid: KernelGrid | None = None,
-    tol: float = 1e-8,
+    tol: float = RANK_THRESHOLD,
     include_eta_zeta: bool = True,
-    include_dual_states: bool = True,
 ) -> ExposednessCertificate:
     """Certificate that the witness spans an exposed ray.
 
-    Pipeline: (1) the sampled dual-face states impose real-linear constraints
-    on Hermitian matrices; their common nullspace N is computed by SVD.
+    Pipeline: (1) the constraint product vectors x, the conjugated kernel
+    vectors of the grid and the six basis kernel vectors, are zeros of the
+    Choi matrix's form; each imposes the real-linear constraint <x|W|x> = 0
+    on Hermitian matrices W, and their common nullspace N is computed by SVD.
+    The grid's dual states would add no constraint: each is an average of
+    four curved kernel projectors at the same parameters.
     (2) Every element of N must have zero diagonal at the six indices pinned
     by the basis kernel vectors.  (3) The ray is isolated two ways, which must
     agree: by first-order conditions, since a block-positive matrix that
@@ -359,15 +351,15 @@ def exposedness_certificate(
     surviving direction is compared to the Choi matrix
     (``direction_match_error``).
 
-    With ``include_eta_zeta`` and ``include_dual_states`` both false the
-    constraints reduce to the flat families, which is known to leave a
-    surviving dimension larger than one.
+    With ``include_eta_zeta`` false the constraints reduce to the flat
+    families, which is known to leave a surviving dimension larger than one.
     """
     grid = grid or KernelGrid.default()
     choi = choi_explicit(w)
     tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
-    states = _dual_face_states(w, grid, tags=tags, include_dual_states=include_dual_states)
-    rows = herm_to_vec(states.conj())
+    x = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS]).conj()
+    full = tensor3(*x.swapaxes(0, 1))
+    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
     # all 64 right singular vectors are needed only when rows are fewer
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
     null_basis = vt[_rank(sv, tol) :]
@@ -393,12 +385,11 @@ def exposedness_certificate(
         survivor_unit = -survivor_unit
     direction_match_error = float(np.linalg.norm(survivor_unit - cunit))
 
-    # <a|W|x> for W in N, x each product vector where the projectors pair to zero,
-    # a that x with one party's factor (axis 0) replaced by its orthogonal complement
-    x = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS]).conj()
+    # <a|W|x> for W in N at each constraint product vector x, a that x with one
+    # party's factor (axis 0) replaced by its orthogonal complement
     xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
     a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
-    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * tensor3(*x.swapaxes(0, 1))[:, None]
+    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * full[:, None]
     values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
     tangent = np.concatenate([values.real, values.imag])
     surviving_ray_dim = nullspace_dim - _rank(np.linalg.svd(tangent, compute_uv=False), tol)
@@ -417,8 +408,10 @@ def exposedness_certificate(
 
     # Falsification route: every direction in N orthogonal to the ray must
     # break block positivity under both signed perturbations M = C + eps D.
+    # Projecting the ray out of N leaves nullspace_dim - 1 of them; the last
+    # singular value of perp is only the part of C outside the computed N.
     perp = null_basis - np.outer(null_basis @ cunit, cunit)
-    directions = vec_to_herm(_orthonormal_rows(perp, 1e-10))
+    directions = vec_to_herm(np.linalg.svd(perp, full_matrices=False)[2][: nullspace_dim - 1])
     task_direction = np.repeat(np.arange(len(directions)), 2)
     task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
     perts = choi + task_eps[:, None, None] * directions[task_direction]
@@ -445,7 +438,7 @@ def exposedness_certificate(
         t=w.t,
         grid=grid.describe(),
         tol=tol,
-        constraint_count=len(states),
+        constraint_count=len(rows),
         nullspace_dim=nullspace_dim,
         surviving_ray_dim=surviving_ray_dim,
         direction_match_error=direction_match_error,

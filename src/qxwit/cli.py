@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .certify import (
+    RANK_THRESHOLD,
     exposedness_certificate,
     find_ppt_entangled,
     kernel_classify,
@@ -271,13 +272,9 @@ def cmd_certify(args):
         }
         note = f"see-saw minimum = {res.min_value:.3e}"
     elif args.which == "exposedness":
-        tol = args.tol if args.tol is not None else 1e-8
+        tol = args.tol if args.tol is not None else RANK_THRESHOLD
         cert = exposedness_certificate(
-            w,
-            grid,
-            tol=tol,
-            include_eta_zeta=not args.drop_curved_constraints,
-            include_dual_states=not args.drop_curved_constraints,
+            w, grid, tol=tol, include_eta_zeta=not args.drop_curved_constraints
         )
         payload = cert.to_json_dict()
         ok = cert.certified

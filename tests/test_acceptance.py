@@ -174,7 +174,7 @@ def test_criterion_09_exposedness():
         and cert.direction_match_error < 1e-8
         and cert.unpruned_directions == 0
     )
-    reduced = exposedness_certificate(w, include_eta_zeta=False, include_dual_states=False)
+    reduced = exposedness_certificate(w, include_eta_zeta=False)
     ok = ok and reduced.surviving_ray_dim > 1
     crit.finish(
         ok,

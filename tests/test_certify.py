@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qxwit import (
+    ETA_TAGS,
     PV1_TAGS,
+    ZETA_TAGS,
     KernelGrid,
     ProductVector,
     WitnessFamily,
@@ -22,9 +26,12 @@ from qxwit import (
     separable_anchor,
     spanning_check,
 )
+from qxwit import certify
 from qxwit.certify import herm_to_vec, vec_to_herm
 
 SQRT2 = math.sqrt(2.0)
+
+GRIDS = (KernelGrid.small(), KernelGrid.default(), KernelGrid.fine())
 
 
 @pytest.fixture(scope="module")
@@ -179,16 +186,25 @@ class TestDualFaceSpanConditioning:
         assert dual_face_span(WitnessFamily(s, 8.0 / s)).dim == 32
 
 
+#: Every (a1, a2) pair that the small, default and fine grids sample.
+ALL_GRID_PAIRS = sorted({(a1, a2) for g in GRIDS for _, a1, a2 in g.dual_params()})
+
+
 class TestDualStateRedundancy:
-    def test_dual_states_are_projector_averages(self, w):
+    """Why the exposedness certificate has no dual-state constraint rows:
+    each dual state is already in the span of the kernel projectors."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-6.0, 6.5))
+    def test_dual_states_are_projector_averages(self, log_s):
         # each dual state is an exact average of the four matching curved
         # kernel projectors, scaled by 1/a1
-        for a1, a2 in ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0)):
-            for kind, tags in ((1, ("eta1", "eta2", "eta3", "eta4")),
-                               (2, ("zeta1", "zeta2", "zeta3", "zeta4"))):
+        w = WitnessFamily(10.0**log_s, 8.0 / 10.0**log_s)
+        for a1, a2 in ALL_GRID_PAIRS:
+            for kind, tags in ((1, ETA_TAGS), (2, ZETA_TAGS)):
                 avg = sum(kernel_vector(w, tag, (a1, a2)).projector() for tag in tags) / 4
                 target = a1 * dual_state(w, kind, a1, a2).to_matrix()
-                assert np.max(np.abs(avg - target)) < 1e-12
+                assert np.max(np.abs(avg - target)) <= 1e-13 * np.max(np.abs(target))
 
 
 class TestExposedness:
@@ -225,8 +241,25 @@ class TestExposedness:
             again = pairing(rec.argmin.projector(), rec.perturbation)
             assert again == pytest.approx(rec.min_value, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "name, full, flat", [("small", 68, 36), ("default", 120, 48), ("fine", 260, 60)]
+    )
+    def test_one_constraint_per_product_vector(self, monkeypatch, w, name, full, flat):
+        # one row per kernel vector of the grid and per basis kernel vector;
+        # the dual states are not read
+        def fail(*args, **kwargs):
+            raise AssertionError("exposedness read the dual-face states")
+
+        monkeypatch.setattr(certify, "_dual_face_states", fail)
+        grid = KernelGrid.named(name)
+        flat_ids = [tag for tag, _ in grid.kernel_ids() if tag in PV1_TAGS]
+        cert = exposedness_certificate(w, grid)
+        control = exposedness_certificate(w, grid, include_eta_zeta=False)
+        assert cert.constraint_count == len(kernel_vectors(w, grid)) + 6 == full
+        assert control.constraint_count == len(flat_ids) + 6 == flat
+
     def test_flat_constraints_leave_more_survivors(self, w):
-        cert = exposedness_certificate(w, include_eta_zeta=False, include_dual_states=False)
+        cert = exposedness_certificate(w, include_eta_zeta=False)
         assert cert.surviving_ray_dim > 1
         assert not cert.certified
 

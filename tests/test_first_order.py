@@ -30,7 +30,7 @@ def family(log_s: float) -> WitnessFamily:
 
 def control(w, grid):
     """The flat-only run, which leaves more than the witness ray."""
-    return exposedness_certificate(w, grid, include_eta_zeta=False, include_dual_states=False)
+    return exposedness_certificate(w, grid, include_eta_zeta=False)
 
 
 class TestAlongTheCurve:

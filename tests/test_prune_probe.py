@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qxwit import (
@@ -58,13 +58,26 @@ class TestProbeSettlesCertificates:
     @given(st.sampled_from(sorted(GRIDS)), st.floats(-5.0, 5.5))
     def test_control_settled_too(self, grid, log_s):
         cert = exposedness_certificate(
-            curve(10.0**log_s),
-            grid=GRIDS[grid],
-            include_eta_zeta=False,
-            include_dual_states=False,
+            curve(10.0**log_s), grid=GRIDS[grid], include_eta_zeta=False
         )
         assert cert.unpruned_directions == 0 and not cert.certified
         assert all(rec.violated for rec in cert.prune_records)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(sorted(GRIDS)),
+        st.floats(-5.0, 5.5).map(lambda e: 10.0**e),
+        st.booleans(),
+    )
+    # the part of C outside the computed nullspace gives perp a 32nd singular
+    # value here, 1.4e-10: rounding, not a direction
+    @example("default", 2e6, False)
+    def test_one_direction_per_nullspace_dimension_but_the_ray(self, grid, s, flat):
+        cert = exposedness_certificate(curve(s), grid=GRIDS[grid], include_eta_zeta=not flat)
+        assert len(cert.prune_records) == 2 * (cert.nullspace_dim - 1)
+        assert sorted({rec.direction for rec in cert.prune_records}) == list(
+            range(cert.nullspace_dim - 1)
+        )
 
     def test_no_see_saw_runs(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -72,9 +85,7 @@ class TestProbeSettlesCertificates:
 
         monkeypatch.setattr(witness, "_seesaw", fail)
         for flat in (False, True):
-            exposedness_certificate(
-                WitnessFamily(), include_eta_zeta=not flat, include_dual_states=not flat
-            )
+            exposedness_certificate(WitnessFamily(), include_eta_zeta=not flat)
 
     @pytest.mark.parametrize("s", [2 * SQRT2, 0.5])
     def test_open_perturbations_withhold_the_certificate(self, monkeypatch, s):
