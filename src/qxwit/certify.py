@@ -47,9 +47,9 @@ RANK_THRESHOLD = 1e-8
 PRUNE_STEP = 0.05
 
 #: A prune perturbation C + eps D has lost block positivity once its probe
-#: value is below this.  The threshold is absolute because the scale is fixed:
-#: every direction D has unit Hilbert-Schmidt norm and the step eps is
-#: PRUNE_STEP.
+#: value is below this.  It is absolute because the step is fixed: every
+#: direction D has unit Hilbert-Schmidt norm and eps is PRUNE_STEP.  C's scale
+#: is not, so far out on the curve a probe value can stay open just below 0.
 PRUNE_VIOLATION = -1e-9
 
 

@@ -151,17 +151,6 @@ def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return m
 
 
-def _check_hermitian_stack(ms: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """``check_hermitian`` on every matrix of a stack (k, n, n), in one pass."""
-    scale = np.max(np.abs(ms), axis=(1, 2), initial=0.0)
-    if not np.isfinite(scale).all():
-        raise ValueError("matrix has non-finite entries")
-    defect = np.max(np.abs(ms - ms.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
-    for k in np.flatnonzero(defect > tol * scale):
-        check_hermitian(ms[k], tol)  # the same test, so it raises, with its message
-    return ms
-
-
 def herm_min_eig(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     m = check_hermitian(m)

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcore import ProductVector, check_hermitian, _check_hermitian_stack, _square
+from .qcore import ProductVector, check_hermitian, _square
 from .xstate import XMatrix
 
 #: Eighth root of unity used by every kernel family and dual state.
@@ -311,8 +311,8 @@ def kernel_vectors(w: WitnessFamily, grid: KernelGrid) -> list:
 
 # --- see-saw minimization over product vectors -------------------------------
 
-#: A see-saw task has stalled once no restart's value moved by this much in a
-#: cycle, relative to the task's scale (see ``_seesaw``).
+#: A see-saw has stalled once no restart's value moved by this much in a
+#: cycle, relative to the matrix's scale (see ``_seesaw``).
 STALL_TOL = 1e-12
 
 
@@ -360,6 +360,12 @@ def _min_eigpair(m: np.ndarray, current: np.ndarray) -> tuple:
     nrm = np.hypot(top, aod)
     # |m00| + |m11| + 2 |m01| = 2 (max(|mean|, |half|) + |m01|)
     degenerate = nrm <= 2e-14 * (np.maximum(np.abs(mean), abs_half) + aod)
+    # Dividing by nrm multiplies by 1 / nrm, which overflows when nrm is
+    # subnormal; such rows are first scaled up by an exact power of two.
+    tiny = nrm < 2.0**-1022
+    if tiny.any():
+        vec *= np.where(tiny, 2.0**600, 1.0)[..., None, :]
+        nrm = np.where(tiny, np.hypot(np.abs(vec[..., 0, :]), np.abs(vec[..., 1, :])), nrm)
     vec /= np.where(degenerate, 1.0, nrm)[..., None, :]
     return mean - r, np.where(degenerate[..., None, :], current, vec)
 
@@ -395,79 +401,56 @@ def _effective(rows: np.ndarray, f1: np.ndarray, f2: np.ndarray, work: np.ndarra
     two parties and that party's (task, 3, 16) rows of the Choi tensor.
 
     The (task, 16, restart) products of the other parties' entries go into
-    the first tasks of ``work``: reusing one buffer spares the allocator a
-    fresh array, often a few hundred kB, per party update.
+    ``work``: reusing one buffer spares the allocator a fresh array, often a
+    few hundred kB, per party update.
     """
     tasks = f1.shape[0]
     g = (f1[:, :, None] * f2[:, None, :]).reshape(tasks, 4, -1)
-    w = work[:tasks]
-    np.multiply(g.conj()[:, :, None], g[:, None, :], out=w.reshape(tasks, 4, 4, -1))
-    return np.matmul(rows, w)
+    np.multiply(g.conj()[:, :, None], g[:, None, :], out=work.reshape(tasks, 4, 4, -1))
+    return np.matmul(rows, work)
 
 
-def _seesaw(matrices, restarts: int, seeds, max_cycles: int, stall_tol: float):
-    """Run every restart of the cyclic see-saw of every matrix as one batch.
+def _seesaw(matrix, restarts: int, seed: int, max_cycles: int):
+    """Run every restart of the cyclic see-saw of one matrix as one batch.
 
-    Minimizes <eta| C |eta> over unit product vectors eta for each matrix C;
-    one party at a time is replaced by the minimal eigenvector of its
-    effective 2x2 matrix, and a cycle's values are the third party's minimal
-    eigenvalues.  Task k draws its starting factors from
-    ``default_rng(seeds[k])`` and stops when no restart's value moved by
-    ``stall_tol`` times its scale or more in the last cycle, or at
-    ``max_cycles``; stopped tasks leave the batch.  A task's scale is the
-    largest power of two not above its largest entry: each task runs on its
-    matrix divided by it, which is exact, so the run neither under- nor
-    overflows and its stall test does not depend on the input's scale.
-    Every update is an exact minimization, so a restart's value never rises.
-    Returns the values (task, restart), the factors (party, task, restart, 2)
-    and the cycles run per task.
+    Minimizes <eta| C |eta> over unit product vectors eta; one party at a
+    time is replaced by the minimal eigenvector of its effective 2x2 matrix,
+    and a cycle's values are the third party's minimal eigenvalues.  The
+    starting factors come from ``default_rng(seed)``; the run stops when no
+    restart's value moved by ``STALL_TOL`` times the scale or more in the last
+    cycle, or at ``max_cycles``.  The scale is the largest power of two not
+    above the largest entry: the run is on the matrix divided by it, which is
+    exact, so it neither under- nor overflows and its stall test does not
+    depend on the input's scale.  Every update is an exact minimization, so a
+    restart's value never rises.  Returns the values (restart,), the factors
+    (party, restart, 2) and the cycles run.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if any(np.shape(m) != (8, 8) for m in matrices):
+    if np.shape(matrix) != (8, 8):
         raise ValueError("see-saw needs an 8x8 Hermitian matrix")
-    if len(seeds) != len(matrices):
-        raise ValueError(f"got {len(seeds)} seeds for {len(matrices)} matrices")
-    c8 = _check_hermitian_stack(np.array(matrices, dtype=complex).reshape(-1, 8, 8))
-    tasks = c8.shape[0]
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(c8), axis=(1, 2), initial=0.0))[1] - 1)
-    party_rows = _party_rows(c8 / scale[:, None, None])
+    c8 = check_hermitian(matrix)
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(c8)))[1] - 1)
+    # The party kernels keep a task axis, of length one here.
+    party_rows = _party_rows((c8 / scale)[None])
 
-    # Starting factors; each task's final factors overwrite its slice.  Task k
-    # draws from default_rng(seeds[k]) in the order (party, real/imaginary
-    # part, restart, component); the reshape keeps an empty batch 5-D.  The
-    # loop holds factors as (task, component, restart).
-    draws = np.array(
-        [np.random.default_rng(seed).standard_normal((3, 2, restarts, 2)) for seed in seeds]
-    ).reshape(tasks, 3, 2, restarts, 2)
-    v = draws[:, :, 0] + 1j * draws[:, :, 1]
-    factors = (v / np.linalg.norm(v, axis=-1, keepdims=True)).transpose(1, 0, 3, 2).copy()
-    fa, fb, fz = factors
-    work = np.empty((tasks, 16, restarts), dtype=complex)
-    values = np.full((tasks, restarts), np.inf)
-    out_values = np.empty_like(values)
-    out_cycles = np.full(tasks, max_cycles)
-    active = np.arange(tasks)
-    for cycle in range(1, max_cycles + 1):
-        if active.size == 0:
-            break
+    # Starting factors, drawn in the order (party, real/imaginary part,
+    # restart, component) and held as (party, 1, component, restart).
+    draws = np.random.default_rng(seed).standard_normal((3, 2, restarts, 2))
+    v = draws[:, 0] + 1j * draws[:, 1]
+    fa, fb, fz = (v / np.linalg.norm(v, axis=-1, keepdims=True)).swapaxes(1, 2)[:, None].copy()
+    work = np.empty((1, 16, restarts), dtype=complex)
+    values = np.full((1, restarts), np.inf)
+    cycles = 0
+    for cycles in range(1, max_cycles + 1):
         fa = _min_eigpair(_effective(party_rows[0], fb, fz, work), fa)[1]
         fb = _min_eigpair(_effective(party_rows[1], fa, fz, work), fb)[1]
         new, fz = _min_eigpair(_effective(party_rows[2], fa, fb, work), fz)
-        stop = (cycle > 1) & (np.max(np.abs(new - values), axis=1) < stall_tol)
+        stalled = cycles > 1 and np.max(np.abs(new - values)) < STALL_TOL
         values = new
-        if stop.any():
-            done = active[stop]
-            out_values[done] = values[stop]
-            factors[:, done] = np.array([fa[stop], fb[stop], fz[stop]])
-            out_cycles[done] = cycle
-            keep = ~stop
-            active, values = active[keep], values[keep]
-            fa, fb, fz = fa[keep], fb[keep], fz[keep]
-            party_rows = [p[keep] for p in party_rows]
-    out_values[active] = values
-    factors[:, active] = np.array([fa, fb, fz])
-    return out_values * scale[:, None], factors.swapaxes(-1, -2), out_cycles
+        if stalled:
+            break
+    return values[0] * scale, np.array([fa[0], fb[0], fz[0]]).swapaxes(1, 2), cycles
 
 
 def seesaw_minima(
@@ -476,63 +459,13 @@ def seesaw_minima(
     seed: int = 0,
     max_cycles: int = 300,
 ):
-    """Converged see-saw values and minimizing product vectors, one per restart.
+    """Converged see-saw values and minimizing product vectors, one per restart
+    of the batch that ``_seesaw`` runs on the matrix.
 
     The returned vectors v satisfy pairing(|v><v|, matrix) = value.
     """
-    values, (fa, fb, fz), _ = _seesaw([matrix], restarts, [seed], max_cycles, STALL_TOL)
-    vectors = [
-        ProductVector(fa[0, k].conj(), fb[0, k].conj(), fz[0, k].conj())
-        for k in range(restarts)
-    ]
-    return values[0], vectors
-
-
-def min_product_values(
-    matrices,
-    restarts: int,
-    seeds,
-    max_cycles: int = 300,
-) -> tuple:
-    """Global see-saw minima over unit product vectors of several matrices,
-    run as one batch; ``seeds[k]`` seeds the restarts of ``matrices[k]``.
-
-    Each party update solves its 2x2 eigenproblem in closed form, and a
-    restart's value is the last update's minimal eigenvalue, equal up to
-    rounding to the form at ``argmin``.  A task has converged once no
-    restart's value moved by ``STALL_TOL`` times the largest power of two
-    not above the matrix's largest entry, so the number of cycles does not
-    depend on the matrix's scale.
-
-    ``argmin`` is the first restart whose value is within 32 ulps of the
-    matrix's largest entry of ``min_value``, so rounding-level changes do not
-    move it.  Each result equals, up to rounding, ``min_product_value`` of
-    that matrix and seed.  Returns a tuple of SeesawResult in the order of
-    ``matrices``.
-    """
-    values, (fa, fb, fz), cycles = _seesaw(matrices, restarts, seeds, max_cycles, STALL_TOL)
-    results = []
-    for t, seed in enumerate(seeds):
-        min_value = float(values[t].min())
-        # Restarts that end at the same minimum agree only up to rounding: a
-        # value is the eigenvalue of a 2x2 matrix whose entries are 16-term
-        # sums over the matrix's entries, and on Choi matrices along the curve
-        # all 1000 restarts end within one ulp of the largest entry.  So that
-        # rounding does not choose the argmin, it is the first restart within
-        # 32 such ulps of the minimum, far below any threshold a verdict reads.
-        window = 32.0 * np.spacing(np.max(np.abs(np.asarray(matrices[t]))))
-        k = int(np.argmax(values[t] <= min_value + window))
-        results.append(
-            SeesawResult(
-                min_value=min_value,
-                argmin=ProductVector(fa[t, k].conj(), fb[t, k].conj(), fz[t, k].conj()),
-                restarts=restarts,
-                seed=seed,
-                cycles=int(cycles[t]),
-                max_cycles=max_cycles,
-            )
-        )
-    return tuple(results)
+    values, factors, _ = _seesaw(matrix, restarts, seed, max_cycles)
+    return values, [ProductVector(*factors[:, k].conj()) for k in range(restarts)]
 
 
 def min_product_value(
@@ -541,9 +474,38 @@ def min_product_value(
     seed: int = 0,
     max_cycles: int = 300,
 ) -> SeesawResult:
-    """Global see-saw minimum of the quadratic form over unit product vectors."""
-    (result,) = min_product_values([matrix], restarts, [seed], max_cycles)
-    return result
+    """Global see-saw minimum of the quadratic form over unit product vectors,
+    from one batch of ``restarts`` restarts seeded by ``seed``.
+
+    Each party update solves its 2x2 eigenproblem in closed form, and a
+    restart's value is the last update's minimal eigenvalue, equal up to
+    rounding to the form at ``argmin``.  The run has converged once no
+    restart's value moved by ``STALL_TOL`` times the largest power of two
+    not above the matrix's largest entry, so the number of cycles does not
+    depend on the matrix's scale.
+
+    ``argmin`` is the first restart whose value is within 32 ulps of the
+    matrix's largest entry of ``min_value``, so rounding-level changes do not
+    move it.
+    """
+    values, factors, cycles = _seesaw(matrix, restarts, seed, max_cycles)
+    min_value = float(values.min())
+    # Restarts that end at the same minimum agree only up to rounding: a value
+    # is the eigenvalue of a 2x2 matrix whose entries are 16-term sums over
+    # the matrix's entries, and on Choi matrices along the curve all 1000
+    # restarts end within one ulp of the largest entry.  So that rounding does
+    # not choose the argmin, it is the first restart within 32 such ulps of the
+    # minimum, far below any threshold a verdict reads.
+    window = 32.0 * np.spacing(np.max(np.abs(np.asarray(matrix))))
+    k = int(np.argmax(values <= min_value + window))
+    return SeesawResult(
+        min_value=min_value,
+        argmin=ProductVector(*factors[:, k].conj()),
+        restarts=restarts,
+        seed=seed,
+        cycles=cycles,
+        max_cycles=max_cycles,
+    )
 
 
 def verify_positive(w: WitnessFamily, restarts: int = 200, seed: int = 0) -> SeesawResult:

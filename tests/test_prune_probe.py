@@ -23,7 +23,6 @@ from qxwit import (
 from qxwit import certify, witness
 from qxwit.certify import PRUNE_VIOLATION
 from qxwit.cli import main
-from qxwit.qcore import _check_hermitian_stack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,8 +35,8 @@ GRIDS = {"small": KernelGrid.small(), "default": KernelGrid.default(), "fine": K
 
 
 class TestProbeSettlesCertificates:
-    """The closed-form probe is the only falsification route, so along the
-    curve and on every grid it must take every perturbation below the
+    """The closed-form probe is the only falsification route, so for log10 s
+    in [-5, 5.5] and on every grid it must take every perturbation below the
     threshold by itself."""
 
     @settings(max_examples=25, deadline=None)
@@ -120,11 +119,11 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="non-finite"):
             check_hermitian(m)
         with pytest.raises(ValueError, match="non-finite"):
-            _check_hermitian_stack(np.array([np.eye(8), m]))
+            min_product_value(m, 2)
 
-    def test_stack(self):
+    def test_seesaw(self):
         with pytest.raises(ValueError, match="non-finite"):
-            _check_hermitian_stack(np.array([np.eye(8), _with(math.nan)]))
+            min_product_value(_with(math.nan), 2)
 
     def test_ppt_check_and_pairing(self):
         with pytest.raises(ValueError, match="non-finite"):

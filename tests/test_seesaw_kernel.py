@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qxwit import WitnessFamily, choi_explicit, min_product_value, min_product_values, pairing
+from qxwit import WitnessFamily, choi_explicit, min_product_value, pairing
 from qxwit.witness import STALL_TOL, _batched_min_eigvec, _seesaw
 
 SQRT2 = math.sqrt(2.0)
@@ -47,6 +47,10 @@ class TestKernelAgainstEigh:
         unit,
         log_scale,
         st.tuples(unit, unit, unit, unit).filter(lambda c: math.hypot(*c) > 1e-3),
+    )
+    # subnormal entries: 1 / norm of the unnormalized vector overflows
+    @example(
+        kind="generic", a=0.0, d=0.0, re=0.0, im=2.2250738585e-313, log10_scale=0.0, cur=(0.0, 0.0, 0.0, 1.0)
     )
     def test_minimal_eigenpair(self, kind, a, d, re, im, log10_scale, cur):
         m = hermitian_2x2(kind, a, d, re, im, 10.0**log10_scale)
@@ -104,10 +108,10 @@ class TestSeesawAgainstEighOracle:
     def test_choi_cycles_and_values(self, s, seed):
         c = choi_explicit(WitnessFamily(s, 8.0 / s))
         values, cycles = eigh_seesaw(c, 24, seed)
-        engine_values, _, engine_cycles = _seesaw([c], 24, [seed], 300, STALL_TOL)
-        assert engine_cycles[0] == cycles
-        assert np.max(np.abs(engine_values[0] - values)) <= 1e-12 * np.max(np.abs(c))
-        (res,) = min_product_values([c], 24, [seed])
+        engine_values, _, engine_cycles = _seesaw(c, 24, seed, 300)
+        assert engine_cycles == cycles
+        assert np.max(np.abs(engine_values - values)) <= 1e-12 * np.max(np.abs(c))
+        res = min_product_value(c, 24, seed)
         assert res.cycles == cycles
         assert res.min_value == pytest.approx(values.min(), abs=1e-12 * np.max(np.abs(c)))
 
