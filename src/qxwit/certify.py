@@ -5,7 +5,7 @@ and classification of kernel product vectors."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .qcore import (
     product_vector_to_json,
     subset_mask,
     tensor3,
+    _field_dict,
 )
 from .witness import (
     ETA_TAGS,
@@ -82,11 +83,6 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
     return h
 
 
-def _field_dict(record, *skip) -> dict:
-    """A dataclass's fields by name, in declaration order, less those in skip."""
-    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
-
-
 # --- PPT check ----------------------------------------------------------------
 
 
@@ -148,9 +144,7 @@ class SpanningReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "s": self.s,
-            "t": self.t,
-            "grid": self.grid,
+            **_field_dict(self, "records"),
             "rank_threshold": RANK_THRESHOLD,
             "certified": self.all_full_rank,
             "subsets": [r.to_json_dict() for r in self.records],
@@ -298,15 +292,15 @@ def _prune_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
     tasks, n = len(perts), len(x)
     pick = np.arange(tasks)
     unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    columns = unit.transpose(1, 2, 0)[:, None]  # (party, 1, component, x)
-    work = np.empty((1, 16, n), dtype=complex)
+    columns = unit.transpose(1, 2, 0)  # (party, component, x)
+    work = np.empty((16, n), dtype=complex)
     best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
     best_entries = np.empty((3, 3, tasks), dtype=complex)
     # entries scaled to at most 1, so that the squares below cannot overflow
     scaled = perts / np.max(np.abs(perts), initial=1.0)
     for p, rows in enumerate(_party_rows(scaled)):
         partners = np.delete(columns, p, axis=0)
-        entries = _effective(rows.reshape(1, -1, 16), *partners, work).reshape(tasks, 3, n)
+        entries = _effective(rows, *partners, work).reshape(tasks, 3, n)
         m00, m11, m01 = entries.real[:, 0], entries.real[:, 1], entries[:, 2]
         half = 0.5 * (m00 - m11)
         lowest = 0.5 * (m00 + m11) - np.sqrt(half * half + np.abs(m01) ** 2)
@@ -475,18 +469,11 @@ class DetectionCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "s": self.s,
-            "t": self.t,
-            "seed": self.seed,
-            "grid": self.grid,
+            **_field_dict(self, "ppt_tol"),
             "tol": self.ppt_tol,
             "certified": self.certified,
             "rho": matrix_to_json(self.rho),
-            "pairing_value": self.pairing_value,
             "min_pt_eigs": self.min_pt_eigs.tolist(),
-            "lambda_max": self.lambda_max,
-            "lambda_used": self.lambda_used,
-            "direction_kind": self.direction_kind,
         }
 
 

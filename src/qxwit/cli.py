@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -51,8 +50,6 @@ from .xstate import (
     xpart,
 )
 
-_DEFAULT_ST = 2.0 * math.sqrt(2.0)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -64,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--s", type=float, default=_DEFAULT_ST, help="witness parameter s")
-        p.add_argument("--t", type=float, default=_DEFAULT_ST, help="witness parameter t")
+        p.add_argument("--s", type=float, default=WitnessFamily.s, help="witness parameter s")
+        p.add_argument("--t", type=float, default=WitnessFamily.t, help="witness parameter t")
         p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
         p.add_argument(
             "--seed",
@@ -138,7 +135,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
@@ -158,43 +155,31 @@ def _parse_params(family: str, text: str):
     return (values[0], values[1])
 
 
-def cmd_choi(args):
-    w = WitnessFamily(args.s, args.t)
+def cmd_choi(args, w):
     c = choi_explicit(w)
-    payload = {
-        "s": w.s,
-        "t": w.t,
-        "matrix": matrix_to_json(c),
-        "x": xpart(c).to_json(),
-    }
+    payload = {"matrix": matrix_to_json(c), "x": xpart(c).to_json()}
     return payload, 0, f"Choi matrix for s={w.s:g}, t={w.t:g}"
 
 
-def cmd_apply(args):
-    w = WitnessFamily(args.s, args.t)
+def cmd_apply(args, w):
     x = matrix_from_json(_load_json(args.x))
     y = matrix_from_json(_load_json(args.y))
-    result = phi_apply(w, x, y)
-    return {"s": w.s, "t": w.t, "result": matrix_to_json(result)}, 0, "map applied"
+    return {"result": matrix_to_json(phi_apply(w, x, y))}, 0, "map applied"
 
 
-def cmd_pairing(args):
-    w = WitnessFamily(args.s, args.t)
+def cmd_pairing(args, w):
     rho = matrix_from_json(_load_json(args.rho))
     value = pairing(rho, choi_explicit(w))
-    return {"s": w.s, "t": w.t, "pairing": value}, 0, f"pairing = {value:.6g}"
+    return {"pairing": value}, 0, f"pairing = {value:.6g}"
 
 
-def cmd_kernel(args):
-    w = WitnessFamily(args.s, args.t)
+def cmd_kernel(args, w):
     tol = args.tol if args.tol is not None else 1e-9
     params = _parse_params(args.family, args.params)
     v = kernel_vector(w, args.family, params)
     value = pairing(v.projector(), choi_explicit(w))
     ok = abs(value) <= tol
     payload = {
-        "s": w.s,
-        "t": w.t,
         "family": args.family,
         "vector": product_vector_to_json(v),
         "pairing": value,
@@ -203,20 +188,17 @@ def cmd_kernel(args):
     return payload, 0 if ok else 1, f"{args.family}: pairing = {value:.3e}"
 
 
-def cmd_classify(args):
-    w = WitnessFamily(args.s, args.t)
+def cmd_classify(args, w):
     tol = args.tol if args.tol is not None else 1e-6
     v = product_vector_from_json(_load_json(args.vector))
     result = kernel_classify(w, v, tol=tol)
-    payload = {"s": w.s, "t": w.t, **result.to_json_dict()}
     code = 0 if result.family is not None else 1
-    return payload, code, f"family = {result.family}"
+    return result.to_json_dict(), code, f"family = {result.family}"
 
 
-def cmd_xstate(args):
-    w = WitnessFamily(args.s, args.t)
+def cmd_xstate(args, w):
     x = XMatrix.from_json(_load_json(args.file))
-    payload = {"s": w.s, "t": w.t, "ghz_diagonal": is_ghz_diagonal(x)}
+    payload = {"ghz_diagonal": is_ghz_diagonal(x)}
     try:
         verdict = rank4_separability_check(x)
         payload["separable"] = verdict.separable
@@ -246,8 +228,7 @@ def cmd_xstate(args):
     return payload, 0 if positive_verdict else 1, "xstate verdicts emitted"
 
 
-def cmd_certify(args):
-    w = WitnessFamily(args.s, args.t)
+def cmd_certify(args, w):
     grid = KernelGrid.named(args.grid)
     if args.which == "spanning":
         report = spanning_check(w, grid)
@@ -258,18 +239,7 @@ def cmd_certify(args):
         tol = args.tol if args.tol is not None else 1e-9
         res = verify_positive(w, restarts=args.restarts, seed=args.seed)
         ok = res.min_value >= -tol
-        payload = {
-            "s": w.s,
-            "t": w.t,
-            "seed": args.seed,
-            "restarts": res.restarts,
-            "min_value": res.min_value,
-            "argmin": product_vector_to_json(res.argmin),
-            "cycles": res.cycles,
-            "max_cycles": res.max_cycles,
-            "converged": res.converged,
-            "certified": ok,
-        }
+        payload = {**res.to_json_dict(), "certified": ok}
         note = f"see-saw minimum = {res.min_value:.3e}"
     elif args.which == "exposedness":
         tol = args.tol if args.tol is not None else RANK_THRESHOLD
@@ -322,8 +292,9 @@ def _emit(payload: dict, args) -> None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        payload, code, note = _COMMANDS[args.command](args)
-        _emit(payload, args)
+        w = WitnessFamily(args.s, args.t)
+        payload, code, note = _COMMANDS[args.command](args, w)
+        _emit({**payload, "s": w.s, "t": w.t}, args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ significant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,11 @@ PARTIES = (1, 2, 3)
 #: All eight party subsets, ordered by bit mask (party p occupies bit 3 - p,
 #: so the mask of a subset equals the index of the tuple in this listing).
 SUBSETS = ((), (3,), (2,), (2, 3), (1,), (1, 3), (1, 2), (1, 2, 3))
+
+
+def _field_dict(record, *skip) -> dict:
+    """A dataclass's fields by name, in declaration order, less those in skip."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
 
 
 def subset_mask(parties) -> int:
@@ -135,7 +140,7 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(m) -> np.ndarray:
     m = _square(m)
     # NaN fails every comparison, so the defect test alone would pass it;
     # testing the scale first also keeps inf - inf out of the defect.
@@ -143,9 +148,9 @@ def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
     defect = hermiticity_defect(m)
-    if defect > tol * scale:
+    if defect > HERMITICITY_TOL * scale:
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.0e} "
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {HERMITICITY_TOL:.0e} "
             f"of the largest entry {scale:.3e}"
         )
     return m
@@ -175,12 +180,14 @@ def matrix_from_json(obj) -> np.ndarray:
         dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
             f"matrix arrays must both be {dim}x{dim}, got {re.shape} and {im.shape}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix JSON has non-finite entries")
     return re + 1j * im
 
 
@@ -200,9 +207,11 @@ def product_vector_from_json(obj) -> ProductVector:
         try:
             re = np.asarray(obj[f"{name}_re"], dtype=float)
             im = np.asarray(obj[f"{name}_im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed product vector JSON: {exc}") from exc
         if re.shape != (2,) or im.shape != (2,):
             raise ValueError(f"factor {name} must have two components")
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError(f"factor {name} has non-finite entries")
         factors.append(re + 1j * im)
     return ProductVector(*factors)

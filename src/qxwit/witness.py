@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcore import ProductVector, check_hermitian, _square
+from .qcore import ProductVector, check_hermitian, product_vector_to_json, _field_dict, _square
 from .xstate import XMatrix
 
 #: Eighth root of unity used by every kernel family and dual state.
@@ -331,6 +331,13 @@ class SeesawResult:
         stalls on its last allowed cycle reads as not converged."""
         return self.cycles < self.max_cycles
 
+    def to_json_dict(self) -> dict:
+        return {
+            **_field_dict(self),
+            "argmin": product_vector_to_json(self.argmin),
+            "converged": self.converged,
+        }
+
 
 def _min_eigpair(m: np.ndarray, current: np.ndarray) -> tuple:
     """Minimal eigenvalues and unit eigenvectors of a batch of 2x2 Hermitian
@@ -386,27 +393,27 @@ _PARTY_AXES = ((0, 3, 1, 2, 4, 5), (1, 4, 0, 2, 3, 5), (2, 5, 0, 1, 3, 4))
 
 
 def _party_rows(c8: np.ndarray) -> list:
-    """Per party, the (task, 3, 16) rows of a stack (task, 8, 8) of matrices
-    that ``_effective`` pairs with the other two parties' factors."""
-    c6 = c8.reshape((len(c8),) + (2,) * 6)
+    """Per party, the rows (3m, 16) that ``_effective`` pairs with the other
+    two parties' factors, of an 8x8 matrix (m = 1) or a stack (m, 8, 8) of
+    them: each matrix's rows for m00, m11 and m01, in turn."""
+    c6 = c8.reshape((-1,) + (2,) * 6)
     return [
-        c6.transpose(0, *(1 + a for a in axes)).reshape(len(c8), 4, 16)[:, [0, 3, 1]]
+        c6.transpose(0, *(1 + a for a in axes)).reshape(-1, 4, 16)[:, [0, 3, 1]].reshape(-1, 16)
         for axes in _PARTY_AXES
     ]
 
 
 def _effective(rows: np.ndarray, f1: np.ndarray, f2: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Entries (m00, m11, m01), (task, 3, restart), of one party's effective
-    2x2 matrices, given the factors f1, f2 (task, 2, restart) of the other
-    two parties and that party's (task, 3, 16) rows of the Choi tensor.
+    """Entries (r, n) of one party's effective 2x2 matrices, given the
+    factors f1, f2 (2, n) of the other two parties and that party's rows
+    (r, 16) of ``_party_rows``.
 
-    The (task, 16, restart) products of the other parties' entries go into
-    ``work``: reusing one buffer spares the allocator a fresh array, often a
-    few hundred kB, per party update.
+    The (16, n) products of the other parties' entries go into ``work``:
+    reusing one buffer spares the allocator a fresh array, often a few
+    hundred kB, per party update.
     """
-    tasks = f1.shape[0]
-    g = (f1[:, :, None] * f2[:, None, :]).reshape(tasks, 4, -1)
-    np.multiply(g.conj()[:, :, None], g[:, None, :], out=work.reshape(tasks, 4, 4, -1))
+    g = (f1[:, None] * f2[None, :]).reshape(4, -1)
+    np.multiply(g.conj()[:, None], g[None, :], out=work.reshape(4, 4, -1))
     return np.matmul(rows, work)
 
 
@@ -422,7 +429,8 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int):
     above the largest entry: the run is on the matrix divided by it, which is
     exact, so it neither under- nor overflows and its stall test does not
     depend on the input's scale.  Every update is an exact minimization, so a
-    restart's value never rises.  Returns the values (restart,), the factors
+    restart's value never rises.  Each party's factors are held as
+    (component, restart).  Returns the values (restart,), the factors
     (party, restart, 2) and the cycles run.
     """
     if restarts < 1:
@@ -431,16 +439,15 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int):
         raise ValueError("see-saw needs an 8x8 Hermitian matrix")
     c8 = check_hermitian(matrix)
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(c8)))[1] - 1)
-    # The party kernels keep a task axis, of length one here.
-    party_rows = _party_rows((c8 / scale)[None])
+    party_rows = _party_rows(c8 / scale)
 
     # Starting factors, drawn in the order (party, real/imaginary part,
-    # restart, component) and held as (party, 1, component, restart).
+    # restart, component).
     draws = np.random.default_rng(seed).standard_normal((3, 2, restarts, 2))
     v = draws[:, 0] + 1j * draws[:, 1]
-    fa, fb, fz = (v / np.linalg.norm(v, axis=-1, keepdims=True)).swapaxes(1, 2)[:, None].copy()
-    work = np.empty((1, 16, restarts), dtype=complex)
-    values = np.full((1, restarts), np.inf)
+    fa, fb, fz = (v / np.linalg.norm(v, axis=-1, keepdims=True)).swapaxes(1, 2).copy()
+    work = np.empty((16, restarts), dtype=complex)
+    values = np.full(restarts, np.inf)
     cycles = 0
     for cycles in range(1, max_cycles + 1):
         fa = _min_eigpair(_effective(party_rows[0], fb, fz, work), fa)[1]
@@ -450,7 +457,7 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int):
         values = new
         if stalled:
             break
-    return values[0] * scale, np.array([fa[0], fb[0], fz[0]]).swapaxes(1, 2), cycles
+    return values * scale, np.array([fa, fb, fz]).swapaxes(1, 2), cycles
 
 
 def seesaw_minima(

@@ -54,6 +54,8 @@ class XMatrix:
         for name, v in (("a", a), ("b", b), ("c", c)):
             if v.shape != (4,):
                 raise ValueError(f"field {name} must be a 4-vector")
+            if not np.isfinite(v).all():
+                raise ValueError(f"field {name} has non-finite entries")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -79,7 +81,7 @@ class XMatrix:
             c = np.asarray(obj["c_re"], dtype=float) + 1j * np.asarray(
                 obj["c_im"], dtype=float
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed X matrix JSON: {exc}") from exc
         return cls(a, b, c)
 
@@ -217,12 +219,12 @@ class SeparabilityVerdict:
     violated: tuple
 
 
-def rank4_separability_check(x: XMatrix, tol: float = SEPARABILITY_TOL) -> SeparabilityVerdict:
+def rank4_separability_check(x: XMatrix) -> SeparabilityVerdict:
     """Criterion for a non-diagonal X matrix to be a rank-four separable state.
 
     Requires a_i b_i = |c_j|^2 for every pair (i, j), a1 a4 = a2 a3 and
     c1 c4 = c2 c3.  The input is rescaled so that max a_i b_i = 1 before the
-    comparisons, which makes the stated tolerance effectively relative.
+    comparisons, which makes ``SEPARABILITY_TOL`` effectively relative.
     """
     a, b, c = x.a, x.b, x.c
     if float(np.max(np.abs(c))) == 0.0:
@@ -238,11 +240,11 @@ def rank4_separability_check(x: XMatrix, tol: float = SEPARABILITY_TOL) -> Separ
     mags = np.abs(cn) ** 2
     for i in range(4):
         for j in range(4):
-            if abs(prods[i] - mags[j]) > tol:
+            if abs(prods[i] - mags[j]) > SEPARABILITY_TOL:
                 violated.append(f"a{i+1}*b{i+1} != |c{j+1}|^2")
-    if abs(an[0] * an[3] - an[1] * an[2]) > tol:
+    if abs(an[0] * an[3] - an[1] * an[2]) > SEPARABILITY_TOL:
         violated.append("a1*a4 != a2*a3")
-    if abs(cn[0] * cn[3] - cn[1] * cn[2]) > tol:
+    if abs(cn[0] * cn[3] - cn[1] * cn[2]) > SEPARABILITY_TOL:
         violated.append("c1*c4 != c2*c3")
     return SeparabilityVerdict(separable=not violated, violated=tuple(violated))
 
@@ -291,7 +293,7 @@ class Reconstruction:
     scale: float
 
 
-def reconstruct_product_vector(x: XMatrix, tol: float = SEPARABILITY_TOL) -> Reconstruction:
+def reconstruct_product_vector(x: XMatrix) -> Reconstruction:
     """Product vector v = (p1, q1) (x) (p2, q2) (x) (p3, q3) with scale r such
     that r * X equals xpart(|v><v|).
 
@@ -300,7 +302,7 @@ def reconstruct_product_vector(x: XMatrix, tol: float = SEPARABILITY_TOL) -> Rec
     remaining sign ambiguities are fixed by choosing arg q1 and arg q2 in
     [0, pi).
     """
-    verdict = rank4_separability_check(x, tol)
+    verdict = rank4_separability_check(x)
     if not verdict.separable:
         if "c1*c4 != c2*c3" in verdict.violated:
             raise ValueError("inconsistent phase system: c1*c4 != c2*c3")

@@ -12,6 +12,7 @@ from qxwit import (
     is_block_positive_xwitness,
     kernel_vector,
     matrix_to_json,
+    product_vector_from_json,
     product_vector_to_json,
     verify_positive,
     x_norm,
@@ -366,6 +367,10 @@ def _put(directory, name, content):
 _NON_HERMITIAN = np.eye(8)
 _NON_HERMITIAN[0, 1] = 0.5
 
+_ONES = {"a": [1.0] * 4, "b": [1.0] * 4, "c_re": [1.0] * 4, "c_im": [0.0] * 4}
+_HUGE = matrix_to_json(np.eye(8))
+_HUGE["re"][0][0] = 10**400  # a 401-digit integer literal, beyond every double
+
 #: argv builders, given a scratch directory, for inputs the CLI must reject.
 _ERROR_CASES = {
     "bad_st": lambda d: ["choi", "--s", "1", "--t", "1"],
@@ -385,6 +390,25 @@ _ERROR_CASES = {
         "--rho",
         _put(d, "r.json", matrix_to_json(_NON_HERMITIAN)),
     ],
+    # a NaN diagonal entry passed the separability criterion: exit 0, separable
+    "xstate_nan": lambda d: ["xstate", "--file", _put(d, "x.json", {**_ONES, "a": [math.nan, 1, 1, 1]})],
+    # an Infinity token classified as no family: exit 1, residual Infinity
+    "classify_infinity": lambda d: [
+        "classify",
+        "--vector",
+        _put(d, "v.json", {"x_re": [math.inf, 0], "x_im": [0, 0], "y_re": [1, 0], "y_im": [0, 0],
+                           "z_re": [1, 0], "z_im": [0, 0]}),
+    ],
+    # a literal that overflows to inf was applied: exit 0, NaN tokens on stdout
+    "apply_overflow": lambda d: [
+        "apply",
+        "--x",
+        _put(d, "x.json", '{"dim": 2, "re": [[1e999, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'),
+        "--y",
+        _put(d, "y.json", matrix_to_json(np.eye(2))),
+    ],
+    # an integer too large for a double ended in an OverflowError traceback
+    "huge_integer": lambda d: ["pairing", "--rho", _put(d, "r.json", _HUGE)],
 }
 
 
@@ -454,3 +478,41 @@ class TestPositivityConvergence:
         assert payload["max_cycles"] == res.max_cycles == 300
         assert payload["converged"] is res.converged is True
         assert 1 <= payload["cycles"] < payload["max_cycles"]
+
+
+def _echo_flags(d, command):
+    w = WitnessFamily(4.0, 2.0)
+    eye2 = _put(d, "eye2.json", matrix_to_json(np.eye(2)))
+    return {
+        "choi": [],
+        "apply": ["--x", eye2, "--y", eye2],
+        "pairing": ["--rho", _put(d, "r.json", matrix_to_json(np.eye(8) / 8.0))],
+        "kernel": ["--family", "eta1"],
+        "classify": ["--vector", _put(d, "v.json", product_vector_to_json(kernel_vector(w, "eta1", (1.0, 1.0))))],
+        "xstate": ["--file", _put(d, "x.json", _ONES)],
+        "certify": ["spanning"],
+    }[command]
+
+
+class TestParameterEcho:
+    @pytest.mark.parametrize(
+        "command", ["choi", "apply", "pairing", "kernel", "classify", "xstate", "certify"]
+    )
+    def test_every_payload_echoes_s_and_t(self, capsys, tmp_path, command):
+        _, payload = run_json(capsys, command, *_echo_flags(tmp_path, command), "--s", "4", "--t", "2")
+        assert payload["s"] == 4.0
+        assert payload["t"] == 2.0
+
+
+class TestPositivityPayload:
+    def test_is_the_see_saw_result_json(self, capsys):
+        code, payload = run_json(
+            capsys, "certify", "positivity", "--s", "4", "--t", "2", "--restarts", "50", "--seed", "3"
+        )
+        res = verify_positive(WitnessFamily(4.0, 2.0), restarts=50, seed=3)
+        lib = res.to_json_dict()
+        assert code == 0
+        assert {k: v for k, v in payload.items() if k not in ("s", "t", "certified")} == lib
+        again = product_vector_from_json(lib["argmin"])
+        for f, g in zip(again.factors(), res.argmin.factors()):
+            assert np.array_equal(f, g)

@@ -61,6 +61,14 @@ class TestXMatrix:
         assert np.array_equal(again.b, x.b)
         assert np.array_equal(again.c, x.c)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_non_finite_rejected(self, name, value):
+        fields = {"a": np.ones(4), "b": np.ones(4), "c": np.ones(4)}
+        fields[name] = [value, 1.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match=f"field {name} has non-finite"):
+            XMatrix(**fields)
+
 
 class TestXPart:
     def test_identity(self):
