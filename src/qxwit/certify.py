@@ -4,6 +4,7 @@ and classification of kernel product vectors."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -243,7 +244,27 @@ class ExposednessCertificate:
     survivor_offx_error: float
     equality_case: dict
     unpruned_directions: int
-    prune_records: tuple = field(repr=False, default=())
+    # The step, and per signed perturbation its probe factors, value and matrix
+    _step: float = field(repr=False, compare=False, default=PRUNE_STEP)
+    _factors: np.ndarray = field(repr=False, compare=False, default=None)
+    _values: np.ndarray = field(repr=False, compare=False, default=None)
+    _perts: np.ndarray = field(repr=False, compare=False, default=None)
+
+    @functools.cached_property
+    def prune_records(self) -> tuple:
+        """One ``PruneRecord`` per signed perturbation, built on first access."""
+        values, factors = self._values.tolist(), self._factors.conj()
+        return tuple(
+            PruneRecord(
+                direction=k // 2,
+                epsilon=(self._step, -self._step)[k % 2],
+                min_value=value,
+                argmin=ProductVector(*f),
+                violated=value < PRUNE_VIOLATION,
+                perturbation=pert,
+            )
+            for k, (value, f, pert) in enumerate(zip(values, factors, self._perts))
+        )
 
     @property
     def certified(self) -> bool:
@@ -254,7 +275,7 @@ class ExposednessCertificate:
         )
 
     def to_json_dict(self) -> dict:
-        return {**_field_dict(self, "prune_records"), "certified": self.certified}
+        return {**_field_dict(self), "certified": self.certified}
 
 
 def _rank(sv: np.ndarray, tol: float) -> int:
@@ -294,19 +315,26 @@ def _prune_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
     unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
     columns = unit.transpose(1, 2, 0)  # (party, component, x)
     work = np.empty((16, n), dtype=complex)
+    # one buffer for every party's entries m00, m11, m01 (3, task, x)
+    entries = np.empty((3, tasks, n), dtype=complex)
+    lowest, root = np.empty((2, tasks, n))
     best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
     best_entries = np.empty((3, 3, tasks), dtype=complex)
     # entries scaled to at most 1, so that the squares below cannot overflow
     scaled = perts / np.max(np.abs(perts), initial=1.0)
     for p, rows in enumerate(_party_rows(scaled)):
         partners = np.delete(columns, p, axis=0)
-        entries = _effective(rows, *partners, work).reshape(tasks, 3, n)
-        m00, m11, m01 = entries.real[:, 0], entries.real[:, 1], entries[:, 2]
-        half = 0.5 * (m00 - m11)
-        lowest = 0.5 * (m00 + m11) - np.sqrt(half * half + np.abs(m01) ** 2)
+        _effective(rows, *partners, work, out=entries.reshape(3 * tasks, n))
+        m00, m11, m01 = entries.real[0], entries.real[1], entries[2]
+        # the lowest eigenvalue in place: half, the root, then the mean less the root
+        np.multiply(np.subtract(m00, m11, out=lowest), 0.5, out=lowest)
+        np.square(np.abs(m01, out=root), out=root)
+        np.sqrt(np.add(root, np.square(lowest, out=lowest), out=root), out=root)
+        np.multiply(np.add(m00, m11, out=lowest), 0.5, out=lowest)
+        lowest -= root
         best_x[p] = np.argmin(lowest, axis=1)
         best_value[p] = lowest[pick, best_x[p]]
-        best_entries[p] = entries[pick, :, best_x[p]].T
+        best_entries[p] = entries[:, pick, best_x[p]]
     party = np.argmin(best_value, axis=0)
     probe = unit[best_x[party, pick]]
     current = probe[pick, party].T
@@ -353,7 +381,8 @@ def exposedness_certificate(
     tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
     x = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS]).conj()
     full = tensor3(*x.swapaxes(0, 1))
-    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
+    upper = full[:, _IU] * full[:, _JU].conj()  # herm_to_vec of |x><x|, entry by entry
+    rows = np.concatenate([(full * full.conj()).real, _SQRT2 * upper.real, _SQRT2 * upper.imag], 1)
     # all 64 right singular vectors are needed only when rows are fewer
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
     null_basis = vt[_rank(sv, tol) :]
@@ -383,9 +412,13 @@ def exposedness_certificate(
     # party's factor (axis 0) replaced by its orthogonal complement
     xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
     a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
-    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * full[:, None]
-    values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
-    tangent = np.concatenate([values.real, values.imag])
+    null_t = vec_to_herm(null_basis).reshape(-1, 64).T
+    forms = np.empty((len(x), 8, 8), dtype=complex)
+    tangent = np.empty((2, 3, len(x), nullspace_dim))  # (real/imaginary part, party, x, W)
+    for p, ap in enumerate(tensor3(*np.moveaxis(a, -2, 0)).conj()):
+        values = np.multiply(ap[:, :, None], full[:, None], out=forms).reshape(-1, 64) @ null_t
+        tangent[0, p], tangent[1, p] = values.real, values.imag
+    tangent = tangent.reshape(-1, nullspace_dim)
     surviving_ray_dim = nullspace_dim - _rank(np.linalg.svd(tangent, compute_uv=False), tol)
 
     # Equality-case data of the surviving direction.
@@ -411,21 +444,8 @@ def exposedness_certificate(
     perts = choi + task_eps[:, None, None] * directions[task_direction]
 
     probe, probe_values = _prune_probe(x, perts)
-    records = [
-        PruneRecord(
-            direction=k,
-            epsilon=eps,
-            min_value=value,
-            argmin=ProductVector(*f),
-            violated=value < PRUNE_VIOLATION,
-            perturbation=pert,
-        )
-        for k, eps, pert, value, f in zip(
-            task_direction.tolist(), task_eps.tolist(), perts, probe_values.tolist(), probe.conj()
-        )
-    ]
     # A direction is pruned when both of its signed perturbations violate.
-    unpruned = len({rec.direction for rec in records if not rec.violated})
+    unpruned = int(np.sum(~np.all(probe_values.reshape(-1, 2) < PRUNE_VIOLATION, axis=1)))
 
     return ExposednessCertificate(
         s=w.s,
@@ -440,7 +460,7 @@ def exposedness_certificate(
         survivor_offx_error=survivor_offx_error,
         equality_case=equality_case,
         unpruned_directions=unpruned,
-        prune_records=tuple(records),
+        _step=PRUNE_STEP, _factors=probe, _values=probe_values, _perts=perts,
     )
 
 

@@ -28,8 +28,9 @@ SUBSETS = ((), (3,), (2,), (2, 3), (1,), (1, 3), (1, 2), (1, 2, 3))
 
 
 def _field_dict(record, *skip) -> dict:
-    """A dataclass's fields by name, in declaration order, less those in skip."""
-    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+    """A dataclass's public fields by name, in declaration order, less those in skip."""
+    names = [f.name for f in fields(record) if f.name not in skip and not f.name.startswith("_")]
+    return {name: getattr(record, name) for name in names}
 
 
 def subset_mask(parties) -> int:
@@ -177,11 +178,13 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"matrix JSON dim must be an integer, got {dim!r}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
             f"matrix arrays must both be {dim}x{dim}, got {re.shape} and {im.shape}"

@@ -385,36 +385,36 @@ def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
     return _min_eigpair(entries, np.asarray(current)[..., None])[1][..., 0]
 
 
-#: Axis orders of the Choi tensor C[a, b, c, d, e, f] (row abc, column def)
-#: that put first the (row, column) pair one party's effective matrix keeps,
-#: then the indices it sums over: party one keeps (a, d), two (b, e), three
-#: (c, f).
-_PARTY_AXES = ((0, 3, 1, 2, 4, 5), (1, 4, 0, 2, 3, 5), (2, 5, 0, 1, 3, 4))
+#: Axis orders of a stack (m, a, b, c, d, e, f) of Choi tensors C[a, b, c, d,
+#: e, f] (row abc, column def) that put first the (row, column) pair one
+#: party's effective matrix keeps, then the stack axis, then the indices it
+#: sums over: party one keeps (a, d), two (b, e), three (c, f).
+_PARTY_AXES = ((1, 4, 0, 2, 3, 5, 6), (2, 5, 0, 1, 3, 4, 6), (3, 6, 0, 1, 2, 4, 5))
 
 
 def _party_rows(c8: np.ndarray) -> list:
     """Per party, the rows (3m, 16) that ``_effective`` pairs with the other
     two parties' factors, of an 8x8 matrix (m = 1) or a stack (m, 8, 8) of
-    them: each matrix's rows for m00, m11 and m01, in turn."""
+    them: the m00 rows of every matrix, then the m11 rows, then the m01 rows."""
     c6 = c8.reshape((-1,) + (2,) * 6)
-    return [
-        c6.transpose(0, *(1 + a for a in axes)).reshape(-1, 4, 16)[:, [0, 3, 1]].reshape(-1, 16)
-        for axes in _PARTY_AXES
-    ]
+    return [c6.transpose(p).reshape(4, -1, 16)[[0, 3, 1]].reshape(-1, 16) for p in _PARTY_AXES]
 
 
-def _effective(rows: np.ndarray, f1: np.ndarray, f2: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _effective(
+    rows: np.ndarray, f1: np.ndarray, f2: np.ndarray, work: np.ndarray, out=None
+) -> np.ndarray:
     """Entries (r, n) of one party's effective 2x2 matrices, given the
     factors f1, f2 (2, n) of the other two parties and that party's rows
     (r, 16) of ``_party_rows``.
 
-    The (16, n) products of the other parties' entries go into ``work``:
-    reusing one buffer spares the allocator a fresh array, often a few
-    hundred kB, per party update.
+    The (16, n) products of the other parties' entries go into ``work``, and
+    the entries into ``out``, a complex (r, n) array, when one is given:
+    reusing buffers spares the allocator a fresh array, often a few hundred
+    kB, per party update.
     """
     g = (f1[:, None] * f2[None, :]).reshape(4, -1)
     np.multiply(g.conj()[:, None], g[None, :], out=work.reshape(4, 4, -1))
-    return np.matmul(rows, work)
+    return np.matmul(rows, work, out=out)
 
 
 def _seesaw(matrix, restarts: int, seed: int, max_cycles: int):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -409,6 +410,21 @@ _ERROR_CASES = {
     ],
     # an integer too large for a double ended in an OverflowError traceback
     "huge_integer": lambda d: ["pairing", "--rho", _put(d, "r.json", _HUGE)],
+    # a fractional dim was truncated: 2.9 read as 2, and the map applied
+    "dim_fraction": lambda d: [
+        "apply",
+        "--x",
+        _put(d, "x.json", {**matrix_to_json(np.eye(2)), "dim": 2.9}),
+        "--y",
+        _put(d, "y.json", matrix_to_json(np.eye(2))),
+    ],
+    "dim_bool": lambda d: [
+        "apply",
+        "--x",
+        _put(d, "x.json", {"dim": True, "re": [[1.0]], "im": [[0.0]]}),
+        "--y",
+        _put(d, "y.json", matrix_to_json(np.eye(2))),
+    ],
 }
 
 
@@ -516,3 +532,36 @@ class TestPositivityPayload:
         again = product_vector_from_json(lib["argmin"])
         for f, g in zip(again.factors(), res.argmin.factors()):
             assert np.array_equal(f, g)
+
+
+#: sha256 of the stdout, with the exit code, of ``certify exposedness`` at
+#: (s, grid, constraints), t = 8 / s.  Recorded before the probe reused its
+#: buffers and the prune records were built on demand, which changed no byte;
+#: a change meant to keep the output must keep these.  They pin one platform's
+#: floating point (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or
+#: LAPACK may round the last bits differently.
+_EXPOSEDNESS_STDOUT_SHA256 = {
+    (0.5, "small", "certificate"): (0, "b045dc46417232847c484117862d8ad4f04d4a7eb34d6cbce93608fd5258aa4d"),
+    (0.5, "small", "control"): (1, "347619103cef341a791e34eee9cb2e7b99911dd4670e8f4053642e310024e7e7"),
+    (0.5, "default", "certificate"): (0, "78765a55e9f16497dd45936ca75128207633213e8913f6b5ba6af2db19a43521"),
+    (0.5, "default", "control"): (1, "f1ac8890180b271e5cae9245a3098cad2ec137a9129b036b64602367bb164aa2"),
+    (2 * SQRT2, "small", "certificate"): (0, "e0706129c78a09677c6035a5a8df1731e7847ff106edb60019bc05e385d55078"),
+    (2 * SQRT2, "small", "control"): (1, "e9b0b5811553785d4f40815cce35344c26c20006886804dd75730e2ca2a5af94"),
+    (2 * SQRT2, "default", "certificate"): (0, "6ccf0ab1ea288d45fa44dba7d9487f51c8e56dca0eb23ba1d58633360b90573c"),
+    (2 * SQRT2, "default", "control"): (1, "2cae195bfe9dc4f72a7ea933e08277430d201fc4ad66cecb897fd7d5ea9215b1"),
+    (16.0, "small", "certificate"): (0, "ebe0c57611e55e40acb5f054098be435f2aa48ea2bdc60a4714a45517bd7f66c"),
+    (16.0, "small", "control"): (1, "bfe0b2181db4bbebfd0070783e6305077492818c410af98ffe6665fd412f5162"),
+    (16.0, "default", "certificate"): (0, "6fb9276c283961db23ceea5e15f6114c2ab8827d75e8de2cc65fd46d03842a1e"),
+    (16.0, "default", "control"): (1, "2a35b176bdee0aaf6d5886428fb089cbde9b80361ee869b8b54018df2ddc3b81"),
+}
+
+
+class TestExposednessStdoutPinned:
+    @pytest.mark.parametrize("s, grid, kind", list(_EXPOSEDNESS_STDOUT_SHA256))
+    def test_sha256(self, capsys, s, grid, kind):
+        argv = ["certify", "exposedness", "--s", repr(s), "--t", repr(8.0 / s), "--grid", grid]
+        if kind == "control":
+            argv.append("--drop-curved-constraints")
+        code, out, _ = run(capsys, *argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == _EXPOSEDNESS_STDOUT_SHA256[s, grid, kind]

@@ -20,9 +20,26 @@ from qxwit import (
     pairing,
     ppt_check,
 )
-from qxwit import certify, witness
-from qxwit.certify import PRUNE_VIOLATION
+from qxwit import ProductVector, certify, witness
+from qxwit.certify import (
+    PRUNE_STEP,
+    PRUNE_VIOLATION,
+    RANK_THRESHOLD,
+    PruneRecord,
+    herm_to_vec,
+    vec_to_herm,
+    _rank,
+)
 from qxwit.cli import main
+from qxwit.qcore import tensor3
+from qxwit.witness import (
+    FAMILY_TAGS,
+    PV1_TAGS,
+    _PV4_FACTORS,
+    _effective,
+    _kernel_table,
+    _min_eigpair,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,6 +116,162 @@ class TestProbeSettlesCertificates:
         assert all(rec.violated == (rec.min_value < PRUNE_VIOLATION) for rec in cert.prune_records)
         assert cert.unpruned_directions == len(open_directions)
         assert not cert.certified
+
+
+# --- the probe and its records against the eager implementation they replace --
+
+#: The probe as it was before it reused its buffers, kept as an oracle: with
+#: the row order of ``_party_rows`` at the time (each matrix's rows for m00,
+#: m11 and m01, in turn), and an entry array allocated per party.
+_REFERENCE_PARTY_AXES = ((0, 3, 1, 2, 4, 5), (1, 4, 0, 2, 3, 5), (2, 5, 0, 1, 3, 4))
+
+
+def _reference_party_rows(c8: np.ndarray) -> list:
+    c6 = c8.reshape((-1,) + (2,) * 6)
+    return [
+        c6.transpose(0, *(1 + a for a in axes)).reshape(-1, 4, 16)[:, [0, 3, 1]].reshape(-1, 16)
+        for axes in _REFERENCE_PARTY_AXES
+    ]
+
+
+def _reference_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
+    tasks, n = len(perts), len(x)
+    pick = np.arange(tasks)
+    unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    columns = unit.transpose(1, 2, 0)  # (party, component, x)
+    work = np.empty((16, n), dtype=complex)
+    best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
+    best_entries = np.empty((3, 3, tasks), dtype=complex)
+    # entries scaled to at most 1, so that the squares below cannot overflow
+    scaled = perts / np.max(np.abs(perts), initial=1.0)
+    for p, rows in enumerate(_reference_party_rows(scaled)):
+        partners = np.delete(columns, p, axis=0)
+        entries = _effective(rows, *partners, work).reshape(tasks, 3, n)
+        m00, m11, m01 = entries.real[:, 0], entries.real[:, 1], entries[:, 2]
+        half = 0.5 * (m00 - m11)
+        lowest = 0.5 * (m00 + m11) - np.sqrt(half * half + np.abs(m01) ** 2)
+        best_x[p] = np.argmin(lowest, axis=1)
+        best_value[p] = lowest[pick, best_x[p]]
+        best_entries[p] = entries[pick, :, best_x[p]].T
+    party = np.argmin(best_value, axis=0)
+    probe = unit[best_x[party, pick]]
+    current = probe[pick, party].T
+    probe[pick, party] = _min_eigpair(best_entries[party, :, pick].T, current)[1].T
+    psi = tensor3(probe[:, 0], probe[:, 1], probe[:, 2])
+    return probe, np.einsum("ti,tij,tj->t", psi.conj(), perts, psi).real
+
+
+def _reference_records(w, grid, include_eta_zeta=True) -> tuple:
+    """The prune records as the certificate built them eagerly, from the
+    zero-value rows of ``herm_to_vec`` of the projector stack."""
+    choi = choi_explicit(w)
+    tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
+    x = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS]).conj()
+    full = tensor3(*x.swapaxes(0, 1))
+    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
+    _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
+    null_basis = vt[_rank(sv, RANK_THRESHOLD) :]
+    cvec = herm_to_vec(choi)
+    cunit = cvec / np.linalg.norm(cvec)
+    perp = null_basis - np.outer(null_basis @ cunit, cunit)
+    directions = vec_to_herm(np.linalg.svd(perp, full_matrices=False)[2][: len(null_basis) - 1])
+    task_direction = np.repeat(np.arange(len(directions)), 2)
+    task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
+    perts = choi + task_eps[:, None, None] * directions[task_direction]
+    probe, probe_values = _reference_probe(x, perts)
+    return tuple(
+        PruneRecord(
+            direction=k,
+            epsilon=eps,
+            min_value=value,
+            argmin=ProductVector(*f),
+            violated=value < PRUNE_VIOLATION,
+            perturbation=pert,
+        )
+        for k, eps, pert, value, f in zip(
+            task_direction.tolist(), task_eps.tolist(), perts, probe_values.tolist(), probe.conj()
+        )
+    )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestProbeAgainstReference:
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("s", [0.5, 2 * SQRT2, 16.0, 1e-4, 1e5])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_factors_and_values_bitwise(self, monkeypatch, grid, s, flat):
+        calls = []
+        probe = certify._prune_probe
+
+        def spy(x, perts):
+            calls.append((x, perts, probe(x, perts)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(certify, "_prune_probe", spy)
+        exposedness_certificate(curve(s), grid=GRIDS[grid], include_eta_zeta=not flat)
+        [(x, perts, (factors, values))] = calls
+        ref_factors, ref_values = _reference_probe(x, perts)
+        assert _same_bits(factors, ref_factors)
+        assert _same_bits(values, ref_values)
+
+
+_JSON_KEYS = {
+    "certified",
+    "constraint_count",
+    "direction_match_error",
+    "equality_case",
+    "grid",
+    "nullspace_dim",
+    "pv4_diagonal_error",
+    "s",
+    "surviving_ray_dim",
+    "survivor_offx_error",
+    "t",
+    "tol",
+    "unpruned_directions",
+}
+
+
+class TestRecordsOnDemand:
+    @pytest.mark.parametrize("flat, code", [(False, 0), (True, 1)])
+    def test_cli_builds_no_record(self, capsys, monkeypatch, flat, code):
+        def fail(*args, **kwargs):
+            raise AssertionError("a prune record was built")
+
+        monkeypatch.setattr(certify, "PruneRecord", fail)
+        argv = ["certify", "exposedness"] + (["--drop-curved-constraints"] if flat else [])
+        assert main(argv) == code
+        assert set(json.loads(capsys.readouterr().out)) == _JSON_KEYS
+
+    def test_second_access_same_object(self):
+        cert = exposedness_certificate(WitnessFamily(), grid=KernelGrid.small())
+        assert cert.prune_records is cert.prune_records
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("s", [0.5, 2 * SQRT2, 16.0])
+    @pytest.mark.parametrize("grid", ["small", "default"])
+    def test_equal_to_eager_records(self, grid, s, flat):
+        w = curve(s)
+        cert = exposedness_certificate(w, grid=GRIDS[grid], include_eta_zeta=not flat)
+        records, reference = cert.prune_records, _reference_records(w, GRIDS[grid], not flat)
+        assert len(records) == len(reference)
+        for rec, ref in zip(records, reference):
+            assert rec.direction == ref.direction and rec.violated == ref.violated
+            assert rec.epsilon == ref.epsilon
+            assert type(rec.direction) is int and type(rec.epsilon) is float
+            assert _same_bits(np.float64(rec.min_value), np.float64(ref.min_value))
+            for f, g in zip(rec.argmin.factors(), ref.argmin.factors()):
+                assert _same_bits(f, g)
+            assert _same_bits(rec.perturbation, ref.perturbation)
+
+    def test_json_keys_unchanged(self):
+        cert = exposedness_certificate(WitnessFamily(), grid=KernelGrid.small())
+        assert set(cert.to_json_dict()) == _JSON_KEYS
+        cert.prune_records
+        assert set(cert.to_json_dict()) == _JSON_KEYS
 
 
 def _with(value, i=0, j=0):

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qxwit import WitnessFamily, choi_explicit, min_product_value, pairing
-from qxwit.witness import STALL_TOL, _batched_min_eigvec, _seesaw
+from qxwit.qcore import tensor3
+from qxwit.witness import STALL_TOL, _batched_min_eigvec, _effective, _party_rows, _seesaw
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,3 +146,42 @@ class TestScaleRelativeStall:
         assert big.min_value == 2.0**300 * one.min_value
         assert big.cycles == one.cycles
         assert np.array_equal(big.argmin.full, one.argmin.full)
+
+
+def _stack_and_factors(m=3, n=5, seed=11):
+    """A stack (m, 8, 8) of Hermitian matrices and factors (party, n, 2)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, 8, 8)) + 1j * rng.standard_normal((m, 8, 8))
+    f = rng.standard_normal((3, n, 2)) + 1j * rng.standard_normal((3, n, 2))
+    return g + g.conj().swapaxes(1, 2), f
+
+
+class TestEffectiveEntries:
+    """``_effective`` on the rows of ``_party_rows`` of a stack: the m00 entries
+    of every matrix, then the m11, then the m01, against <i, f|M|j, f> with the
+    kept party's basis vectors i, j in its slot."""
+
+    @pytest.mark.parametrize("party", range(3))
+    def test_against_projected_forms(self, party):
+        stack, f = _stack_and_factors()
+        others = [f[q].T for q in range(3) if q != party]
+        entries = _effective(_party_rows(stack)[party], *others, np.empty((16, 5), dtype=complex))
+
+        def slot(i):
+            basis = np.broadcast_to(np.eye(2)[i], (5, 2))
+            return tensor3(*[basis if q == party else f[q] for q in range(3)])
+
+        expected = [
+            np.einsum("ni,mij,nj->mn", slot(i).conj(), stack, slot(j))
+            for i, j in ((0, 0), (1, 1), (0, 1))
+        ]
+        assert np.allclose(entries.reshape(3, 3, 5), expected, rtol=0.0, atol=1e-12)
+
+    def test_out_is_returned_and_bitwise_equal(self):
+        stack, f = _stack_and_factors()
+        rows = _party_rows(stack)[1]
+        work = np.empty((16, 5), dtype=complex)
+        out = np.empty((len(rows), 5), dtype=complex)
+        assert _effective(rows, f[0].T, f[2].T, work, out=out) is out
+        plain = _effective(rows, f[0].T, f[2].T, work)
+        assert plain is not out and plain.tobytes() == out.tobytes()
