@@ -244,26 +244,29 @@ class ExposednessCertificate:
     survivor_offx_error: float
     equality_case: dict
     unpruned_directions: int
-    # The step, and per signed perturbation its probe factors, value and matrix
-    _step: float = field(repr=False, compare=False, default=PRUNE_STEP)
-    _factors: np.ndarray = field(repr=False, compare=False, default=None)
-    _values: np.ndarray = field(repr=False, compare=False, default=None)
-    _perts: np.ndarray = field(repr=False, compare=False, default=None)
+    # Per signed perturbation: its direction, step, probe factors, value and matrix
+    _direction: np.ndarray = field(repr=False, compare=False)
+    _eps: np.ndarray = field(repr=False, compare=False)
+    _factors: np.ndarray = field(repr=False, compare=False)
+    _values: np.ndarray = field(repr=False, compare=False)
+    _perts: np.ndarray = field(repr=False, compare=False)
 
     @functools.cached_property
     def prune_records(self) -> tuple:
         """One ``PruneRecord`` per signed perturbation, built on first access."""
-        values, factors = self._values.tolist(), self._factors.conj()
         return tuple(
             PruneRecord(
-                direction=k // 2,
-                epsilon=(self._step, -self._step)[k % 2],
+                direction=k,
+                epsilon=eps,
                 min_value=value,
                 argmin=ProductVector(*f),
                 violated=value < PRUNE_VIOLATION,
                 perturbation=pert,
             )
-            for k, (value, f, pert) in enumerate(zip(values, factors, self._perts))
+            for k, eps, value, f, pert in zip(
+                self._direction.tolist(), self._eps.tolist(), self._values.tolist(),
+                self._factors.conj(), self._perts,
+            )
         )
 
     @property
@@ -381,8 +384,7 @@ def exposedness_certificate(
     tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
     x = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS]).conj()
     full = tensor3(*x.swapaxes(0, 1))
-    upper = full[:, _IU] * full[:, _JU].conj()  # herm_to_vec of |x><x|, entry by entry
-    rows = np.concatenate([(full * full.conj()).real, _SQRT2 * upper.real, _SQRT2 * upper.imag], 1)
+    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
     # all 64 right singular vectors are needed only when rows are fewer
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
     null_basis = vt[_rank(sv, tol) :]
@@ -412,13 +414,9 @@ def exposedness_certificate(
     # party's factor (axis 0) replaced by its orthogonal complement
     xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
     a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
-    null_t = vec_to_herm(null_basis).reshape(-1, 64).T
-    forms = np.empty((len(x), 8, 8), dtype=complex)
-    tangent = np.empty((2, 3, len(x), nullspace_dim))  # (real/imaginary part, party, x, W)
-    for p, ap in enumerate(tensor3(*np.moveaxis(a, -2, 0)).conj()):
-        values = np.multiply(ap[:, :, None], full[:, None], out=forms).reshape(-1, 64) @ null_t
-        tangent[0, p], tangent[1, p] = values.real, values.imag
-    tangent = tangent.reshape(-1, nullspace_dim)
+    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * full[:, None]
+    values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
+    tangent = np.concatenate([values.real, values.imag])
     surviving_ray_dim = nullspace_dim - _rank(np.linalg.svd(tangent, compute_uv=False), tol)
 
     # Equality-case data of the surviving direction.
@@ -445,7 +443,7 @@ def exposedness_certificate(
 
     probe, probe_values = _prune_probe(x, perts)
     # A direction is pruned when both of its signed perturbations violate.
-    unpruned = int(np.sum(~np.all(probe_values.reshape(-1, 2) < PRUNE_VIOLATION, axis=1)))
+    unpruned = len(set(task_direction[~(probe_values < PRUNE_VIOLATION)].tolist()))
 
     return ExposednessCertificate(
         s=w.s,
@@ -460,7 +458,8 @@ def exposedness_certificate(
         survivor_offx_error=survivor_offx_error,
         equality_case=equality_case,
         unpruned_directions=unpruned,
-        _step=PRUNE_STEP, _factors=probe, _values=probe_values, _perts=perts,
+        _direction=task_direction, _eps=task_eps,
+        _factors=probe, _values=probe_values, _perts=perts,
     )
 
 
