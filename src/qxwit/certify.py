@@ -16,7 +16,6 @@ from .qcore import (
     ProductVector,
     check_hermitian,
     matrix_to_json,
-    partial_transpose,
     product_vector_to_json,
     subset_mask,
     tensor3,
@@ -87,11 +86,22 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
 # --- PPT check ----------------------------------------------------------------
 
 
+def _pt_index_maps() -> tuple:
+    """Row and column gather indices (4, 8, 8) of the partial transposes for
+    the masks 0..3: transposing a party swaps its row and column bit."""
+    row, col = np.indices((8, 8))
+    swap = (row ^ col) & np.arange(4)[:, None, None]
+    return row ^ swap, col ^ swap
+
+
+_PT_ROWS, _PT_COLS = _pt_index_maps()
+
+
 def _pt_stack(m: np.ndarray) -> np.ndarray:
     """Partial transposes (4, 8, 8) of an 8x8 matrix for the masks 0..3.  Mask
     7 - k shares the spectrum of mask k: transposing the remaining parties is
     a global transpose of the already transposed matrix."""
-    return np.array([partial_transpose(m, SUBSETS[mask]) for mask in range(4)])
+    return m[_PT_ROWS, _PT_COLS]
 
 
 @dataclass(frozen=True)
@@ -595,54 +605,58 @@ class ClassifyResult:
         return {"family": self.family, "params": params, "residual": self.residual}
 
 
+#: Per flat family, in PV1_TAGS order, the party whose factor is free.
+_FREE_PARTY = [_PV1_SLOTS[tag].index(None) for tag in PV1_TAGS]
+
+
 def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> ClassifyResult:
     """Match a product vector against the fourteen kernel families, modulo a
     global phase and scale on each party.
 
     Returns the best-fitting family with its fitted parameters, or family None
     when no family reproduces the vector within tolerance (a valid verdict,
-    and an alarm for the completeness of the enumeration).
+    and an alarm for the completeness of the enumeration).  A zero factor
+    gives family None; a factor that is not finite, or whose norm overflows,
+    raises ValueError.
     """
-    norms = [np.linalg.norm(f) for f in v.factors()]
-    if 0.0 in norms:
+    raw = np.array(v.factors())
+    # np.vecdot rounds a 2-vector's squared norm as np.linalg.norm does
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(raw, raw).real)
+    if not np.isfinite(norms).all():
+        raise ValueError("kernel classification needs finite factors of finite norm")
+    if not norms.all():
         return ClassifyResult(family=None, params=None, residual=float("inf"))
-    factors = [f / n for f, n in zip(v.factors(), norms)]
-    mags = [np.abs(f) for f in factors]
+    factors = raw / norms[:, None]
+    mags = np.abs(factors)
     # A flat family's estimate is its free factor with the phase of the larger
     # entry removed; a curved family's is the (a1, a2) that the moduli of the
-    # first two factors give, the same for all eight.
-    canonical = [f / (f[k] / abs(f[k])) for f, k in zip(factors, map(np.argmax, mags))]
-    free = [canonical[_PV1_SLOTS[tag].index(None)] for tag in PV1_TAGS]
+    # first two factors give, the same for all eight.  Python's abs of a
+    # complex rounds like numpy's scalar abs; numpy's array abs does not.
+    top = np.where(mags[:, 1] > mags[:, 0], factors[:, 1], factors[:, 0])
+    phase = top / np.array([abs(c) for c in top.tolist()])
+    free = (factors / phase[:, None])[_FREE_PARTY]
     tags = list(PV1_TAGS)
-    estimates = [tuple(complex(c) for c in f) for f in free]
-    candidates = _family_factors(w, PV1_TAGS, np.array(free)[:, None])[:, 0]
-    if not any(m[0] < 1e-12 or m[1] < 1e-12 for m in mags):
-        q1 = mags[0][0] / mags[0][1]
-        q2 = mags[1][0] / mags[1][1]
-        est = (float(q1 * q1 / w.u), float(w.u * q2 * q2))
+    estimates = [tuple(row) for row in free.tolist()]
+    candidates = _family_factors(w, PV1_TAGS, free[:, None])[:, 0]
+    if not (mags < 1e-12).any():
+        q1, q2 = (mags[:2, 0] / mags[:2, 1]).tolist()
+        est = (q1 * q1 / w.u, w.u * q2 * q2)
         curved = ETA_TAGS + ZETA_TAGS
         tags += curved
         estimates += [est] * len(curved)
         candidates = np.concatenate([candidates, _family_factors(w, curved, [est])[:, 0]])
-    seen = {}
-
-    def party_residual(i: int, g: np.ndarray) -> float:
-        # Distance modulo a global phase between unit 2-vectors: the sine of
-        # their angle, |f0 h1 - f1 h0|, which unlike sqrt(2 - 2|<f, h>|) does
-        # not floor at sqrt(eps).  Candidates share factors (the basis kets,
-        # and each curved phase pattern appears in two families), so each
-        # distinct one is compared once.
-        key = (i, g.tobytes())
-        if key not in seen:
-            f, h = factors[i], g / np.linalg.norm(g)
-            seen[key] = float(abs(f[0] * h[1] - f[1] * h[0]))
-        return seen[key]
-
-    best_tag, best_params, best_res = None, None, float("inf")
-    for tag, est, cand in zip(tags, estimates, candidates):
-        res = max(party_residual(i, g) for i, g in enumerate(cand))
-        if res < best_res:
-            best_tag, best_params, best_res = tag, est, res
-    if best_tag is not None and best_res <= tol:
-        return ClassifyResult(family=best_tag, params=best_params, residual=best_res)
-    return ClassifyResult(family=None, params=None, residual=best_res)
+    units = candidates / np.sqrt(np.vecdot(candidates, candidates).real)[..., None]
+    # Distance modulo a global phase between unit 2-vectors: the sine of their
+    # angle, |f0 h1 - f1 h0|, which unlike sqrt(2 - 2|<f, h>|) does not floor
+    # at sqrt(eps).  Python complex arithmetic rounds like numpy's scalars;
+    # numpy's array multiply may fuse the products.
+    (x0, x1), (y0, y1), (z0, z1) = factors.tolist()
+    residuals = [
+        max(abs(x0 * h1 - x1 * h0), abs(y0 * k1 - y1 * k0), abs(z0 * l1 - z1 * l0))
+        for (h0, h1), (k0, k1), (l0, l1) in units.tolist()
+    ]
+    best = min(range(len(tags)), key=residuals.__getitem__)
+    if residuals[best] <= tol:
+        return ClassifyResult(family=tags[best], params=estimates[best], residual=residuals[best])
+    return ClassifyResult(family=None, params=None, residual=residuals[best])

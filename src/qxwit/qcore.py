@@ -135,26 +135,35 @@ def partial_conjugate(v: ProductVector, parties) -> ProductVector:
     return ProductVector(*factors)
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entry modulus of m - m^dagger."""
-    m = _square(m)
+def _defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def check_hermitian(m) -> np.ndarray:
+def hermiticity_defect(m) -> float:
+    """Largest entry modulus of m - m^dagger."""
+    return _defect(_square(m))
+
+
+def _hermitian_scale(m) -> tuple:
+    """(m as a square complex array, its largest entry modulus); raises unless
+    m is finite and Hermitian up to ``HERMITICITY_TOL`` of that modulus."""
     m = _square(m)
     # NaN fails every comparison, so the defect test alone would pass it;
     # testing the scale first also keeps inf - inf out of the defect.
     scale = float(np.max(np.abs(m)))
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    defect = hermiticity_defect(m)
+    defect = _defect(m)
     if defect > HERMITICITY_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {HERMITICITY_TOL:.0e} "
             f"of the largest entry {scale:.3e}"
         )
-    return m
+    return m, scale
+
+
+def check_hermitian(m) -> np.ndarray:
+    return _hermitian_scale(m)[0]
 
 
 def herm_min_eig(m) -> float:

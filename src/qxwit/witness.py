@@ -11,7 +11,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcore import ProductVector, check_hermitian, product_vector_to_json, _field_dict, _square
+from .qcore import (
+    ProductVector,
+    check_hermitian,
+    product_vector_to_json,
+    _field_dict,
+    _hermitian_scale,
+    _square,
+)
 from .xstate import XMatrix
 
 #: Eighth root of unity used by every kernel family and dual state.
@@ -105,15 +112,15 @@ def choi_explicit(w: WitnessFamily) -> np.ndarray:
 
 def pairing(rho, c) -> float:
     """Duality pairing Tr(C rho^t) of two Hermitian matrices of equal size."""
-    rho = check_hermitian(rho)
-    c = check_hermitian(c)
+    rho, rho_scale = _hermitian_scale(rho)
+    c, c_scale = _hermitian_scale(c)
     if rho.shape != c.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {c.shape}")
     value = complex(np.sum(c * rho))
     # Hermitian inputs pair to a real number.  The defects check_hermitian
     # allows (1e-12 of either matrix's largest entry) leave below 1e-10
     # max|c| max|rho| of imaginary part over the 64 products, rounding less.
-    if abs(value.imag) > 1e-10 * float(np.max(np.abs(c)) * np.max(np.abs(rho))):
+    if abs(value.imag) > 1e-10 * (c_scale * rho_scale):
         raise ValueError(f"pairing has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
@@ -375,14 +382,6 @@ def _min_eigpair(m: np.ndarray, current: np.ndarray) -> tuple:
         nrm = np.where(tiny, np.hypot(np.abs(vec[..., 0, :]), np.abs(vec[..., 1, :])), nrm)
     vec /= np.where(degenerate, 1.0, nrm)[..., None, :]
     return mean - r, np.where(degenerate[..., None, :], current, vec)
-
-
-def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Unit minimal eigenvectors (..., 2) of a batch (..., 2, 2) of 2x2
-    Hermitian matrices; rows whose matrix is (numerically) a multiple of the
-    identity keep the current vector."""
-    entries = np.asarray(m).reshape(*np.shape(m)[:-2], 4)[..., [0, 3, 1], None]
-    return _min_eigpair(entries, np.asarray(current)[..., None])[1][..., 0]
 
 
 #: Axis orders of a stack (m, a, b, c, d, e, f) of Choi tensors C[a, b, c, d,

@@ -120,10 +120,6 @@ def xpart(m) -> XMatrix:
     return XMatrix(a, b, c)
 
 
-def _x_norm_objective(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return np.abs(z[0] * e + np.conj(z[3])) + np.abs(z[1] * e + np.conj(z[2]))
-
-
 def x_norm(z) -> float:
     """Max over a unimodular phase e of |z1 e + conj(z4)| + |z2 e + conj(z3)|.
 
@@ -141,25 +137,45 @@ def x_norm(z) -> float:
     z = np.asarray(z, dtype=complex)
     if z.shape != (4,):
         raise ValueError("X norm expects a complex 4-vector")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("X norm expects finite entries")
+    # np.max propagates NaN, so the scale is finite only if every entry is
     scale = float(np.max(np.abs(z)))
+    if not math.isfinite(scale):
+        raise ValueError("X norm expects finite entries")
     if scale == 0.0:
         return 0.0
+    if 1.0 / scale == math.inf:
+        # Dividing by a scale below about 5.6e-309 multiplies by 1 / scale,
+        # which overflows.  The norm is homogeneous, and doubling is exact.
+        return x_norm(z * 2.0**600) * 2.0**-600
     # At unit scale, zeroing entries below 1e-20 moves the norm by under 4e-20
     # of it (it is at least max|z|) and keeps the coefficients far from
-    # underflow, where np.roots' division by the leading one overflows.
+    # underflow, where the division by the leading one overflows.
     z = z / scale
     z[np.abs(z) < 1e-20] = 0.0
-    p, q = z[0] * z[3], z[1] * z[2]
-    a = abs(z[0]) ** 2 + abs(z[3]) ** 2
-    b = abs(z[1]) ** 2 + abs(z[2]) ** 2
+    # Python complex arithmetic rounds like numpy's scalars, at less cost.
+    z1, z2, z3, z4 = z.tolist()
+    p, q = z1 * z4, z2 * z3
+    a = abs(z1) ** 2 + abs(z4) ** 2
+    b = abs(z2) ** 2 + abs(z3) ** 2
     # on |e| = 1, -4 Im(p e)^2 = p^2 e^2 - 2|p|^2 + conj(p)^2 e^-2 and
     # A + 2 Re(p e) = p e + A + conj(p) e^-1; the same for q and B
-    poly = np.convolve([p * p, 0, -2 * abs(p) ** 2, 0, np.conj(p * p)], [q, b, np.conj(q)])
-    poly -= np.convolve([q * q, 0, -2 * abs(q) ** 2, 0, np.conj(q * q)], [p, a, np.conj(p)])
-    phases = np.concatenate([np.angle(np.roots(poly)), [0.0, -np.angle(p), -np.angle(q)]])
-    return scale * float(np.max(_x_norm_objective(z, np.exp(1j * phases))))
+    pp, qq = p * p, q * q
+    poly = np.convolve([pp, 0, -2 * abs(p) ** 2, 0, pp.conjugate()], [q, b, q.conjugate()])
+    poly -= np.convolve([qq, 0, -2 * abs(q) ** 2, 0, qq.conjugate()], [p, a, p.conjugate()])
+    # The roots as np.roots finds them, the eigenvalues of the companion
+    # matrix of the coefficients less leading and trailing zeros; a trailing
+    # zero's root is e = 0, whose phase 0 is tried anyway.
+    nonzero = np.flatnonzero(poly)
+    roots = ()
+    if len(nonzero) > 1:
+        coeffs = poly[nonzero[0] : nonzero[-1] + 1]
+        companion = np.eye(len(coeffs) - 1, k=-1, dtype=complex)
+        companion[0] = -coeffs[1:] / coeffs[0]
+        roots = np.linalg.eigvals(companion)
+    phases = np.angle(np.concatenate([roots, [1.0, p, q]]))
+    phases[-2:] *= -1.0
+    e = np.exp(1j * phases)
+    return scale * float(np.max(abs(z1 * e + z4.conjugate()) + abs(z2 * e + z3.conjugate())))
 
 
 @dataclass(frozen=True)
@@ -208,6 +224,8 @@ def _block_positivity(x4: float, y4: float, norm: float) -> tuple:
 
 def is_block_positive_xwitness(x4: float, y4: float, z) -> bool:
     """Block positivity of X((0,0,0,x4), (0,0,0,y4), z): sqrt(x4 y4) >= ||z||_X."""
+    if not (math.isfinite(x4) and math.isfinite(y4)):
+        raise ValueError("diagonal witness weights must be finite")
     if x4 < 0 or y4 < 0:
         raise ValueError("diagonal witness weights must be nonnegative")
     return _block_positivity(x4, y4, x_norm(z))[0]
@@ -219,6 +237,12 @@ class SeparabilityVerdict:
     violated: tuple
 
 
+#: The sixteen pair conditions a_i b_i = |c_j|^2, row i and column j.
+_PAIR_CONDITIONS = np.array(
+    [[f"a{i+1}*b{i+1} != |c{j+1}|^2" for j in range(4)] for i in range(4)]
+)
+
+
 def rank4_separability_check(x: XMatrix) -> SeparabilityVerdict:
     """Criterion for a non-diagonal X matrix to be a rank-four separable state.
 
@@ -227,24 +251,22 @@ def rank4_separability_check(x: XMatrix) -> SeparabilityVerdict:
     comparisons, which makes ``SEPARABILITY_TOL`` effectively relative.
     """
     a, b, c = x.a, x.b, x.c
-    if float(np.max(np.abs(c))) == 0.0:
+    if not c.any():
         raise ValueError(
             "criterion applies to non-diagonal X matrices; all anti-diagonal entries are zero"
         )
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
+    if (a <= 0.0).any() or (b <= 0.0).any():
         raise ValueError("criterion requires strictly positive diagonal entries")
     scale = math.sqrt(float(np.max(a * b)))
     an, bn, cn = a / scale, b / scale, c / scale
-    violated = []
-    prods = an * bn
-    mags = np.abs(cn) ** 2
-    for i in range(4):
-        for j in range(4):
-            if abs(prods[i] - mags[j]) > SEPARABILITY_TOL:
-                violated.append(f"a{i+1}*b{i+1} != |c{j+1}|^2")
-    if abs(an[0] * an[3] - an[1] * an[2]) > SEPARABILITY_TOL:
+    pairs = np.abs((an * bn)[:, None] - (np.abs(cn) ** 2)[None, :]) > SEPARABILITY_TOL
+    violated = _PAIR_CONDITIONS[pairs].tolist()
+    # Python scalars round like numpy's
+    a1, a2, a3, a4 = an.tolist()
+    c1, c2, c3, c4 = cn.tolist()
+    if abs(a1 * a4 - a2 * a3) > SEPARABILITY_TOL:
         violated.append("a1*a4 != a2*a3")
-    if abs(cn[0] * cn[3] - cn[1] * cn[2]) > SEPARABILITY_TOL:
+    if abs(c1 * c4 - c2 * c3) > SEPARABILITY_TOL:
         violated.append("c1*c4 != c2*c3")
     return SeparabilityVerdict(separable=not violated, violated=tuple(violated))
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,12 +23,14 @@ from qxwit import (
     kernel_vectors,
     pairing,
     ppt_check,
+    product_vector_to_json,
     seesaw_minima,
     separable_anchor,
     spanning_check,
 )
 from qxwit import certify
 from qxwit.certify import herm_to_vec, vec_to_herm
+from qxwit.cli import main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -362,6 +365,24 @@ class TestKernelClassify:
         result = kernel_classify(w, ProductVector([1, 1], [1, 1], [1, 1]))
         assert result.family is None
         assert result.residual > 1e-3
+
+    def test_zero_factor_unclassified(self, w):
+        result = kernel_classify(w, ProductVector([1, 1j], [0, 0], [1, 2]))
+        assert result.family is None and result.residual == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    def test_non_finite_factor_rejected(self, w, capsys, tmp_path, bad):
+        # a NaN or infinite entry, or a finite one whose norm overflows: no
+        # RuntimeWarning first, and the CLI exits 2 with one error line
+        v = ProductVector([bad, 1], [1, 1j], [1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            kernel_classify(w, v)
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(product_vector_to_json(v)))
+        code = main(["classify", "--vector", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "finite" in err
 
     def test_seesaw_minima_all_classify(self, w):
         # statistical completeness of the family enumeration

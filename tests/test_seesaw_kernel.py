@@ -12,9 +12,17 @@ from hypothesis import strategies as st
 
 from qxwit import WitnessFamily, choi_explicit, min_product_value, pairing
 from qxwit.qcore import tensor3
-from qxwit.witness import STALL_TOL, _batched_min_eigvec, _effective, _party_rows, _seesaw
+from qxwit.witness import STALL_TOL, _effective, _min_eigpair, _party_rows, _seesaw
 
 SQRT2 = math.sqrt(2.0)
+
+def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Unit minimal eigenvectors (..., 2) of a batch (..., 2, 2) of 2x2
+    Hermitian matrices; rows whose matrix is (numerically) a multiple of the
+    identity keep the current vector."""
+    entries = np.asarray(m).reshape(*np.shape(m)[:-2], 4)[..., [0, 3, 1], None]
+    return _min_eigpair(entries, np.asarray(current)[..., None])[1][..., 0]
+
 
 unit = st.floats(-1.0, 1.0)
 log_scale = st.floats(-150.0, 150.0)

@@ -34,10 +34,18 @@ from qxwit import (
     verify_positive,
     xpart,
 )
-from qxwit.witness import _batched_min_eigvec, _seesaw
+from qxwit.witness import _min_eigpair, _seesaw
 
 SQRT2 = math.sqrt(2.0)
 ST_CASES = ((2 * SQRT2, 2 * SQRT2), (4.0, 2.0), (2.0, 4.0), (8.0, 1.0))
+
+
+def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Unit minimal eigenvectors (..., 2) of a batch (..., 2, 2) of 2x2
+    Hermitian matrices; rows whose matrix is (numerically) a multiple of the
+    identity keep the current vector."""
+    entries = np.asarray(m).reshape(*np.shape(m)[:-2], 4)[..., [0, 3, 1], None]
+    return _min_eigpair(entries, np.asarray(current)[..., None])[1][..., 0]
 
 
 def rank_one_p(alpha):

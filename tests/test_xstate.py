@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qxwit import (
@@ -190,6 +190,14 @@ class TestBlockPositivity:
         with pytest.raises(ValueError):
             is_block_positive_xwitness(-1.0, 1.0, np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "x4, y4", [(math.nan, 1.0), (math.inf, 0.0), (math.inf, 1.0), (1.0, math.nan), (0.0, -math.inf)]
+    )
+    def test_non_finite_weight_rejected(self, x4, y4):
+        # NaN passed the sign test and inf * 0 is NaN, so these returned a verdict
+        with pytest.raises(ValueError, match="finite"):
+            is_block_positive_xwitness(x4, y4, [1, 1, -1, 1])
+
     def test_agrees_with_seesaw_sign(self):
         # oracle: numerical minimum of <v|W|v> over product vectors
         rng = np.random.default_rng(6)
@@ -214,6 +222,37 @@ class TestBlockPositivity:
         z = 3e-10 * np.array([1, 1, -1, 1])
         assert not is_block_positive_xwitness(0.0, 0.0, z)
         assert not is_block_positive_xwitness(0.0, 0.0, 1e10 * z)
+
+
+class TestPositivityTightness:
+    """C is the X witness X((0,0,0,t), (0,0,0,s), (1,1,-1,1)) at equality:
+    sqrt(s t) = ||(1,1,-1,1)||_X = 2 sqrt(2).  Lowering its 011 diagonal from
+    t to t(1 - eps) gives every curved kernel vector v the form value
+    -eps t |v_011|^2 < 0, so both the X criterion and the see-saw must reject
+    it; raising the diagonal adds a positive semidefinite term, so both must
+    accept it.  s runs over [1/2, 16] and eps over [1e-6, 1e-1], log-uniform."""
+
+    @staticmethod
+    def _moved(log_s: float, eps: float) -> tuple:
+        s = math.exp(log_s)
+        w = WitnessFamily(s, 8.0 / s)
+        c = choi_explicit(w)
+        c[3, 3] = w.t * (1.0 + eps)
+        return w, c
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(math.log(0.5), math.log(16.0)), st.floats(-6.0, -1.0), st.integers(0, 2**31 - 1))
+    def test_lowered_diagonal_rejected(self, log_s, log10_eps, seed):
+        w, c = self._moved(log_s, -(10.0**log10_eps))
+        assert not is_block_positive_xwitness(c[3, 3].real, w.s, [1, 1, -1, 1])
+        assert min_product_value(c, restarts=200, seed=seed).min_value < -1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(math.log(0.5), math.log(16.0)), st.floats(-6.0, -1.0), st.integers(0, 2**31 - 1))
+    def test_raised_diagonal_accepted(self, log_s, log10_eps, seed):
+        w, c = self._moved(log_s, 10.0**log10_eps)
+        assert is_block_positive_xwitness(c[3, 3].real, w.s, [1, 1, -1, 1])
+        assert min_product_value(c, restarts=200, seed=seed).min_value >= -1e-9
 
 
 # Entries and weights are 0 or at least 1e-6 in size, so that lambda times
