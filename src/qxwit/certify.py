@@ -118,6 +118,8 @@ def ppt_check(rho, tol: float = PSD_TOL) -> PPTReport:
     from one stacked call over ``_pt_stack``.  Partial transposes of a
     Hermitian matrix are Hermitian, so rho is checked once."""
     rho = check_hermitian(rho)
+    if rho.shape != (8, 8):
+        raise ValueError(f"partial transpose needs an 8x8 matrix, got {rho.shape}")
     spectra = np.linalg.eigvalsh(_pt_stack(rho))
     min_eigs = np.concatenate([spectra[:, 0], spectra[::-1, 0]])
     return PPTReport(is_ppt=bool(np.all(min_eigs >= -tol)), min_eigs=min_eigs)
@@ -620,7 +622,10 @@ def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> Cl
     raises ValueError.
     """
     raw = np.array(v.factors())
-    # np.vecdot rounds a 2-vector's squared norm as np.linalg.norm does
+    # On the numpy/OpenBLAS build the tests run on, np.vecdot rounds a
+    # 2-vector's squared norm as np.linalg.norm does.  numpy promises no such
+    # thing (the two sum the squares along different BLAS or loop paths); the
+    # bitwise tests in tests/test_screen_kernels.py pin it on that build only.
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.vecdot(raw, raw).real)
     if not np.isfinite(norms).all():
@@ -632,7 +637,7 @@ def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> Cl
     # A flat family's estimate is its free factor with the phase of the larger
     # entry removed; a curved family's is the (a1, a2) that the moduli of the
     # first two factors give, the same for all eight.  Python's abs of a
-    # complex rounds like numpy's scalar abs; numpy's array abs does not.
+    # complex rounds like numpy's scalar abs; numpy's array abs may not.
     top = np.where(mags[:, 1] > mags[:, 0], factors[:, 1], factors[:, 0])
     phase = top / np.array([abs(c) for c in top.tolist()])
     free = (factors / phase[:, None])[_FREE_PARTY]

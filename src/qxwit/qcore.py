@@ -144,9 +144,7 @@ def hermiticity_defect(m) -> float:
     return _defect(_square(m))
 
 
-def _hermitian_scale(m) -> tuple:
-    """(m as a square complex array, its largest entry modulus); raises unless
-    m is finite and Hermitian up to ``HERMITICITY_TOL`` of that modulus."""
+def check_hermitian(m) -> np.ndarray:
     m = _square(m)
     # NaN fails every comparison, so the defect test alone would pass it;
     # testing the scale first also keeps inf - inf out of the defect.
@@ -159,11 +157,7 @@ def _hermitian_scale(m) -> tuple:
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {HERMITICITY_TOL:.0e} "
             f"of the largest entry {scale:.3e}"
         )
-    return m, scale
-
-
-def check_hermitian(m) -> np.ndarray:
-    return _hermitian_scale(m)[0]
+    return m
 
 
 def herm_min_eig(m) -> float:

@@ -11,14 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcore import (
-    ProductVector,
-    check_hermitian,
-    product_vector_to_json,
-    _field_dict,
-    _hermitian_scale,
-    _square,
-)
+from .qcore import ProductVector, check_hermitian, product_vector_to_json, _field_dict, _square
 from .xstate import XMatrix
 
 #: Eighth root of unity used by every kernel family and dual state.
@@ -112,15 +105,15 @@ def choi_explicit(w: WitnessFamily) -> np.ndarray:
 
 def pairing(rho, c) -> float:
     """Duality pairing Tr(C rho^t) of two Hermitian matrices of equal size."""
-    rho, rho_scale = _hermitian_scale(rho)
-    c, c_scale = _hermitian_scale(c)
+    rho = check_hermitian(rho)
+    c = check_hermitian(c)
     if rho.shape != c.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {c.shape}")
     value = complex(np.sum(c * rho))
     # Hermitian inputs pair to a real number.  The defects check_hermitian
     # allows (1e-12 of either matrix's largest entry) leave below 1e-10
     # max|c| max|rho| of imaginary part over the 64 products, rounding less.
-    if abs(value.imag) > 1e-10 * (c_scale * rho_scale):
+    if abs(value.imag) > 1e-10 * float(np.max(np.abs(c)) * np.max(np.abs(rho))):
         raise ValueError(f"pairing has imaginary residue {value.imag:.3e}")
     return float(value.real)
 

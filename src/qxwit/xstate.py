@@ -137,7 +137,7 @@ def x_norm(z) -> float:
     z = np.asarray(z, dtype=complex)
     if z.shape != (4,):
         raise ValueError("X norm expects a complex 4-vector")
-    # np.max propagates NaN, so the scale is finite only if every entry is
+    # np.max propagates NaN, so the scale is finite only if every entry is finite
     scale = float(np.max(np.abs(z)))
     if not math.isfinite(scale):
         raise ValueError("X norm expects finite entries")
@@ -145,11 +145,12 @@ def x_norm(z) -> float:
         return 0.0
     if 1.0 / scale == math.inf:
         # Dividing by a scale below about 5.6e-309 multiplies by 1 / scale,
-        # which overflows.  The norm is homogeneous, and doubling is exact.
+        # which overflows.  The norm is homogeneous: scaling z up by 2**600 is
+        # exact, and scaling the norm back down rounds it to the subnormal grid.
         return x_norm(z * 2.0**600) * 2.0**-600
     # At unit scale, zeroing entries below 1e-20 moves the norm by under 4e-20
     # of it (it is at least max|z|) and keeps the coefficients far from
-    # underflow, where the division by the leading one overflows.
+    # underflow, where np.roots' division by the leading one overflows.
     z = z / scale
     z[np.abs(z) < 1e-20] = 0.0
     # Python complex arithmetic rounds like numpy's scalars, at less cost.
@@ -162,17 +163,7 @@ def x_norm(z) -> float:
     pp, qq = p * p, q * q
     poly = np.convolve([pp, 0, -2 * abs(p) ** 2, 0, pp.conjugate()], [q, b, q.conjugate()])
     poly -= np.convolve([qq, 0, -2 * abs(q) ** 2, 0, qq.conjugate()], [p, a, p.conjugate()])
-    # The roots as np.roots finds them, the eigenvalues of the companion
-    # matrix of the coefficients less leading and trailing zeros; a trailing
-    # zero's root is e = 0, whose phase 0 is tried anyway.
-    nonzero = np.flatnonzero(poly)
-    roots = ()
-    if len(nonzero) > 1:
-        coeffs = poly[nonzero[0] : nonzero[-1] + 1]
-        companion = np.eye(len(coeffs) - 1, k=-1, dtype=complex)
-        companion[0] = -coeffs[1:] / coeffs[0]
-        roots = np.linalg.eigvals(companion)
-    phases = np.angle(np.concatenate([roots, [1.0, p, q]]))
+    phases = np.angle(np.concatenate([np.roots(poly), [1.0, p, q]]))
     phases[-2:] *= -1.0
     e = np.exp(1j * phases)
     return scale * float(np.max(abs(z1 * e + z4.conjugate()) + abs(z2 * e + z3.conjugate())))

@@ -93,6 +93,13 @@ class TestPPTCheck:
         with pytest.raises(ValueError):
             ppt_check(np.triu(np.ones((8, 8))))
 
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_wrong_size_rejected(self, dim):
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        with pytest.raises(ValueError, match="8x8"):
+            ppt_check((g + g.conj().T) / 2)
+
 
 class TestSpanning:
     def test_default_grid_full_rank(self, w):

@@ -3,10 +3,11 @@
 ``certify._pt_stack``.
 
 The reference copies below are the earlier implementations, kept verbatim
-(bar their names): per-vector numpy scalar arithmetic, ``np.roots`` and a
-Python loop over the sixteen pair conditions.  The rewrites must return the
-same bytes wherever a reference returns a result, so each comparison is of
-``tobytes`` or of exact Python values, never approximate.
+(bar their names): per-vector numpy scalar arithmetic, separate numpy
+calls per phase and a Python loop over the sixteen pair conditions.  The
+rewrites must return the same bytes wherever a reference returns a result,
+so each comparison is of ``tobytes`` or of exact Python values, never
+approximate.
 """
 
 import math
