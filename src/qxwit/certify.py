@@ -24,6 +24,7 @@ from .qcore import (
 from .witness import (
     ETA_TAGS,
     FAMILY_TAGS,
+    OMEGA,
     PV1_TAGS,
     ZETA_TAGS,
     KernelGrid,
@@ -44,13 +45,13 @@ from .xstate import xpart, _x_matrices
 #: Relative singular-value cutoff for numerical ranks and nullspaces.
 RANK_THRESHOLD = 1e-8
 
-#: Step eps of the prune perturbations C +- eps D along unit directions D.
+#: Step eps of the prune perturbations C +- eps E along unit directions E.
 PRUNE_STEP = 0.05
 
-#: A prune perturbation C + eps D has lost block positivity once its probe
-#: value is below this.  It is absolute because the step is fixed: every
-#: direction D has unit Hilbert-Schmidt norm and eps is PRUNE_STEP.  C's scale
-#: is not, so far out on the curve a probe value can stay open just below 0.
+#: A prune perturbation C + eps E has lost block positivity once its probe
+#: value is below this.  It is absolute because the scales are fixed: every
+#: direction E has unit Hilbert-Schmidt norm, eps is PRUNE_STEP, and C is
+#: always the Choi matrix at s = t, the frame every exposedness run uses.
 PRUNE_VIOLATION = -1e-9
 
 
@@ -358,6 +359,51 @@ def _prune_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
     return probe, np.einsum("ti,tij,tj->t", psi.conj(), perts, psi).real
 
 
+#: The constraint product vectors of the certificate, as kernel ids (tag,
+#: params) of ``KernelGrid.kernel_ids()``, at s = t.  Their 32 zero-value
+#: rows span the same 32-dimensional row space as any grid's, and their
+#: first-order rows have rank 31, so they isolate the ray.  They were chosen
+#: once by a pivoted Gram-Schmidt on the zero-value rows of the omega-phase
+#: pool at s = t, taking the largest remaining row first (the first in pool
+#: order among those within 1e-9 of it, so rounding does not break ties).
+#: The pool, in this order: the flat families at the two basis endpoints
+#: and the phases OMEGA**k, the curved families at a1, a2 in {1/2, 1, 2},
+#: and the six basis vectors.  Two picks are basis vectors, 001 and 110.
+CERTIFICATE_KERNEL_IDS = (
+    ("x01", (1.0, 0.0)),
+    ("x10", (0.0, 1.0)),
+    ("11z", (1.0, OMEGA**3)),
+    ("11z", (1.0, OMEGA**7)),
+    *(
+        (tag, ab)
+        for tag, pairs in (
+            ("eta1", ((0.5, 2.0), (1.0, 0.5), (2.0, 0.5), (2.0, 2.0))),
+            ("eta2", ((0.5, 2.0), (1.0, 0.5), (2.0, 0.5), (2.0, 2.0))),
+            ("eta3", ((0.5, 2.0), (2.0, 0.5), (2.0, 2.0))),
+            ("eta4", ((0.5, 2.0), (2.0, 0.5), (2.0, 2.0))),
+            ("zeta1", ((0.5, 2.0), (1.0, 0.5), (2.0, 0.5), (2.0, 2.0))),
+            ("zeta2", ((0.5, 2.0), (1.0, 0.5), (2.0, 0.5), (2.0, 2.0))),
+            ("zeta3", ((0.5, 2.0), (1.0, 0.5), (2.0, 0.5), (2.0, 2.0))),
+            ("zeta4", ((1.0, 0.5), (2.0, 0.5))),
+        )
+        for ab in pairs
+    ),
+)
+
+#: The canonical frame s = t = 2 sqrt(2), where every exposedness stage runs.
+_CANONICAL = WitnessFamily()
+
+#: ``CERTIFICATE_KERNEL_IDS`` as the (tags, params (tag, 1, 2)) of one
+#: ``_family_factors`` call per family kind, flat then curved.
+_CERTIFICATE_CALLS = [
+    (tuple(tag for tag, _ in ids), np.array([p for _, p in ids])[:, None])
+    for ids in (
+        [i for i in CERTIFICATE_KERNEL_IDS if i[0] in PV1_TAGS],
+        [i for i in CERTIFICATE_KERNEL_IDS if i[0] not in PV1_TAGS],
+    )
+]
+
+
 def exposedness_certificate(
     w: WitnessFamily,
     grid: KernelGrid | None = None,
@@ -366,35 +412,48 @@ def exposedness_certificate(
 ) -> ExposednessCertificate:
     """Certificate that the witness spans an exposed ray.
 
-    Pipeline: (1) the constraint product vectors x, the conjugated kernel
-    vectors of the grid and the six basis kernel vectors, are zeros of the
-    Choi matrix's form; each imposes the real-linear constraint <x|W|x> = 0
-    on Hermitian matrices W, and their common nullspace N is computed by SVD.
-    The grid's dual states would add no constraint: each is an average of
-    four curved kernel projectors at the same parameters.
-    (2) Every element of N must have zero diagonal at the six indices pinned
-    by the basis kernel vectors.  (3) The ray is isolated two ways, which must
-    agree: by first-order conditions, since a block-positive matrix that
-    vanishes at a product vector has vanishing partial gradients there too
-    (the dimension of the subspace of N meeting them at every constraint
-    product vector is reported as ``surviving_ray_dim``), and by
-    falsification: both signed perturbations C +- ``PRUNE_STEP`` D of the
-    Choi matrix along every nullspace direction D orthogonal to it must lose
-    block positivity, shown by a value below ``PRUNE_VIOLATION``.  A
-    closed-form probe (``_prune_probe``) tries one party update from every
-    constraint product vector; a perturbation it does not take below the
-    threshold stays open, and its direction counts as unpruned, so it can
-    only withhold the certificate, never grant it.  (4) The
-    surviving direction is compared to the Choi matrix
+    Every stage runs at s = t.  With D = diag(alpha, 1/alpha) (x) I4 and
+    alpha**2 = t / (2 sqrt 2), C(s, t) = D C(2 sqrt 2, 2 sqrt 2) D, and
+    W -> D W D is an automorphism of the block-positive cone (D is a local
+    filter: it maps product vectors onto product vectors), so it carries
+    exposed rays, kernel vectors (v -> D^-1 v) and the nullspace below.  The
+    verdict at any point of the curve is therefore the verdict at s = t,
+    computed in a frame where C is well scaled; ``s`` and ``t`` echo the
+    input, and every other field, prune records included, is of the s = t
+    computation.
+
+    Pipeline: (1) the constraint product vectors x, the conjugated members
+    ``CERTIFICATE_KERNEL_IDS``, are zeros of the Choi matrix's form; each
+    imposes the real-linear constraint <x|W|x> = 0 on Hermitian matrices W,
+    and their common nullspace N, the same as the grid's kernel vectors and
+    dual states pin, is computed by SVD.  (2) Every element of N must have
+    zero diagonal at the indices of the six basis kernel vectors.  (3) The
+    ray is isolated two ways, which must agree: by first-order conditions,
+    since a block-positive matrix that vanishes at a product vector has
+    vanishing partial gradients there too (the dimension of the subspace of
+    N meeting them at every constraint product vector is reported as
+    ``surviving_ray_dim``), and by falsification: both signed perturbations
+    C +- ``PRUNE_STEP`` E of the Choi matrix along every nullspace direction
+    E orthogonal to it must lose block positivity, shown by a value below
+    ``PRUNE_VIOLATION``.  A closed-form probe (``_prune_probe``) tries one
+    party update from every constraint product vector; a perturbation it
+    does not take below the threshold stays open, and its direction counts
+    as unpruned, so it can only withhold the certificate, never grant it.
+    (4) The surviving direction is compared to the Choi matrix
     (``direction_match_error``).
 
-    With ``include_eta_zeta`` false the constraints reduce to the flat
-    families, which is known to leave a surviving dimension larger than one.
+    With ``include_eta_zeta`` false the constraints are the flat members of
+    ``grid`` and the six basis kernel vectors, which is known to leave a
+    surviving dimension larger than one; ``grid`` selects only these rows.
     """
     grid = grid or KernelGrid.default()
-    choi = choi_explicit(w)
-    tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
-    x = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS]).conj()
+    w0 = _CANONICAL
+    choi = choi_explicit(w0)
+    if include_eta_zeta:
+        x = np.concatenate([_family_factors(w0, *call)[:, 0] for call in _CERTIFICATE_CALLS])
+    else:
+        x = np.concatenate([_kernel_table(w0, grid, PV1_TAGS), _PV4_FACTORS])
+    x = x.conj()
     full = tensor3(*x.swapaxes(0, 1))
     rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
     # all 64 right singular vectors are needed only when rows are fewer
@@ -440,11 +499,11 @@ def exposedness_certificate(
     scale = float(np.max(np.abs(survivor_unit))) + 1e-300
     equality_case = {
         "z_pattern_error": float(np.max(np.abs(sx.c - r_fit * _X_DIRECTION))) / scale,
-        "balance_error": abs(x4 * w.s - y4 * w.t) / (abs(x4 * w.s) + abs(y4 * w.t) + 1e-300),
+        "balance_error": abs(x4 * w0.s - y4 * w0.t) / (abs(x4 * w0.s) + abs(y4 * w0.t) + 1e-300),
     }
 
     # Falsification route: every direction in N orthogonal to the ray must
-    # break block positivity under both signed perturbations M = C + eps D.
+    # break block positivity under both signed perturbations M = C + eps E.
     # Projecting the ray out of N leaves nullspace_dim - 1 of them; the last
     # singular value of perp is only the part of C outside the computed N.
     perp = null_basis - np.outer(null_basis @ cunit, cunit)
@@ -647,10 +706,15 @@ def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> Cl
     if not (mags < 1e-12).any():
         q1, q2 = (mags[:2, 0] / mags[:2, 1]).tolist()
         est = (q1 * q1 / w.u, w.u * q2 * q2)
-        curved = ETA_TAGS + ZETA_TAGS
-        tags += curved
-        estimates += [est] * len(curved)
-        candidates = np.concatenate([candidates, _family_factors(w, curved, [est])[:, 0]])
+        # A curved member's third factor is (sqrt(a1 / a2), phase).  Far out on
+        # the curve a1 / a2 can overflow: that candidate has no finite factor,
+        # and is not tried.  No member is lost: its third factor would have an
+        # entry below 1e-12 of the other, which skips the curved candidates.
+        if est[0] / est[1] < math.inf:
+            curved = ETA_TAGS + ZETA_TAGS
+            tags += curved
+            estimates += [est] * len(curved)
+            candidates = np.concatenate([candidates, _family_factors(w, curved, [est])[:, 0]])
     units = candidates / np.sqrt(np.vecdot(candidates, candidates).real)[..., None]
     # Distance modulo a global phase between unit 2-vectors: the sine of their
     # angle, |f0 h1 - f1 h0|, which unlike sqrt(2 - 2|<f, h>|) does not floor

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--grid",
             choices=("small", "default", "fine"),
             default="default",
-            help="kernel sampling grid",
+            help="kernel sampling grid (exposedness: the control's flat rows only)",
         )
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
         p.add_argument("--pretty", action="store_true", help="indent JSON, summary on stderr")

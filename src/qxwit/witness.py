@@ -166,15 +166,17 @@ _PV1_PINNED = np.array([[_BASIS[slot or 0] for slot in slots] for slots in _PV1_
 
 def _family_factors(w: WitnessFamily, tags, params) -> np.ndarray:
     """Factors (tag, param, party, 2) of members of one or more kernel
-    families, all flat or all curved.  Flat params are free 2-vectors, (param,
-    2) or (tag, param, 2); curved ones are one (a1, a2) stack for every tag."""
+    families, all flat or all curved.  Params are one stack (param, 2) for
+    every tag, or one per tag (tag, param, 2): free 2-vectors for the flat
+    families, (a1, a2) pairs for the curved ones."""
     if tags[0] in _PV1_SLOTS:
         idx = [PV1_TAGS.index(tag) for tag in tags]
         free = np.asarray(params, dtype=complex)[..., None, :]
         return np.where(_PV1_FREE[idx, None, :, None], free, _PV1_PINNED[idx, None])
-    a1, a2 = np.asarray(params, dtype=float).T
+    params = np.asarray(params, dtype=float)
+    a1, a2 = params[..., 0], params[..., 1]
     u = w.u
-    out = np.empty((len(tags), len(a1), 3, 2), dtype=complex)
+    out = np.empty((len(tags), a1.shape[-1], 3, 2), dtype=complex)
     out[..., 0] = np.stack([np.sqrt(u * a1), np.sqrt(a2 / u), np.sqrt(a1 / a2)], axis=-1)
     out[..., 1] = _OMEGA_POWERS[[_PHASE_EIGHTHS[tag] for tag in tags]][:, None, :]
     return out

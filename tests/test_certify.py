@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,25 +171,30 @@ class TestDualFaceSpan:
 
 
 class TestDualFaceSpanConditioning:
-    """The dual-face dimension is a rank decision with a gap check: where the
-    exposedness nullspace is refused as ill-conditioned, so is the span."""
+    """The dual-face dimension is a rank decision with a gap check, on the
+    grid's states at the given s, so far out on the curve it is refused as
+    ill-conditioned.  The exposedness certificate runs at s = t from the
+    fixed ``CERTIFICATE_KERNEL_IDS``, where C(s, t) = D C(s = t) D carries its
+    verdict to every s, so it certifies there."""
 
     @pytest.mark.parametrize("s", [1e-7, 1e-6, 3e6, 1e7])
     def test_small_gap_raises(self, s):
         w = WitnessFamily(s, 8.0 / s)
         with pytest.raises(ValueError, match="ill-conditioned"):
             dual_face_span(w)
-        with pytest.raises(ValueError, match="ill-conditioned"):
-            exposedness_certificate(w)
+        assert exposedness_certificate(w).certified
 
     def test_message_names_the_cutoff(self):
         # The fine grid's gap closes sooner than the default grid's: at this s
-        # the default grid certifies, so the message must not advise a finer grid.
+        # the default grid's span is decided, so the message must not advise a
+        # finer grid.  The certificate reads no grid row and certifies.
         w = WitnessFamily(9e5, 8.0 / 9e5)
         with pytest.raises(ValueError, match="ill-conditioned") as err:
-            exposedness_certificate(w, grid=KernelGrid.fine())
+            dual_face_span(w, grid=KernelGrid.fine())
         assert "cutoff 1.000e-08" in str(err.value)
         assert "refine" not in str(err.value)
+        assert dual_face_span(w).dim == 32
+        assert exposedness_certificate(w, grid=KernelGrid.fine()).certified
         assert exposedness_certificate(w).certified
 
     @pytest.mark.parametrize("s", [1e-3, 2 * math.sqrt(2.0), 1e6])
@@ -255,8 +261,10 @@ class TestExposedness:
         "name, full, flat", [("small", 68, 36), ("default", 120, 48), ("fine", 260, 60)]
     )
     def test_one_constraint_per_product_vector(self, monkeypatch, w, name, full, flat):
-        # one row per kernel vector of the grid and per basis kernel vector;
-        # the dual states are not read
+        # one row per fixed certificate member, 32 in place of the grid's
+        # ``full`` kernel and basis vectors; the control has one per flat
+        # kernel vector of the grid and per basis kernel vector; the dual
+        # states are not read
         def fail(*args, **kwargs):
             raise AssertionError("exposedness read the dual-face states")
 
@@ -265,7 +273,8 @@ class TestExposedness:
         flat_ids = [tag for tag, _ in grid.kernel_ids() if tag in PV1_TAGS]
         cert = exposedness_certificate(w, grid)
         control = exposedness_certificate(w, grid, include_eta_zeta=False)
-        assert cert.constraint_count == len(kernel_vectors(w, grid)) + 6 == full
+        assert len(kernel_vectors(w, grid)) + 6 == full
+        assert cert.constraint_count == len(certify.CERTIFICATE_KERNEL_IDS) == 32
         assert control.constraint_count == len(flat_ids) + 6 == flat
 
     def test_flat_constraints_leave_more_survivors(self, w):
@@ -459,3 +468,14 @@ class TestClassifyAtRangeEnds:
             assert kernel_classify(w, ProductVector(*f)).family is None
         flat = kernel_vector(w, "x01", np.array([1.0, 1j]))
         assert kernel_classify(w, flat).family == "x01"
+
+    def test_overflowing_curved_estimate(self):
+        # the moduli give (a1, a2) with a1 / a2 = 8e344, which has no finite
+        # curved candidate; the third factor is off any member's by about 0.7
+        w = WitnessFamily(1e-150, 8e150)
+        v = ProductVector([1.0, 1e-11], [1e-11, 1.0], [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kernel_classify(w, v)
+        assert result.family is None and result.params is None
+        assert result.residual > 0.5

@@ -535,24 +535,24 @@ class TestPositivityPayload:
 
 
 #: sha256 of the stdout, with the exit code, of ``certify exposedness`` at
-#: (s, grid, constraints), t = 8 / s.  Recorded before the probe reused its
-#: buffers and the prune records were built on demand, which changed no byte;
-#: a change meant to keep the output must keep these.  They pin one platform's
-#: floating point (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or
-#: LAPACK may round the last bits differently.
+#: (s, grid, constraints), t = 8 / s.  Recorded once both runs moved to the
+#: frame s = t and the certificate to its fixed 32 members; a change meant to
+#: keep the output must keep these.  They pin one platform's floating point
+#: (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or LAPACK may
+#: round the last bits differently.
 _EXPOSEDNESS_STDOUT_SHA256 = {
-    (0.5, "small", "certificate"): (0, "b045dc46417232847c484117862d8ad4f04d4a7eb34d6cbce93608fd5258aa4d"),
-    (0.5, "small", "control"): (1, "347619103cef341a791e34eee9cb2e7b99911dd4670e8f4053642e310024e7e7"),
-    (0.5, "default", "certificate"): (0, "78765a55e9f16497dd45936ca75128207633213e8913f6b5ba6af2db19a43521"),
-    (0.5, "default", "control"): (1, "f1ac8890180b271e5cae9245a3098cad2ec137a9129b036b64602367bb164aa2"),
-    (2 * SQRT2, "small", "certificate"): (0, "e0706129c78a09677c6035a5a8df1731e7847ff106edb60019bc05e385d55078"),
-    (2 * SQRT2, "small", "control"): (1, "e9b0b5811553785d4f40815cce35344c26c20006886804dd75730e2ca2a5af94"),
-    (2 * SQRT2, "default", "certificate"): (0, "6ccf0ab1ea288d45fa44dba7d9487f51c8e56dca0eb23ba1d58633360b90573c"),
-    (2 * SQRT2, "default", "control"): (1, "2cae195bfe9dc4f72a7ea933e08277430d201fc4ad66cecb897fd7d5ea9215b1"),
-    (16.0, "small", "certificate"): (0, "ebe0c57611e55e40acb5f054098be435f2aa48ea2bdc60a4714a45517bd7f66c"),
-    (16.0, "small", "control"): (1, "bfe0b2181db4bbebfd0070783e6305077492818c410af98ffe6665fd412f5162"),
-    (16.0, "default", "certificate"): (0, "6fb9276c283961db23ceea5e15f6114c2ab8827d75e8de2cc65fd46d03842a1e"),
-    (16.0, "default", "control"): (1, "2a35b176bdee0aaf6d5886428fb089cbde9b80361ee869b8b54018df2ddc3b81"),
+    (0.5, "small", "certificate"): (0, "608dff75cfbfde9d7b6b8eee7d50de37462d47b78ec99b548b0e3c3ed552971f"),
+    (0.5, "small", "control"): (1, "a776a829a7f652d536b1338c09985fa63e1fd88001c244f1b6474dd77645e6b9"),
+    (0.5, "default", "certificate"): (0, "43ea19ef7facbe2c425eb90ba10f8fddfc5b69c6020aaf5eb2091fab215533a0"),
+    (0.5, "default", "control"): (1, "e61a68ec755ab7b2b9dd5f8132287cc324109253f7154fc229cbdc7f85a0f4a8"),
+    (2 * SQRT2, "small", "certificate"): (0, "7e2cac5c48c1c2f184f94277c6337c3c4aa17418f715e7bb4628d4c6cc70df12"),
+    (2 * SQRT2, "small", "control"): (1, "d9bf5e04f4f51d7056c1ca071142568f4580a9c887baffe8b35d035abfc7dc7d"),
+    (2 * SQRT2, "default", "certificate"): (0, "93573948a9bbea7614f4a6f09fcd17b5f46ad84b2edec9541a0b79cbdaf2241c"),
+    (2 * SQRT2, "default", "control"): (1, "4e331688ea543cb281d760bcaa6c832458e02cb7fff67e8e7608ef203d8d73c1"),
+    (16.0, "small", "certificate"): (0, "c21a242ebe71702add888e81fee0d99255664718e6fa4c6361dad7330b08edd1"),
+    (16.0, "small", "control"): (1, "e5859e3c28305cf92902885c7a12b23aea6e523761af65c97d13533862b9f734"),
+    (16.0, "default", "certificate"): (0, "ce2d5fa138ed75641df38aa07e0cc650679d76e2757b0806371cfae66e08473c"),
+    (16.0, "default", "control"): (1, "c17327a733565a9c1c94fdd23ecf050d1e0fdcbafb1768c95403a70fcfd4a96e"),
 }
 
 

@@ -15,6 +15,7 @@ from qxwit import (
     check_hermitian,
     choi_explicit,
     exposedness_certificate,
+    kernel_vector,
     matrix_to_json,
     min_product_value,
     pairing,
@@ -33,7 +34,6 @@ from qxwit.certify import (
 from qxwit.cli import main
 from qxwit.qcore import tensor3
 from qxwit.witness import (
-    FAMILY_TAGS,
     PV1_TAGS,
     _PV4_FACTORS,
     _effective,
@@ -161,12 +161,19 @@ def _reference_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
     return probe, np.einsum("ti,tij,tj->t", psi.conj(), perts, psi).real
 
 
-def _reference_records(w, grid, include_eta_zeta=True) -> tuple:
+def _reference_records(grid, include_eta_zeta=True) -> tuple:
     """The prune records as the certificate built them eagerly, from the
-    zero-value rows of ``herm_to_vec`` of the projector stack."""
-    choi = choi_explicit(w)
-    tags = FAMILY_TAGS if include_eta_zeta else PV1_TAGS
-    x = np.concatenate([_kernel_table(w, grid, tags), _PV4_FACTORS]).conj()
+    zero-value rows of ``herm_to_vec`` of the projector stack, in the frame
+    s = t whatever the certificate's s: the fixed certificate members, one
+    ``kernel_vector`` each, or the grid's flat members and the basis kernel
+    vectors."""
+    w0 = WitnessFamily()
+    choi = choi_explicit(w0)
+    if include_eta_zeta:
+        ids = certify.CERTIFICATE_KERNEL_IDS
+        x = np.array([kernel_vector(w0, tag, p).factors() for tag, p in ids]).conj()
+    else:
+        x = np.concatenate([_kernel_table(w0, grid, PV1_TAGS), _PV4_FACTORS]).conj()
     full = tensor3(*x.swapaxes(0, 1))
     rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
@@ -256,7 +263,7 @@ class TestRecordsOnDemand:
     def test_equal_to_eager_records(self, grid, s, flat):
         w = curve(s)
         cert = exposedness_certificate(w, grid=GRIDS[grid], include_eta_zeta=not flat)
-        records, reference = cert.prune_records, _reference_records(w, GRIDS[grid], not flat)
+        records, reference = cert.prune_records, _reference_records(GRIDS[grid], not flat)
         assert len(records) == len(reference)
         for rec, ref in zip(records, reference):
             assert rec.direction == ref.direction and rec.violated == ref.violated
