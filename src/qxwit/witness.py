@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcore import ProductVector, check_hermitian, product_vector_to_json, _field_dict, _square
+from .qcore import ProductVector, check_hermitian, product_vector_to_json, tensor3, _field_dict, _square
 from .xstate import XMatrix
 
 #: Eighth root of unity used by every kernel family and dual state.
@@ -326,6 +326,9 @@ class SeesawResult:
     seed: int
     cycles: int
     max_cycles: int
+    #: Restarts whose value moved by ``STALL_TOL`` times the scale or more in
+    #: the last cycle run: 0 whenever the stall test stopped the run.
+    restarts_moving: int
 
     @property
     def converged(self) -> bool:
@@ -345,7 +348,7 @@ def _min_eigpair(m: np.ndarray, current: np.ndarray) -> tuple:
     """Minimal eigenvalues and unit eigenvectors of a batch of 2x2 Hermitian
     matrices, each given by its entries (m00, m11, m01) along axis -2 of
     ``m``; the vectors hold their two components along axis -2, like
-    ``current``.
+    ``current``.  The prune probe of ``certify`` is its only caller.
 
     With h = (m00 - m11) / 2, r = hypot(h, |m01|) and top = r + |h|, the
     eigenvalue is (m00 + m11) / 2 - r and the vector is (-m01, top) if h > 0,
@@ -389,7 +392,8 @@ _PARTY_AXES = ((1, 4, 0, 2, 3, 5, 6), (2, 5, 0, 1, 3, 4, 6), (3, 6, 0, 1, 2, 4, 
 def _party_rows(c8: np.ndarray) -> list:
     """Per party, the rows (3m, 16) that ``_effective`` pairs with the other
     two parties' factors, of an 8x8 matrix (m = 1) or a stack (m, 8, 8) of
-    them: the m00 rows of every matrix, then the m11 rows, then the m01 rows."""
+    them: the m00 rows of every matrix, then the m11 rows, then the m01 rows.
+    The prune probe of ``certify`` is its only caller."""
     c6 = c8.reshape((-1,) + (2,) * 6)
     return [c6.transpose(p).reshape(4, -1, 16)[[0, 3, 1]].reshape(-1, 16) for p in _PARTY_AXES]
 
@@ -399,7 +403,8 @@ def _effective(
 ) -> np.ndarray:
     """Entries (r, n) of one party's effective 2x2 matrices, given the
     factors f1, f2 (2, n) of the other two parties and that party's rows
-    (r, 16) of ``_party_rows``.
+    (r, 16) of ``_party_rows``.  The prune probe of ``certify`` is its only
+    caller.
 
     The (16, n) products of the other parties' entries go into ``work``, and
     the entries into ``out``, a complex (r, n) array, when one is given:
@@ -411,21 +416,82 @@ def _effective(
     return np.matmul(rows, work, out=out)
 
 
-def _seesaw(matrix, restarts: int, seed: int, max_cycles: int):
+#: The identity and the Pauli matrices sigma_x, sigma_y, sigma_z.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+#: Row ijk holds the entries of (sigma_i (x) sigma_j (x) sigma_k)^T / 8, so
+#: that this map takes a flattened 8x8 matrix C to its Pauli tensor
+#: T_ijk = tr(C sigma_i (x) sigma_j (x) sigma_k) / 8, real when C is Hermitian.
+_PAULI_MAP = np.einsum("iad,jbe,kcf->ijkdefabc", _PAULI, _PAULI, _PAULI).reshape(64, 64) / 8.0
+
+
+def _pauli_tensor(c8: np.ndarray) -> np.ndarray:
+    """The real Pauli tensor T (4, 4, 4) of a Hermitian 8x8 matrix C.  With
+    each unit factor's projector written (I + n.sigma) / 2 and its Bloch
+    4-vector a = (1, n), the form of C at a product vector is the trilinear
+    form sum_ijk T_ijk a_i b_j c_k.
+
+    The product is an einsum, not ``@``: OpenBLAS splits a 64x64 complex
+    matrix-vector product over its threads, and on a 2-core host whose
+    other core was busy that took 8 ms instead of 2 us.
+    """
+    return np.einsum("ij,j->i", _PAULI_MAP, c8.ravel()).real.reshape(4, 4, 4)
+
+
+def _bloch_min(tau: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Minimize tau0 + n.tau over unit 3-vectors n, for each column of tau
+    (4, r): the minimum is tau0 - |tau| at n = -tau / |tau|, which is written
+    into n (3, r).
+
+    tau0 I + tau.sigma is the effective 2x2 matrix of the party; where it is
+    numerically a multiple of the identity, |tau| <= 1e-14 (|tau0| + |tau|)
+    of its spectral radius, every unit n is optimal and n keeps its current
+    value.  Returns the minima (r,).
+    """
+    r = np.hypot(np.hypot(tau[1], tau[2]), tau[3])
+    np.divide(tau[1:], -r, out=n, where=r > 1e-14 * (np.abs(tau[0]) + r))
+    return tau[0] - r
+
+
+def _spinors(n: np.ndarray) -> np.ndarray:
+    """Unit spinors (..., 2) whose projectors are (I + n.sigma) / 2, of unit
+    Bloch vectors n (3, ...): (1 + nz, nx + i ny) where nz >= 0, else
+    (nx - i ny, 1 - nz), over its norm; of the two the one free of
+    cancellation, whose norm is at least sqrt(2)."""
+    nx, ny, nz = n
+    top = 1.0 + np.abs(nz)
+    xy = nx + 1j * ny
+    up = nz >= 0.0
+    out = np.empty(nz.shape + (2,), dtype=complex)
+    out[..., 0] = np.where(up, top, xy.conj())
+    out[..., 1] = np.where(up, xy, top)
+    out /= np.hypot(top, np.abs(xy))[..., None]
+    return out
+
+
+def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | None = None):
     """Run every restart of the cyclic see-saw of one matrix as one batch.
 
-    Minimizes <eta| C |eta> over unit product vectors eta; one party at a
-    time is replaced by the minimal eigenvector of its effective 2x2 matrix,
-    and a cycle's values are the third party's minimal eigenvalues.  The
-    starting factors come from ``default_rng(seed)``; the run stops when no
-    restart's value moved by ``STALL_TOL`` times the scale or more in the last
-    cycle, or at ``max_cycles``.  The scale is the largest power of two not
-    above the largest entry: the run is on the matrix divided by it, which is
-    exact, so it neither under- nor overflows and its stall test does not
-    depend on the input's scale.  Every update is an exact minimization, so a
-    restart's value never rises.  Each party's factors are held as
-    (component, restart).  Returns the values (restart,), the factors
-    (party, restart, 2) and the cycles run.
+    Minimizes <eta| C |eta> over unit product vectors eta, one party at a
+    time.  Each party is held as Bloch 4-vectors (1, n), shaped (4, restart),
+    and the run is on the Pauli tensor T of the matrix (see
+    ``_pauli_tensor``): a party's update contracts T (4, 16) with the (16,
+    restart) outer products of the other two parties' Bloch vectors into tau
+    and takes ``_bloch_min``, the minimal eigenpair of its effective 2x2
+    matrix.  A cycle's values are the third party's minima.
+
+    The starting factors come from ``default_rng(seed)``; the run stops when
+    no restart's value moved by ``STALL_TOL`` times the scale or more in the
+    last cycle, or at ``max_cycles``.  The scale is the largest power of two
+    not above the largest entry: the run is on the matrix divided by it,
+    which is exact, so it neither under- nor overflows and its stall test
+    does not depend on the input's scale.  Every update is an exact
+    minimization, so a restart's value never rises.
+
+    Returns the values (restart,), the unit factors (party, restart, 2) and
+    the cycles run; with no cycle run the values are infinite and the factors
+    the starting ones.  The number of restarts that moved in the last cycle
+    run is appended to ``moving`` when one is given.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -433,25 +499,53 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int):
         raise ValueError("see-saw needs an 8x8 Hermitian matrix")
     c8 = check_hermitian(matrix)
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(c8)))[1] - 1)
-    party_rows = _party_rows(c8 / scale)
+    c = c8 / scale
+    t = _pauli_tensor(c)
+    # Per party, T with that party's index first, then the other two in order.
+    party_rows = [t.transpose(p).reshape(4, 16) for p in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
 
     # Starting factors, drawn in the order (party, real/imaginary part,
-    # restart, component).
+    # restart, component), and their Bloch vectors (party, 4, restart).
     draws = np.random.default_rng(seed).standard_normal((3, 2, restarts, 2))
     v = draws[:, 0] + 1j * draws[:, 1]
-    fa, fb, fz = (v / np.linalg.norm(v, axis=-1, keepdims=True)).swapaxes(1, 2).copy()
-    work = np.empty((16, restarts), dtype=complex)
+    factors = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    bloch = np.ones((3, 4, restarts))
+    xy = 2.0 * factors[..., 0].conj() * factors[..., 1]
+    bloch[:, 1], bloch[:, 2] = xy.real, xy.imag
+    bloch[:, 3] = np.abs(factors[..., 0]) ** 2 - np.abs(factors[..., 1]) ** 2
+    work = np.empty((4, 4, restarts))
+    tau = np.empty((4, restarts))
     values = np.full(restarts, np.inf)
+    still_moving = restarts
     cycles = 0
     for cycles in range(1, max_cycles + 1):
-        fa = _min_eigpair(_effective(party_rows[0], fb, fz, work), fa)[1]
-        fb = _min_eigpair(_effective(party_rows[1], fa, fz, work), fb)[1]
-        new, fz = _min_eigpair(_effective(party_rows[2], fa, fb, work), fz)
-        stalled = cycles > 1 and np.max(np.abs(new - values)) < STALL_TOL
+        for p, (q1, q2) in enumerate(((1, 2), (0, 2), (0, 1))):
+            np.multiply(bloch[q1, :, None], bloch[q2, None], out=work)
+            np.matmul(party_rows[p], work.reshape(16, restarts), out=tau)
+            new = _bloch_min(tau, bloch[p, 1:])
+        # The first cycle's moves from infinity count, so no run stops there.
+        still_moving = restarts - int(np.count_nonzero(np.abs(new - values) < STALL_TOL))
         values = new
-        if stalled:
+        if still_moving == 0:
             break
-    return values * scale, np.array([fa, fb, fz]).swapaxes(1, 2), cycles
+    if moving is not None:
+        moving.append(still_moving)
+    if cycles:
+        factors = _spinors(bloch[:, 1:].swapaxes(0, 1))
+        # A minimum tau0 - |tau| is a difference of sums over every entry of
+        # T, good to about 1e-16 of the largest entry whatever its size; the
+        # form at the factors keeps the matrix's zeros and small entries
+        # apart.  On the witness curve at s = 1e12 the smallest of 200
+        # restarts' minima is -1.4e-9, past the positivity threshold -1e-9,
+        # and the smallest form at their factors -2.3e-52.
+        psi = tensor3(*factors)
+        values = np.einsum("ri,ri->r", psi.conj() @ c, psi).real
+    return values * scale, factors, cycles
+
+
+def _check_max_cycles(max_cycles: int) -> None:
+    if max_cycles < 1:
+        raise ValueError("max_cycles must be at least 1")
 
 
 def seesaw_minima(
@@ -465,6 +559,7 @@ def seesaw_minima(
 
     The returned vectors v satisfy pairing(|v><v|, matrix) = value.
     """
+    _check_max_cycles(max_cycles)
     values, factors, _ = _seesaw(matrix, restarts, seed, max_cycles)
     return values, [ProductVector(*factors[:, k].conj()) for k in range(restarts)]
 
@@ -478,25 +573,28 @@ def min_product_value(
     """Global see-saw minimum of the quadratic form over unit product vectors,
     from one batch of ``restarts`` restarts seeded by ``seed``.
 
-    Each party update solves its 2x2 eigenproblem in closed form, and a
-    restart's value is the last update's minimal eigenvalue, equal up to
-    rounding to the form at ``argmin``.  The run has converged once no
-    restart's value moved by ``STALL_TOL`` times the largest power of two
-    not above the matrix's largest entry, so the number of cycles does not
-    depend on the matrix's scale.
+    Each party update minimizes a linear function over its Bloch sphere in
+    closed form, and a restart's value is the form at its final factors.
+    The run has converged once no restart's value moved by ``STALL_TOL``
+    times the largest power of two not above the matrix's largest entry, so
+    the number of cycles does not depend on the matrix's scale;
+    ``restarts_moving`` counts the restarts that had not stalled when the
+    run stopped.
 
     ``argmin`` is the first restart whose value is within 32 ulps of the
     matrix's largest entry of ``min_value``, so rounding-level changes do not
     move it.
     """
-    values, factors, cycles = _seesaw(matrix, restarts, seed, max_cycles)
+    _check_max_cycles(max_cycles)
+    moving = []
+    values, factors, cycles = _seesaw(matrix, restarts, seed, max_cycles, moving)
     min_value = float(values.min())
     # Restarts that end at the same minimum agree only up to rounding: a value
-    # is the eigenvalue of a 2x2 matrix whose entries are 16-term sums over
-    # the matrix's entries, and on Choi matrices along the curve all 1000
-    # restarts end within one ulp of the largest entry.  So that rounding does
-    # not choose the argmin, it is the first restart within 32 such ulps of the
-    # minimum, far below any threshold a verdict reads.
+    # is the form at a restart's factors, a sum of 64 products, and on Choi
+    # matrices along the curve all 1000 restarts end within one ulp of the
+    # largest entry.  So that rounding does not choose the argmin, it is the
+    # first restart within 32 such ulps of the minimum, far below any
+    # threshold a verdict reads.
     window = 32.0 * np.spacing(np.max(np.abs(np.asarray(matrix))))
     k = int(np.argmax(values <= min_value + window))
     return SeesawResult(
@@ -506,6 +604,7 @@ def min_product_value(
         seed=seed,
         cycles=cycles,
         max_cycles=max_cycles,
+        restarts_moving=moving[0],
     )
 
 

@@ -534,6 +534,18 @@ class TestPositivityPayload:
             assert np.array_equal(f, g)
 
 
+class TestPositivityRunReport:
+    def test_restarts_moving(self, capsys):
+        code, payload = run_json(capsys, "certify", "positivity", "--restarts", "50", "--seed", "2")
+        assert code == 0
+        assert payload["converged"] is True and payload["restarts_moving"] == 0
+
+    @pytest.mark.parametrize("s", [1e-8, 1e12])
+    def test_certified_at_the_curve_ends(self, capsys, s):
+        code, payload = run_json(capsys, "certify", "positivity", "--s", repr(s), "--t", repr(8.0 / s))
+        assert code == 0 and payload["certified"] is True
+
+
 #: sha256 of the stdout, with the exit code, of ``certify exposedness`` at
 #: (s, grid, constraints), t = 8 / s.  Recorded once both runs moved to the
 #: frame s = t and the certificate to its fixed 32 members; a change meant to
