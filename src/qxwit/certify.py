@@ -1,6 +1,7 @@
-"""Certification pipeline: PPT checks, the full spanning property, the span of
-the dual face, an exposedness certificate, detection of PPT-entangled states,
-and classification of kernel product vectors."""
+"""Certification pipeline: PPT checks, the full spanning property, an
+exposedness certificate, detection of PPT-entangled states from a separable
+anchor on the sampled dual face, and classification of kernel product
+vectors."""
 
 from __future__ import annotations
 
@@ -33,12 +34,13 @@ from .witness import (
     pairing,
     _PV1_SLOTS,
     _PV4_FACTORS,
+    _bloch_min,
+    _bloch_vectors,
     _dual_entries,
     _family_factors,
-    _effective,
     _kernel_table,
-    _min_eigpair,
-    _party_rows,
+    _pauli_tensor,
+    _spinors,
 )
 from .xstate import xpart, _x_matrices
 
@@ -195,13 +197,7 @@ def spanning_check(
     return SpanningReport(records=tuple(records), grid=grid.describe(), s=w.s, t=w.t)
 
 
-# --- span of the dual face ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualFaceSpan:
-    basis: tuple  # orthonormal Hermitian matrices (Hilbert-Schmidt)
-    dim: int
+# --- the sampled dual face ----------------------------------------------------
 
 
 def _dual_face_states(w: WitnessFamily, grid: KernelGrid) -> np.ndarray:
@@ -214,16 +210,6 @@ def _dual_face_states(w: WitnessFamily, grid: KernelGrid) -> np.ndarray:
     full = tensor3(factors[:, 0], factors[:, 1], factors[:, 2])
     states = full[:, :, None] * full[:, None, :].conj()
     return np.concatenate([states, _x_matrices(*_dual_entries(w, grid.dual_params()))])
-
-
-def dual_face_span(w: WitnessFamily, grid: KernelGrid | None = None) -> DualFaceSpan:
-    """Orthonormal basis of the real span of the sampled dual-face states
-    inside the 64-dimensional space of Hermitian 8x8 matrices, its dimension
-    decided by ``_rank``."""
-    grid = grid or KernelGrid.default()
-    _, sv, vt = np.linalg.svd(herm_to_vec(_dual_face_states(w, grid)), full_matrices=False)
-    basis = tuple(vec_to_herm(vt[: _rank(sv, RANK_THRESHOLD)]))
-    return DualFaceSpan(basis=basis, dim=len(basis))
 
 
 # --- exposedness certificate ----------------------------------------------------
@@ -313,8 +299,9 @@ _PV4_DIAG_INDICES = (0, 1, 2, 5, 6, 7)
 _X_DIRECTION = np.array([1.0, 1.0, -1.0, 1.0])
 
 
-def _prune_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
-    """For each matrix M of a stack (task, 8, 8), the best product vector
+def _prune_probe(x: np.ndarray, perts: np.ndarray, tensors: np.ndarray) -> tuple:
+    """For each matrix M of a stack (task, 8, 8), given with its Pauli tensor
+    (task, 4, 4, 4) (see ``witness._pauli_tensor``), the best product vector
     one see-saw party update reaches from any product vector x of a stack
     (n, party, 2).  Returns its unit factors (task, party, 2) and the form of
     M itself there.
@@ -322,39 +309,34 @@ def _prune_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
     Where the form of M vanishes at x but a partial gradient there does not,
     changing one party's factor of x takes the form below zero, and the best
     change is the lowest eigenvector of that party's effective 2x2 matrix at
-    the other two unit factors of x.  Every (party, task, x) needs only the
-    lowest eigenvalue, (m00 + m11)/2 - sqrt(((m00 - m11)/2)^2 + |m01|^2) as
-    in _min_eigpair, and each task's lowest one its eigenvector.
+    the other two unit factors of x.  As in the see-saw, that matrix is
+    tau0 I + tau.sigma, with tau the contraction of T with the other two
+    parties' Bloch vectors, and ``_bloch_min`` gives its lowest eigenvalue
+    and Bloch vector for every (party, task, x).  Each Bloch vector starts
+    at x's own, so a matrix that is a multiple of the identity keeps x's
+    factor.
     """
     tasks, n = len(perts), len(x)
     pick = np.arange(tasks)
     unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    columns = unit.transpose(1, 2, 0)  # (party, component, x)
-    work = np.empty((16, n), dtype=complex)
-    # one buffer for every party's entries m00, m11, m01 (3, task, x)
-    entries = np.empty((3, tasks, n), dtype=complex)
-    lowest, root = np.empty((2, tasks, n))
+    bloch = _bloch_vectors(unit.swapaxes(0, 1))  # (party, 4, x)
     best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
-    best_entries = np.empty((3, 3, tasks), dtype=complex)
-    # entries scaled to at most 1, so that the squares below cannot overflow
-    scaled = perts / np.max(np.abs(perts), initial=1.0)
-    for p, rows in enumerate(_party_rows(scaled)):
-        partners = np.delete(columns, p, axis=0)
-        _effective(rows, *partners, work, out=entries.reshape(3 * tasks, n))
-        m00, m11, m01 = entries.real[0], entries.real[1], entries[2]
-        # the lowest eigenvalue in place: half, the root, then the mean less the root
-        np.multiply(np.subtract(m00, m11, out=lowest), 0.5, out=lowest)
-        np.square(np.abs(m01, out=root), out=root)
-        np.sqrt(np.add(root, np.square(lowest, out=lowest), out=root), out=root)
-        np.multiply(np.add(m00, m11, out=lowest), 0.5, out=lowest)
-        lowest -= root
+    best_bloch = np.empty((3, 3, tasks))
+    # Party by party: for the control on the default grid, tau of all three
+    # parties at once is 415 kB, and arrays that size were handed back to the
+    # system and faulted in again on every call, about 200 minor faults.
+    for p, (q1, q2) in enumerate(((1, 2), (0, 2), (0, 1))):
+        # T with the party's index first, then the task, then the other two
+        rows = np.moveaxis(tensors, 1 + p, 0).reshape(4 * tasks, 16)
+        tau = rows @ (bloch[q1, :, None] * bloch[q2, None]).reshape(16, n)
+        moved = np.tile(bloch[p, 1:], tasks)  # x's own Bloch vectors, per task
+        lowest = _bloch_min(tau.reshape(4, tasks * n), moved).reshape(tasks, n)
         best_x[p] = np.argmin(lowest, axis=1)
         best_value[p] = lowest[pick, best_x[p]]
-        best_entries[p] = entries[:, pick, best_x[p]]
+        best_bloch[p] = moved.reshape(3, tasks, n)[:, pick, best_x[p]]
     party = np.argmin(best_value, axis=0)
     probe = unit[best_x[party, pick]]
-    current = probe[pick, party].T
-    probe[pick, party] = _min_eigpair(best_entries[party, :, pick].T, current)[1].T
+    probe[pick, party] = _spinors(best_bloch[party, :, pick].T)
     psi = tensor3(probe[:, 0], probe[:, 1], probe[:, 2])
     return probe, np.einsum("ti,tij,tj->t", psi.conj(), perts, psi).real
 
@@ -511,8 +493,12 @@ def exposedness_certificate(
     task_direction = np.repeat(np.arange(len(directions)), 2)
     task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
     perts = choi + task_eps[:, None, None] * directions[task_direction]
+    # T is linear, so the tensors of the perturbations come from those of C
+    # and the directions, at most 64 matrices: few enough for one thread.
+    tensors = _pauli_tensor(np.concatenate([choi[None], directions]))
+    tensors = tensors[0] + task_eps[:, None, None, None] * tensors[1 + task_direction]
 
-    probe, probe_values = _prune_probe(x, perts)
+    probe, probe_values = _prune_probe(x, perts, tensors)
     # A direction is pruned when both of its signed perturbations violate.
     unpruned = len(set(task_direction[~(probe_values < PRUNE_VIOLATION)].tolist()))
 

@@ -1,6 +1,7 @@
 """The two-parameter witness family: bilinear action, Choi matrices, the
-duality pairing, kernel product-vector families, dual-face states, see-saw
-positivity checks and the motivating sum construction."""
+duality pairing, kernel product-vector families, the dual states, see-saw
+positivity checks with their 2x2 Bloch kernel (which the exposedness prune
+probe shares) and the motivating sum construction."""
 
 from __future__ import annotations
 
@@ -344,109 +345,55 @@ class SeesawResult:
         }
 
 
-def _min_eigpair(m: np.ndarray, current: np.ndarray) -> tuple:
-    """Minimal eigenvalues and unit eigenvectors of a batch of 2x2 Hermitian
-    matrices, each given by its entries (m00, m11, m01) along axis -2 of
-    ``m``; the vectors hold their two components along axis -2, like
-    ``current``.  The prune probe of ``certify`` is its only caller.
-
-    With h = (m00 - m11) / 2, r = hypot(h, |m01|) and top = r + |h|, the
-    eigenvalue is (m00 + m11) / 2 - r and the vector is (-m01, top) if h > 0,
-    else (-top, conj m01): of the two eigenvector formulas the one free of
-    cancellation.  Rows whose matrix is (numerically) a multiple of the
-    identity keep the current vector, since any unit vector is then optimal.
-    """
-    a = m[..., 0, :].real
-    d = m[..., 1, :].real
-    od = m[..., 2, :]
-    mean = 0.5 * (a + d)
-    half = 0.5 * (a - d)
-    aod = np.abs(od)
-    abs_half = np.abs(half)
-    r = np.hypot(half, aod)
-    top = r + abs_half
-    use2 = half > 0
-    vec = np.empty(current.shape, dtype=complex)
-    np.negative(np.where(use2, od, top), out=vec[..., 0, :])
-    vec[..., 1, :] = np.where(use2, top, od.conj())
-    nrm = np.hypot(top, aod)
-    # |m00| + |m11| + 2 |m01| = 2 (max(|mean|, |half|) + |m01|)
-    degenerate = nrm <= 2e-14 * (np.maximum(np.abs(mean), abs_half) + aod)
-    # Dividing by nrm multiplies by 1 / nrm, which overflows when nrm is
-    # subnormal; such rows are first scaled up by an exact power of two.
-    tiny = nrm < 2.0**-1022
-    if tiny.any():
-        vec *= np.where(tiny, 2.0**600, 1.0)[..., None, :]
-        nrm = np.where(tiny, np.hypot(np.abs(vec[..., 0, :]), np.abs(vec[..., 1, :])), nrm)
-    vec /= np.where(degenerate, 1.0, nrm)[..., None, :]
-    return mean - r, np.where(degenerate[..., None, :], current, vec)
-
-
-#: Axis orders of a stack (m, a, b, c, d, e, f) of Choi tensors C[a, b, c, d,
-#: e, f] (row abc, column def) that put first the (row, column) pair one
-#: party's effective matrix keeps, then the stack axis, then the indices it
-#: sums over: party one keeps (a, d), two (b, e), three (c, f).
-_PARTY_AXES = ((1, 4, 0, 2, 3, 5, 6), (2, 5, 0, 1, 3, 4, 6), (3, 6, 0, 1, 2, 4, 5))
-
-
-def _party_rows(c8: np.ndarray) -> list:
-    """Per party, the rows (3m, 16) that ``_effective`` pairs with the other
-    two parties' factors, of an 8x8 matrix (m = 1) or a stack (m, 8, 8) of
-    them: the m00 rows of every matrix, then the m11 rows, then the m01 rows.
-    The prune probe of ``certify`` is its only caller."""
-    c6 = c8.reshape((-1,) + (2,) * 6)
-    return [c6.transpose(p).reshape(4, -1, 16)[[0, 3, 1]].reshape(-1, 16) for p in _PARTY_AXES]
-
-
-def _effective(
-    rows: np.ndarray, f1: np.ndarray, f2: np.ndarray, work: np.ndarray, out=None
-) -> np.ndarray:
-    """Entries (r, n) of one party's effective 2x2 matrices, given the
-    factors f1, f2 (2, n) of the other two parties and that party's rows
-    (r, 16) of ``_party_rows``.  The prune probe of ``certify`` is its only
-    caller.
-
-    The (16, n) products of the other parties' entries go into ``work``, and
-    the entries into ``out``, a complex (r, n) array, when one is given:
-    reusing buffers spares the allocator a fresh array, often a few hundred
-    kB, per party update.
-    """
-    g = (f1[:, None] * f2[None, :]).reshape(4, -1)
-    np.multiply(g.conj()[:, None], g[None, :], out=work.reshape(4, 4, -1))
-    return np.matmul(rows, work, out=out)
-
-
 #: The identity and the Pauli matrices sigma_x, sigma_y, sigma_z.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 #: Row ijk holds the entries of (sigma_i (x) sigma_j (x) sigma_k)^T / 8, so
 #: that this map takes a flattened 8x8 matrix C to its Pauli tensor
 #: T_ijk = tr(C sigma_i (x) sigma_j (x) sigma_k) / 8, real when C is Hermitian.
+#: Its real and imaginary parts are kept apart, transposed, for ``_pauli_tensor``.
 _PAULI_MAP = np.einsum("iad,jbe,kcf->ijkdefabc", _PAULI, _PAULI, _PAULI).reshape(64, 64) / 8.0
+_PAULI_RE = np.ascontiguousarray(_PAULI_MAP.real.T)
+_PAULI_IM = np.ascontiguousarray(_PAULI_MAP.imag.T)
 
 
 def _pauli_tensor(c8: np.ndarray) -> np.ndarray:
-    """The real Pauli tensor T (4, 4, 4) of a Hermitian 8x8 matrix C.  With
-    each unit factor's projector written (I + n.sigma) / 2 and its Bloch
-    4-vector a = (1, n), the form of C at a product vector is the trilinear
-    form sum_ijk T_ijk a_i b_j c_k.
+    """The real Pauli tensors T (..., 4, 4, 4) of a Hermitian 8x8 matrix C or
+    of a stack (..., 8, 8) of them.  With each unit factor's projector
+    written (I + n.sigma) / 2 and its Bloch 4-vector a = (1, n), the form of
+    C at a product vector is the trilinear form sum_ijk T_ijk a_i b_j c_k.
 
-    The product is an einsum, not ``@``: OpenBLAS splits a 64x64 complex
-    matrix-vector product over its threads, and on a 2-core host whose
-    other core was busy that took 8 ms instead of 2 us.
+    T is Re(C) Re(M) - Im(C) Im(M) for the map M, two real products: OpenBLAS
+    splits a 64x64 complex matrix-vector product over its threads, and on a
+    2-core host whose other core was busy that took 8 ms instead of 2 us.
+    Real products of up to 64 matrices ran on one thread there.  Each row of
+    M has eight nonzero entries, all +-1/8 or all +-i/8, so one of the two
+    products adds only exact zeros to each entry of T.
     """
-    return np.einsum("ij,j->i", _PAULI_MAP, c8.ravel()).real.reshape(4, 4, 4)
+    flat = c8.reshape(-1, 64)
+    return (flat.real @ _PAULI_RE - flat.imag @ _PAULI_IM).reshape(c8.shape[:-2] + (4, 4, 4))
+
+
+def _bloch_vectors(f: np.ndarray) -> np.ndarray:
+    """Bloch 4-vectors (1, n), shaped (..., 4, r), of unit spinors f (..., r,
+    2): n = <f|sigma|f>, so that |f><f| = (I + n.sigma) / 2."""
+    out = np.ones(f.shape[:-2] + (4, f.shape[-2]))
+    xy = 2.0 * f[..., 0].conj() * f[..., 1]
+    out[..., 1, :], out[..., 2, :] = xy.real, xy.imag
+    out[..., 3, :] = np.abs(f[..., 0]) ** 2 - np.abs(f[..., 1]) ** 2
+    return out
 
 
 def _bloch_min(tau: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Minimize tau0 + n.tau over unit 3-vectors n, for each column of tau
-    (4, r): the minimum is tau0 - |tau| at n = -tau / |tau|, which is written
-    into n (3, r).
+    (4, ...): the minimum is tau0 - |tau| at n = -tau / |tau|, which is
+    written into n (3, ...).  The see-saw and the prune probe of ``certify``
+    both take their 2x2 minima from here.
 
     tau0 I + tau.sigma is the effective 2x2 matrix of the party; where it is
     numerically a multiple of the identity, |tau| <= 1e-14 (|tau0| + |tau|)
     of its spectral radius, every unit n is optimal and n keeps its current
-    value.  Returns the minima (r,).
+    value.  Returns the minima (...).
     """
     r = np.hypot(np.hypot(tau[1], tau[2]), tau[3])
     np.divide(tau[1:], -r, out=n, where=r > 1e-14 * (np.abs(tau[0]) + r))
@@ -509,10 +456,7 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
     draws = np.random.default_rng(seed).standard_normal((3, 2, restarts, 2))
     v = draws[:, 0] + 1j * draws[:, 1]
     factors = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    bloch = np.ones((3, 4, restarts))
-    xy = 2.0 * factors[..., 0].conj() * factors[..., 1]
-    bloch[:, 1], bloch[:, 2] = xy.real, xy.imag
-    bloch[:, 3] = np.abs(factors[..., 0]) ** 2 - np.abs(factors[..., 1]) ** 2
+    bloch = _bloch_vectors(factors)
     work = np.empty((4, 4, restarts))
     tau = np.empty((4, restarts))
     values = np.full(restarts, np.inf)
@@ -581,22 +525,26 @@ def min_product_value(
     ``restarts_moving`` counts the restarts that had not stalled when the
     run stopped.
 
-    ``argmin`` is the first restart whose value is within 32 ulps of the
-    matrix's largest entry of ``min_value``, so rounding-level changes do not
-    move it.
+    ``argmin`` is the first restart whose value is within 32 ulps of its
+    own terms of ``min_value``, so rounding-level changes do not move it.
     """
     _check_max_cycles(max_cycles)
     moving = []
     values, factors, cycles = _seesaw(matrix, restarts, seed, max_cycles, moving)
     min_value = float(values.min())
     # Restarts that end at the same minimum agree only up to rounding: a value
-    # is the form at a restart's factors, a sum of 64 products, and on Choi
-    # matrices along the curve all 1000 restarts end within one ulp of the
-    # largest entry.  So that rounding does not choose the argmin, it is the
-    # first restart within 32 such ulps of the minimum, far below any
-    # threshold a verdict reads.
-    window = 32.0 * np.spacing(np.max(np.abs(np.asarray(matrix))))
-    k = int(np.argmax(values <= min_value + window))
+    # is the form at a restart's factors psi, a sum of 64 products rounded
+    # relative to their magnitudes, |psi|^T |C| |psi|.  So that rounding does
+    # not choose the argmin, it is the first restart within 32 ulps of its
+    # own terms of the minimum.  A window of the largest entry is too wide at
+    # the ends of the curve, where it admits a restart whose form is 1e-8
+    # above a minimum of 1e-35.
+    # |psi| (8, restart) = |x| (x) |y| (x) |z|, restarts along the contiguous
+    # axis: a broadcast product over the 2-vectors' own axis is ten times slower
+    m = np.ascontiguousarray(np.abs(factors).swapaxes(1, 2))
+    psi = (m[0][:, None, None] * m[1][None, :, None] * m[2][None, None, :]).reshape(8, -1)
+    terms = np.einsum("ir,ir->r", np.abs(np.asarray(matrix)) @ psi, psi)
+    k = int(np.argmax(values <= min_value + 32.0 * np.spacing(terms)))
     return SeesawResult(
         min_value=min_value,
         argmin=ProductVector(*factors[:, k].conj()),

@@ -175,9 +175,9 @@ class TestFixedSet:
         seen = []
         probe = certify._prune_probe
 
-        def spy(x, perts):
+        def spy(x, *args):
             seen.append(x)
-            return probe(x, perts)
+            return probe(x, *args)
 
         def fail(*args, **kwargs):
             raise AssertionError("the certificate read the grid's kernel table")

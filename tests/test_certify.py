@@ -15,7 +15,6 @@ from qxwit import (
     ProductVector,
     WitnessFamily,
     choi_explicit,
-    dual_face_span,
     dual_state,
     exposedness_certificate,
     find_ppt_entangled,
@@ -139,67 +138,6 @@ class TestSpanning:
         tiny = KernelGrid(phase_count=1, ab_values=(), name="tiny")
         with pytest.raises(ValueError, match="kernel vectors"):
             spanning_check(w, tiny, tags=("00z",))
-
-
-class TestDualFaceSpan:
-    def test_contains_basis_projector(self, w):
-        span = dual_face_span(w)
-        p000 = np.zeros((8, 8), dtype=complex)
-        p000[0, 0] = 1.0
-        coeffs = [np.trace(b.conj().T @ p000).real for b in span.basis]
-        recon = sum(c * b for c, b in zip(coeffs, span.basis))
-        assert np.max(np.abs(recon - p000)) < 1e-9
-
-    def test_dim_stable_under_refinement(self, w):
-        dims = {
-            grid.name: dual_face_span(w, grid).dim
-            for grid in (KernelGrid.small(), KernelGrid.default(), KernelGrid.fine())
-        }
-        assert dims["small"] == dims["default"] == dims["fine"]
-
-    def test_basis_annihilated_by_witness(self, w):
-        span = dual_face_span(w)
-        c = choi_explicit(w)
-        for b in span.basis:
-            assert abs(pairing(b, c)) <= 1e-9
-
-    def test_basis_orthonormal(self, w):
-        span = dual_face_span(w)
-        vecs = np.array([herm_to_vec(b) for b in span.basis])
-        gram = vecs @ vecs.T
-        assert np.max(np.abs(gram - np.eye(span.dim))) < 1e-10
-
-
-class TestDualFaceSpanConditioning:
-    """The dual-face dimension is a rank decision with a gap check, on the
-    grid's states at the given s, so far out on the curve it is refused as
-    ill-conditioned.  The exposedness certificate runs at s = t from the
-    fixed ``CERTIFICATE_KERNEL_IDS``, where C(s, t) = D C(s = t) D carries its
-    verdict to every s, so it certifies there."""
-
-    @pytest.mark.parametrize("s", [1e-7, 1e-6, 3e6, 1e7])
-    def test_small_gap_raises(self, s):
-        w = WitnessFamily(s, 8.0 / s)
-        with pytest.raises(ValueError, match="ill-conditioned"):
-            dual_face_span(w)
-        assert exposedness_certificate(w).certified
-
-    def test_message_names_the_cutoff(self):
-        # The fine grid's gap closes sooner than the default grid's: at this s
-        # the default grid's span is decided, so the message must not advise a
-        # finer grid.  The certificate reads no grid row and certifies.
-        w = WitnessFamily(9e5, 8.0 / 9e5)
-        with pytest.raises(ValueError, match="ill-conditioned") as err:
-            dual_face_span(w, grid=KernelGrid.fine())
-        assert "cutoff 1.000e-08" in str(err.value)
-        assert "refine" not in str(err.value)
-        assert dual_face_span(w).dim == 32
-        assert exposedness_certificate(w, grid=KernelGrid.fine()).certified
-        assert exposedness_certificate(w).certified
-
-    @pytest.mark.parametrize("s", [1e-3, 2 * math.sqrt(2.0), 1e6])
-    def test_dimension_along_the_curve(self, s):
-        assert dual_face_span(WitnessFamily(s, 8.0 / s)).dim == 32
 
 
 #: Every (a1, a2) pair that the small, default and fine grids sample.

@@ -1,8 +1,8 @@
 """The surviving ray of the exposedness certificate comes from first-order
 conditions: where a block-positive W vanishes at a product vector, so do its
 partial gradients (Lewenstein, Kraus, Cirac and Horodecki, PRA 62, 052310,
-2000).  Checked along the s * t = 8 curve and against an oracle that builds
-the conditions over all 64 Hermitian coordinates."""
+2000).  Checked at s = t, where every exposedness stage runs, and against an
+oracle that builds the conditions over all 64 Hermitian coordinates."""
 
 import numpy as np
 import pytest
@@ -33,12 +33,14 @@ def control(w, grid):
     return exposedness_certificate(w, grid, include_eta_zeta=False)
 
 
-class TestAlongTheCurve:
-    @settings(max_examples=25, deadline=None)
-    @given(st.floats(-4.0, 5.0))
-    def test_certified_and_control_is_not(self, log_s):
-        w = family(log_s)
-        grid = KernelGrid.small()
+class TestAtTheFrame:
+    """Every exposedness stage runs at s = t whatever the input s, so this
+    runs there, on every grid; ``TestFrameIdentity`` checks the verdicts
+    along the curve."""
+
+    @pytest.mark.parametrize("name", ["small", "default", "fine"])
+    def test_certified_and_control_is_not(self, name):
+        w, grid = WitnessFamily(), KernelGrid.named(name)
         cert = exposedness_certificate(w, grid)
         assert cert.surviving_ray_dim == 1
         assert cert.certified

@@ -18,7 +18,6 @@ from qxwit import (
     OMEGA,
     KernelGrid,
     WitnessFamily,
-    dual_face_span,
     dual_state,
     kernel_classify,
     kernel_vector,
@@ -191,7 +190,6 @@ class TestNoPerMemberCalls:
         member = original(w, "zeta3", (0.7, 1.9))
         spanning_check(w, grid)
         spanning_check(w, grid, tags=PV1_TAGS)
-        dual_face_span(w, grid)
         separable_anchor(w, grid)
         assert kernel_classify(w, member).family == "zeta3"
         assert calls == []

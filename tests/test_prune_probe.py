@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from qxwit import (
     KernelGrid,
@@ -33,13 +31,7 @@ from qxwit.certify import (
 )
 from qxwit.cli import main
 from qxwit.qcore import tensor3
-from qxwit.witness import (
-    PV1_TAGS,
-    _PV4_FACTORS,
-    _effective,
-    _kernel_table,
-    _min_eigpair,
-)
+from qxwit.witness import PV1_TAGS, _PV4_FACTORS, _kernel_table, _pauli_tensor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -52,14 +44,14 @@ GRIDS = {"small": KernelGrid.small(), "default": KernelGrid.default(), "fine": K
 
 
 class TestProbeSettlesCertificates:
-    """The closed-form probe is the only falsification route, so for log10 s
-    in [-5, 5.5] and on every grid it must take every perturbation below the
-    threshold by itself."""
+    """The closed-form probe is the only falsification route, so on every grid
+    it must take every perturbation below the threshold by itself.  Every
+    exposedness stage runs at s = t whatever the input s, so these run there;
+    ``TestFrameIdentity`` checks the verdicts along the curve."""
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(sorted(GRIDS)), st.floats(-5.0, 5.5))
-    def test_every_record_from_the_probe(self, grid, log_s):
-        w = curve(10.0**log_s)
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_every_record_from_the_probe(self, grid):
+        w = WitnessFamily()
         cert = exposedness_certificate(w, grid=GRIDS[grid])
         scale = float(np.max(np.abs(choi_explicit(w))))
         assert cert.certified
@@ -70,26 +62,16 @@ class TestProbeSettlesCertificates:
             again = pairing(rec.argmin.projector(), rec.perturbation)
             assert again == pytest.approx(rec.min_value, abs=1e-12 * scale)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(sorted(GRIDS)), st.floats(-5.0, 5.5))
-    def test_control_settled_too(self, grid, log_s):
-        cert = exposedness_certificate(
-            curve(10.0**log_s), grid=GRIDS[grid], include_eta_zeta=False
-        )
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_control_settled_too(self, grid):
+        cert = exposedness_certificate(WitnessFamily(), grid=GRIDS[grid], include_eta_zeta=False)
         assert cert.unpruned_directions == 0 and not cert.certified
         assert all(rec.violated for rec in cert.prune_records)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.sampled_from(sorted(GRIDS)),
-        st.floats(-5.0, 5.5).map(lambda e: 10.0**e),
-        st.booleans(),
-    )
-    # the part of C outside the computed nullspace gives perp a 32nd singular
-    # value here, 1.4e-10: rounding, not a direction
-    @example("default", 2e6, False)
-    def test_one_direction_per_nullspace_dimension_but_the_ray(self, grid, s, flat):
-        cert = exposedness_certificate(curve(s), grid=GRIDS[grid], include_eta_zeta=not flat)
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_one_direction_per_nullspace_dimension_but_the_ray(self, grid, flat):
+        cert = exposedness_certificate(WitnessFamily(), grid=GRIDS[grid], include_eta_zeta=not flat)
         assert len(cert.prune_records) == 2 * (cert.nullspace_dim - 1)
         assert sorted({rec.direction for rec in cert.prune_records}) == list(
             range(cert.nullspace_dim - 1)
@@ -118,47 +100,64 @@ class TestProbeSettlesCertificates:
         assert not cert.certified
 
 
-# --- the probe and its records against the eager implementation they replace --
-
-#: The probe as it was before it reused its buffers, kept as an oracle: with
-#: the row order of ``_party_rows`` at the time (each matrix's rows for m00,
-#: m11 and m01, in turn), and an entry array allocated per party.
-_REFERENCE_PARTY_AXES = ((0, 3, 1, 2, 4, 5), (1, 4, 0, 2, 3, 5), (2, 5, 0, 1, 3, 4))
+# --- the probe and its records against an eigh oracle ------------------------
 
 
-def _reference_party_rows(c8: np.ndarray) -> list:
-    c6 = c8.reshape((-1,) + (2,) * 6)
-    return [
-        c6.transpose(0, *(1 + a for a in axes)).reshape(-1, 4, 16)[:, [0, 3, 1]].reshape(-1, 16)
-        for axes in _REFERENCE_PARTY_AXES
-    ]
+def _effective_matrices(perts: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Every party's effective 2x2 matrices (party, task, x, 2, 2) of a stack
+    of matrices (task, 8, 8) at unit product vectors f (x, party, 2): the
+    form <i, f|M|j, f> with the party's basis vectors i, j in its slot."""
+    m6 = perts.reshape((-1,) + (2,) * 6)
+    a, b, c = f[:, 0], f[:, 1], f[:, 2]
+    return np.stack(
+        [
+            np.einsum("mabcdef,nb,nc,ne,nf->mnad", m6, b.conj(), c.conj(), b, c, optimize=True),
+            np.einsum("mabcdef,na,nc,nd,nf->mnbe", m6, a.conj(), c.conj(), a, c, optimize=True),
+            np.einsum("mabcdef,na,nb,nd,ne->mncf", m6, a.conj(), b.conj(), a, b, optimize=True),
+        ]
+    )
 
 
 def _reference_probe(x: np.ndarray, perts: np.ndarray) -> tuple:
-    tasks, n = len(perts), len(x)
-    pick = np.arange(tasks)
+    """The probe from numpy's eigh on the explicit effective matrices, sharing
+    no code with the engine.  Every (party, task, x) moves that party's
+    factor of x to its effective matrix's lowest eigenvector, or keeps it
+    where the eigenvalue gap is at most 1e-14 of the matrix's largest entry.
+
+    Returns, per task, the unit factors (party, 2) of the first move of
+    lowest eigenvalue in (party, x) order, the form of the task's matrix
+    there, and the full product vectors (k, 8) of every move whose
+    eigenvalue is within 1e-14 max|perts| of the lowest."""
     unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    columns = unit.transpose(1, 2, 0)  # (party, component, x)
-    work = np.empty((16, n), dtype=complex)
-    best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
-    best_entries = np.empty((3, 3, tasks), dtype=complex)
-    # entries scaled to at most 1, so that the squares below cannot overflow
-    scaled = perts / np.max(np.abs(perts), initial=1.0)
-    for p, rows in enumerate(_reference_party_rows(scaled)):
-        partners = np.delete(columns, p, axis=0)
-        entries = _effective(rows, *partners, work).reshape(tasks, 3, n)
-        m00, m11, m01 = entries.real[:, 0], entries.real[:, 1], entries[:, 2]
-        half = 0.5 * (m00 - m11)
-        lowest = 0.5 * (m00 + m11) - np.sqrt(half * half + np.abs(m01) ** 2)
-        best_x[p] = np.argmin(lowest, axis=1)
-        best_value[p] = lowest[pick, best_x[p]]
-        best_entries[p] = entries[pick, :, best_x[p]].T
-    party = np.argmin(best_value, axis=0)
-    probe = unit[best_x[party, pick]]
-    current = probe[pick, party].T
-    probe[pick, party] = _min_eigpair(best_entries[party, :, pick].T, current)[1].T
-    psi = tensor3(probe[:, 0], probe[:, 1], probe[:, 2])
-    return probe, np.einsum("ti,tij,tj->t", psi.conj(), perts, psi).real
+    m = _effective_matrices(perts, unit)
+    lam, vecs = np.linalg.eigh(m)
+    keep = lam[..., 1] - lam[..., 0] <= 1e-14 * np.max(np.abs(m), axis=(-2, -1))
+    own = np.broadcast_to(unit.transpose(1, 0, 2)[:, None], keep.shape + (2,))
+    moved = np.where(keep[..., None], own, vecs[..., 0])  # (party, task, x, 2)
+    tol = 1e-14 * np.max(np.abs(perts))
+    factors, values, near = [], [], []
+    for task, pert in enumerate(perts):
+        lowest = lam[:, task, :, 0]
+        candidates = []
+        for party, k in np.argwhere(lowest <= lowest.min() + tol):
+            f = unit[k].copy()
+            f[party] = moved[party, task, k]
+            candidates.append(f)
+        psi = tensor3(*candidates[0])
+        factors.append(candidates[0])
+        values.append(np.vdot(psi, pert @ psi).real)
+        near.append(np.array([tensor3(*f) for f in candidates]))
+    return np.array(factors), np.array(values), near
+
+
+def _assert_probe_matches(factors, values, perts, ref_factors, ref_values, near):
+    """Values within 1e-14 max|perts| of the oracle's, and each product
+    vector, as a projector, one of the oracle's lowest moves."""
+    assert factors.shape == ref_factors.shape and values.shape == ref_values.shape
+    assert np.max(np.abs(values - ref_values)) <= 1e-14 * np.max(np.abs(perts))
+    for f, candidates in zip(factors, near):
+        overlaps = np.abs(candidates.conj() @ tensor3(*f))
+        assert np.max(overlaps) == pytest.approx(1.0, abs=1e-13)
 
 
 def _reference_records(grid, include_eta_zeta=True) -> tuple:
@@ -166,7 +165,8 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
     zero-value rows of ``herm_to_vec`` of the projector stack, in the frame
     s = t whatever the certificate's s: the fixed certificate members, one
     ``kernel_vector`` each, or the grid's flat members and the basis kernel
-    vectors."""
+    vectors.  The probe is the eigh oracle, whose lowest moves per record
+    come first."""
     w0 = WitnessFamily()
     choi = choi_explicit(w0)
     if include_eta_zeta:
@@ -185,8 +185,8 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
     task_direction = np.repeat(np.arange(len(directions)), 2)
     task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
     perts = choi + task_eps[:, None, None] * directions[task_direction]
-    probe, probe_values = _reference_probe(x, perts)
-    return tuple(
+    probe, probe_values, near = _reference_probe(x, perts)
+    return near, tuple(
         PruneRecord(
             direction=k,
             epsilon=eps,
@@ -209,20 +209,38 @@ class TestProbeAgainstReference:
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize("s", [0.5, 2 * SQRT2, 16.0, 1e-4, 1e5])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_factors_and_values_bitwise(self, monkeypatch, grid, s, flat):
+    def test_factors_and_values(self, monkeypatch, grid, s, flat):
         calls = []
         probe = certify._prune_probe
 
-        def spy(x, perts):
-            calls.append((x, perts, probe(x, perts)))
+        def spy(x, perts, tensors):
+            calls.append((x, perts, probe(x, perts, tensors)))
             return calls[-1][2]
 
         monkeypatch.setattr(certify, "_prune_probe", spy)
         exposedness_certificate(curve(s), grid=GRIDS[grid], include_eta_zeta=not flat)
         [(x, perts, (factors, values))] = calls
-        ref_factors, ref_values = _reference_probe(x, perts)
-        assert _same_bits(factors, ref_factors)
-        assert _same_bits(values, ref_values)
+        _assert_probe_matches(factors, values, perts, *_reference_probe(x, perts))
+
+    def test_multiple_of_the_identity_keeps_the_factor(self):
+        # every effective matrix is 2 I, so every move is optimal and the
+        # first x's factor stays, up to phase
+        x = np.random.default_rng(7).standard_normal((5, 3, 2, 2)) @ [1.0, 1j]
+        perts = 2.0 * np.eye(8, dtype=complex)[None]
+        factors, values = certify._prune_probe(x, perts, _pauli_tensor(perts))
+        _assert_probe_matches(factors, values, perts, *_reference_probe(x, perts))
+        unit = x[0] / np.linalg.norm(x[0], axis=-1, keepdims=True)
+        assert abs(np.vdot(tensor3(*unit), tensor3(*factors[0]))) == pytest.approx(1.0, abs=1e-15)
+        assert values[0] == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_tensors_are_those_of_the_perturbations(self, monkeypatch, flat):
+        calls = []
+        probe = certify._prune_probe
+        monkeypatch.setattr(certify, "_prune_probe", lambda *args: calls.append(args) or probe(*args))
+        exposedness_certificate(WitnessFamily(), grid=KernelGrid.small(), include_eta_zeta=not flat)
+        [(_, perts, tensors)] = calls
+        assert np.max(np.abs(tensors - _pauli_tensor(perts))) <= 1e-15 * np.max(np.abs(perts))
 
 
 _JSON_KEYS = {
@@ -263,16 +281,22 @@ class TestRecordsOnDemand:
     def test_equal_to_eager_records(self, grid, s, flat):
         w = curve(s)
         cert = exposedness_certificate(w, grid=GRIDS[grid], include_eta_zeta=not flat)
-        records, reference = cert.prune_records, _reference_records(GRIDS[grid], not flat)
+        records = cert.prune_records
+        near, reference = _reference_records(GRIDS[grid], not flat)
         assert len(records) == len(reference)
         for rec, ref in zip(records, reference):
             assert rec.direction == ref.direction and rec.violated == ref.violated
             assert rec.epsilon == ref.epsilon
             assert type(rec.direction) is int and type(rec.epsilon) is float
-            assert _same_bits(np.float64(rec.min_value), np.float64(ref.min_value))
-            for f, g in zip(rec.argmin.factors(), ref.argmin.factors()):
-                assert _same_bits(f, g)
             assert _same_bits(rec.perturbation, ref.perturbation)
+        _assert_probe_matches(
+            np.array([rec.argmin.factors() for rec in records]).conj(),
+            np.array([rec.min_value for rec in records]),
+            np.array([rec.perturbation for rec in records]),
+            np.array([ref.argmin.factors() for ref in reference]).conj(),
+            np.array([ref.min_value for ref in reference]),
+            near,
+        )
 
     def test_json_keys_unchanged(self):
         cert = exposedness_certificate(WitnessFamily(), grid=KernelGrid.small())
@@ -334,3 +358,18 @@ class TestArgminWindow:
         assert abs(np.vdot(before.argmin.unit().full, after.argmin.unit().full)) == pytest.approx(
             1.0, abs=1e-10
         )
+
+
+class TestArgminAtTheCurveEnds:
+    """At the ends of the curve the Choi matrix's entries span many orders of
+    magnitude, and a restart's form can sit far above the minimum while
+    within rounding of the largest entry.  The window is relative to each
+    restart's own terms, so the reported vector attains the minimum."""
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-8, 1e8, 1e12, 1e-100])
+    def test_form_at_argmin_is_the_minimum(self, s):
+        c = choi_explicit(curve(s))
+        res = min_product_value(c, 200, 1)
+        v = res.argmin.unit().full
+        terms = np.abs(v) @ np.abs(c) @ np.abs(v)
+        assert abs(pairing(res.argmin.projector(), c) - res.min_value) <= 64 * np.spacing(terms)

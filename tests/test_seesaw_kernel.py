@@ -1,8 +1,8 @@
 """The see-saw's kernels and its scale-relative stall test, checked against
 oracles that share no code with the engine: numpy's ``eigh``/``eigvalsh``
 and einsum quadratic forms for the kernels (the Pauli tensor, the Bloch
-update and its spinors, and the closed-form 2x2 eigenpair the prune probe
-keeps), and a serial see-saw built on ``eigh`` for the whole run."""
+update and its spinors, which the prune probe shares), and a serial
+see-saw built on ``eigh`` for the whole run."""
 
 import math
 
@@ -16,23 +16,13 @@ from qxwit.qcore import tensor3
 from qxwit.witness import (
     STALL_TOL,
     _bloch_min,
-    _effective,
-    _min_eigpair,
-    _party_rows,
+    _bloch_vectors,
     _pauli_tensor,
     _seesaw,
     _spinors,
 )
 
 SQRT2 = math.sqrt(2.0)
-
-def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Unit minimal eigenvectors (..., 2) of a batch (..., 2, 2) of 2x2
-    Hermitian matrices; rows whose matrix is (numerically) a multiple of the
-    identity keep the current vector."""
-    entries = np.asarray(m).reshape(*np.shape(m)[:-2], 4)[..., [0, 3, 1], None]
-    return _min_eigpair(entries, np.asarray(current)[..., None])[1][..., 0]
-
 
 unit = st.floats(-1.0, 1.0)
 log_scale = st.floats(-150.0, 150.0)
@@ -54,48 +44,6 @@ def hermitian_2x2(kind, a, d, re, im, scale):
         d, re, im = a, 0.0, 0.0
     od = complex(re, im)
     return scale * np.array([[a, od], [od.conjugate(), d]])
-
-
-class TestKernelAgainstEigh:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from(["generic", "zero", "od = 0", "a = d", "a < d", "a > d", "identity multiple"]),
-        unit,
-        unit,
-        unit,
-        unit,
-        log_scale,
-        st.tuples(unit, unit, unit, unit).filter(lambda c: math.hypot(*c) > 1e-3),
-    )
-    # subnormal entries: 1 / norm of the unnormalized vector overflows
-    @example(
-        kind="generic", a=0.0, d=0.0, re=0.0, im=2.2250738585e-313, log10_scale=0.0, cur=(0.0, 0.0, 0.0, 1.0)
-    )
-    def test_minimal_eigenpair(self, kind, a, d, re, im, log10_scale, cur):
-        m = hermitian_2x2(kind, a, d, re, im, 10.0**log10_scale)
-        current = np.array([complex(cur[0], cur[1]), complex(cur[2], cur[3])])
-        current /= np.linalg.norm(current)
-        v = _batched_min_eigvec(m[None], current[None])[0]
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-        size = float(np.max(np.abs(m)))
-        lam = np.linalg.eigvalsh(m)[0]
-        assert np.linalg.norm(m @ v - lam * v) <= 1e-12 * size
-        if m[0, 0] == m[1, 1] and m[0, 1] == 0:
-            # every unit vector is optimal: the current one is kept
-            assert np.array_equal(v, current)
-        elif np.ptp(np.linalg.eigvalsh(m)) > 1e-6 * size:
-            _, vecs = np.linalg.eigh(m)
-            assert abs(np.vdot(vecs[:, 0], v)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_batch_shapes(self):
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
-        m = g + g.conj().swapaxes(-1, -2)
-        current = np.ones((3, 5, 2), dtype=complex) / SQRT2
-        v = _batched_min_eigvec(m, current)
-        lam = np.linalg.eigvalsh(m)[..., 0]
-        assert v.shape == (3, 5, 2)
-        assert np.max(np.abs(np.einsum("...ij,...j->...i", m, v) - lam[..., None] * v)) <= 1e-12
 
 
 def eigh_seesaw(c8, restarts, seed, max_cycles=300):
@@ -188,45 +136,6 @@ class TestScaleRelativeStall:
         assert np.array_equal(big.argmin.full, one.argmin.full)
 
 
-def _stack_and_factors(m=3, n=5, seed=11):
-    """A stack (m, 8, 8) of Hermitian matrices and factors (party, n, 2)."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, 8, 8)) + 1j * rng.standard_normal((m, 8, 8))
-    f = rng.standard_normal((3, n, 2)) + 1j * rng.standard_normal((3, n, 2))
-    return g + g.conj().swapaxes(1, 2), f
-
-
-class TestEffectiveEntries:
-    """``_effective`` on the rows of ``_party_rows`` of a stack: the m00 entries
-    of every matrix, then the m11, then the m01, against <i, f|M|j, f> with the
-    kept party's basis vectors i, j in its slot."""
-
-    @pytest.mark.parametrize("party", range(3))
-    def test_against_projected_forms(self, party):
-        stack, f = _stack_and_factors()
-        others = [f[q].T for q in range(3) if q != party]
-        entries = _effective(_party_rows(stack)[party], *others, np.empty((16, 5), dtype=complex))
-
-        def slot(i):
-            basis = np.broadcast_to(np.eye(2)[i], (5, 2))
-            return tensor3(*[basis if q == party else f[q] for q in range(3)])
-
-        expected = [
-            np.einsum("ni,mij,nj->mn", slot(i).conj(), stack, slot(j))
-            for i, j in ((0, 0), (1, 1), (0, 1))
-        ]
-        assert np.allclose(entries.reshape(3, 3, 5), expected, rtol=0.0, atol=1e-12)
-
-    def test_out_is_returned_and_bitwise_equal(self):
-        stack, f = _stack_and_factors()
-        rows = _party_rows(stack)[1]
-        work = np.empty((16, 5), dtype=complex)
-        out = np.empty((len(rows), 5), dtype=complex)
-        assert _effective(rows, f[0].T, f[2].T, work, out=out) is out
-        plain = _effective(rows, f[0].T, f[2].T, work)
-        assert plain is not out and plain.tobytes() == out.tobytes()
-
-
 SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -260,6 +169,13 @@ class TestPauliTensor:
         c = _dense_hermitian()
         with np.errstate(all="raise"):
             assert np.array_equal(_pauli_tensor(2.0**exponent * c), 2.0**exponent * _pauli_tensor(c))
+
+    def test_stack_is_each_matrix(self):
+        stack = np.array([_dense_hermitian(seed) for seed in range(5)]).reshape(5, 1, 8, 8)
+        t = _pauli_tensor(stack)
+        assert t.shape == (5, 1, 4, 4, 4)
+        for m, tm in zip(stack[:, 0], t[:, 0]):
+            assert np.max(np.abs(tm - _pauli_tensor(m))) <= 1e-15 * np.max(np.abs(m))
 
 
 def tau_of(m: np.ndarray) -> np.ndarray:
@@ -349,6 +265,15 @@ class TestSpinors:
         f = _spinors(n)
         assert f.shape == (2, 5, 2)
         assert np.allclose(bloch4(f)[..., 1:], np.moveaxis(n, 0, -1), rtol=0.0, atol=1e-15)
+
+    def test_bloch_vectors_of_the_spinors(self):
+        n = np.random.default_rng(5).standard_normal((3, 2, 5))
+        n /= np.linalg.norm(n, axis=0)
+        a = _bloch_vectors(_spinors(n))
+        assert a.shape == (2, 4, 5)
+        assert np.array_equal(a[:, 0], np.ones((2, 5)))
+        assert np.allclose(a[:, 1:], n.swapaxes(0, 1), rtol=0.0, atol=1e-15)
+        assert np.allclose(a, np.moveaxis(bloch4(_spinors(n)), -1, 1), rtol=0.0, atol=1e-15)
 
 
 class TestMaxCycles:

@@ -34,7 +34,7 @@ from qxwit import (
     verify_positive,
     xpart,
 )
-from qxwit.witness import _min_eigpair, _seesaw
+from qxwit.witness import _seesaw
 
 SQRT2 = math.sqrt(2.0)
 ST_CASES = ((2 * SQRT2, 2 * SQRT2), (4.0, 2.0), (2.0, 4.0), (8.0, 1.0))
@@ -42,10 +42,12 @@ ST_CASES = ((2 * SQRT2, 2 * SQRT2), (4.0, 2.0), (2.0, 4.0), (8.0, 1.0))
 
 def _batched_min_eigvec(m: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Unit minimal eigenvectors (..., 2) of a batch (..., 2, 2) of 2x2
-    Hermitian matrices; rows whose matrix is (numerically) a multiple of the
-    identity keep the current vector."""
-    entries = np.asarray(m).reshape(*np.shape(m)[:-2], 4)[..., [0, 3, 1], None]
-    return _min_eigpair(entries, np.asarray(current)[..., None])[1][..., 0]
+    Hermitian matrices, from numpy's eigh; rows whose eigenvalue gap is at
+    most 1e-14 of the matrix's largest entry keep the current vector, since
+    any unit vector is then optimal."""
+    lam, vecs = np.linalg.eigh(m)
+    keep = lam[..., 1] - lam[..., 0] <= 1e-14 * np.max(np.abs(m), axis=(-2, -1))
+    return np.where(keep[..., None], current, vecs[..., 0])
 
 
 def rank_one_p(alpha):
