@@ -1,7 +1,8 @@
 """Certification pipeline: PPT checks, the full spanning property, an
 exposedness certificate, detection of PPT-entangled states from a separable
 anchor on the sampled dual face, and classification of kernel product
-vectors."""
+vectors.  Masks k and 7 - k of partial transposes and conjugations share
+their spectra, so only masks 0-3 are ever decomposed."""
 
 from __future__ import annotations
 
@@ -130,8 +131,8 @@ def ppt_check(rho, tol: float = PSD_TOL) -> PPTReport:
 
 # --- full spanning property -----------------------------------------------------
 
-#: Per subset (in SUBSETS order), which of the three parties it conjugates.
-_CONJUGATED = np.array([[p in subset for p in (1, 2, 3)] for subset in SUBSETS])
+#: Per subset of masks 0-3 (party 1 left alone), which parties it conjugates.
+_CONJUGATED = np.array([[p in subset for p in (1, 2, 3)] for subset in SUBSETS[:4]])
 
 
 @dataclass(frozen=True)
@@ -172,44 +173,24 @@ def spanning_check(
 ) -> SpanningReport:
     """Numerical rank, per party subset, of the partially conjugated kernel
     vectors stacked as rows; the full spanning property means rank 8 for all
-    eight subsets."""
+    eight subsets.  The rows of mask 7 - k conjugate those of mask k, and
+    every IEEE operation commutes with conjugation, so one stacked SVD of
+    masks 0-3 gives all eight subsets' singular values, bit for bit."""
     grid = grid or KernelGrid.default()
     factors = _kernel_table(w, grid, tags)
     n = len(factors)
     if n < 8:
         raise ValueError(f"grid yields only {n} kernel vectors, need >= 8")
-    # (subset, vector, party, 2): the factors of each subset's parties conjugated
+    # (mask 0-3, vector, party, 2): the factors of each subset's parties conjugated
     conj = np.where(_CONJUGATED[:, None, :, None], factors.conj(), factors)
     rows = tensor3(conj[..., 0, :], conj[..., 1, :], conj[..., 2, :])
+    half = np.linalg.svd(rows, compute_uv=False)
     records = []
-    for subset, sv in zip(SUBSETS, np.linalg.svd(rows, compute_uv=False)):
+    for subset, sv in zip(SUBSETS, np.concatenate([half, half[::-1]])):
         rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-        records.append(
-            SubsetSpanRecord(
-                subset=subset,
-                mask=subset_mask(subset),
-                rank=rank,
-                smallest_kept_singular_value=float(sv[rank - 1]),
-                largest_singular_value=float(sv[0]),
-                vectors_used=n,
-            )
-        )
+        kept, largest = float(sv[rank - 1]), float(sv[0])
+        records.append(SubsetSpanRecord(subset, subset_mask(subset), rank, kept, largest, n))
     return SpanningReport(records=tuple(records), grid=grid.describe(), s=w.s, t=w.t)
-
-
-# --- the sampled dual face ----------------------------------------------------
-
-
-def _dual_face_states(w: WitnessFamily, grid: KernelGrid) -> np.ndarray:
-    """Unnormalized members (m, 8, 8) of the dual face sampled by a grid: the
-    projectors of its kernel vectors and of the six basis kernel vectors, then
-    the dual states.  A dual state times its a1 is the average of the four
-    curved kernel projectors of its kind at the same (a1, a2), so it adds
-    nothing to the span; it does weight the anchor built from these states."""
-    factors = np.concatenate([_kernel_table(w, grid), _PV4_FACTORS])
-    full = tensor3(factors[:, 0], factors[:, 1], factors[:, 2])
-    states = full[:, :, None] * full[:, None, :].conj()
-    return np.concatenate([states, _x_matrices(*_dual_entries(w, grid.dual_params()))])
 
 
 # --- exposedness certificate ----------------------------------------------------
@@ -555,11 +536,17 @@ class DetectionCertificate:
 
 def separable_anchor(w: WitnessFamily, grid: KernelGrid | None = None) -> np.ndarray:
     """Unit-trace average of the sampled dual-face states; full rank by the
-    spanning property, PPT, and pairing to zero with the Choi matrix."""
+    spanning property, PPT, and pairing to zero with the Choi matrix.  The
+    states are the projectors of the grid's and the six basis kernel vectors,
+    summed as one Gram product of the vectors at unit norm, and the dual
+    states, summed as the X matrix of their trace-weighted fields."""
     grid = grid or KernelGrid.default()
-    states = _dual_face_states(w, grid)
-    traces = np.trace(states, axis1=1, axis2=2).real
-    return np.sum(states / traces[:, None, None], axis=0) / len(states)
+    full = tensor3(*np.concatenate([_kernel_table(w, grid), _PV4_FACTORS]).swapaxes(0, 1))
+    unit = full / np.linalg.norm(full, axis=1, keepdims=True)
+    a, b, c = _dual_entries(w, grid.dual_params())
+    traces = np.sum(a, axis=1) + np.sum(b, axis=1)
+    dual = _x_matrices(*(np.sum(f / traces[:, None], axis=0) for f in (a, b, c)))
+    return (unit.T @ unit.conj() + dual) / (len(full) + len(traces))
 
 
 def find_ppt_entangled(

@@ -213,6 +213,10 @@ def pv4_vectors() -> list:
     return [ProductVector(*f) for f in _PV4_FACTORS]
 
 
+#: Anti-diagonal phases (kind, 4) of the dual states.
+_DUAL_PHASES = OMEGA ** np.array([[-3, 3, -1, -3], [3, -3, 1, 3]])
+
+
 def _dual_entries(w: WitnessFamily, params) -> tuple:
     """X-matrix fields (a, b, c), each (m, 4), of the dual states with (kind,
     a1, a2) in the rows of ``params``.  Both kinds share the diagonal (a1, a2,
@@ -227,7 +231,7 @@ def _dual_entries(w: WitnessFamily, params) -> tuple:
     u = w.u
     a = np.array([a1, a2, u * a1 / a2, np.full_like(a1, u)]).T
     b = np.array([1.0 / a1, 1.0 / a2, a2 / (u * a1), np.full_like(a1, 1.0 / u)]).T
-    return a, b, OMEGA ** np.array([[-3, 3, -1, -3], [3, -3, 1, 3]])[kind.astype(int) - 1]
+    return a, b, _DUAL_PHASES[kind.astype(int) - 1]
 
 
 def dual_state(w: WitnessFamily, kind: int, a1: float, a2: float) -> XMatrix:
@@ -394,8 +398,17 @@ def _bloch_min(tau: np.ndarray, n: np.ndarray) -> np.ndarray:
     numerically a multiple of the identity, |tau| <= 1e-14 (|tau0| + |tau|)
     of its spectral radius, every unit n is optimal and n keeps its current
     value.  Returns the minima (...).
+
+    |tau| is the root of the summed squares where it is in [lo, hi], so they
+    neither overflow nor lose accuracy to subnormals; other columns take
+    libm's ``hypot``, which numpy runs one element at a time.  Squares past
+    1.3e154 warn of overflow; the see-saw's and the probe's tau stay below 50.
     """
-    r = np.hypot(np.hypot(tau[1], tau[2]), tau[3])
+    r = np.sqrt(np.add.reduce(tau[1:] * tau[1:], axis=0))
+    lo, hi = 2.0**-484, 2.0**511  # min/max as ufunc reductions: the methods cost twice as much
+    if not lo <= np.minimum.reduce(r, None, initial=hi) or np.maximum.reduce(r, None, initial=lo) > hi:
+        off = ~((r >= lo) & (r <= hi))
+        r[off] = np.hypot(np.hypot(tau[1][off], tau[2][off]), tau[3][off])
     np.divide(tau[1:], -r, out=n, where=r > 1e-14 * (np.abs(tau[0]) + r))
     return tau[0] - r
 
@@ -404,7 +417,7 @@ def _spinors(n: np.ndarray) -> np.ndarray:
     """Unit spinors (..., 2) whose projectors are (I + n.sigma) / 2, of unit
     Bloch vectors n (3, ...): (1 + nz, nx + i ny) where nz >= 0, else
     (nx - i ny, 1 - nz), over its norm; of the two the one free of
-    cancellation, whose norm is at least sqrt(2)."""
+    cancellation, whose norm, in [sqrt(2), 2], needs no hypot."""
     nx, ny, nz = n
     top = 1.0 + np.abs(nz)
     xy = nx + 1j * ny
@@ -412,7 +425,7 @@ def _spinors(n: np.ndarray) -> np.ndarray:
     out = np.empty(nz.shape + (2,), dtype=complex)
     out[..., 0] = np.where(up, top, xy.conj())
     out[..., 1] = np.where(up, xy, top)
-    out /= np.hypot(top, np.abs(xy))[..., None]
+    out /= np.sqrt(top * top + nx * nx + ny * ny)[..., None]
     return out
 
 

@@ -577,3 +577,28 @@ class TestExposednessStdoutPinned:
         code, out, _ = run(capsys, *argv)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == _EXPOSEDNESS_STDOUT_SHA256[s, grid, kind]
+
+
+#: sha256 of the stdout, with the exit code, of ``certify spanning`` at (s,
+#: grid), t = 8 / s.  Recorded while all eight conjugation classes still took
+#: their own SVD; a change meant to keep the output must keep these.  They
+#: pin the same platform's floating point as the exposedness digests above.
+_SPANNING_STDOUT_SHA256 = {
+    (0.5, "small"): (0, "bbf1788a16031e2e702077608eed0a2ad6dc31d0bf71dd347d9ab59852223380"),
+    (0.5, "default"): (0, "f29b45c6f24a433f3af78b082e2ee8e15c4ee247f33dedcb00ff884616bf4fd7"),
+    (0.5, "fine"): (0, "d5f249274422813581ee5298d24138f86fe4b6f3109cf29fe4dba610c2ee2724"),
+    (2 * SQRT2, "small"): (0, "e3a714e9aa3d5b0fe88858821936fdd221513a078c3753cc81b2ec7091711e56"),
+    (2 * SQRT2, "default"): (0, "a846aebcfe13d07e0a0f95753f3e8fd34197b64e2fe2c544ac2f34b463435f37"),
+    (2 * SQRT2, "fine"): (0, "e66b9557bddce7aa4654a5ae343445afcf1731d0a326b42d060da7ba0e3196cb"),
+    (16.0, "small"): (0, "6784be8a6822a49119b1cc208e391c798dadac96c5dd58dc6eda30b923722d4c"),
+    (16.0, "default"): (0, "a2174a265a87a281aa192e9aea95931010439432e97411e1323de2ebdeab8b52"),
+    (16.0, "fine"): (0, "832ae54a9da1b8dd819da8065e5d17644b41b605e6a1e4b5b6728191b8570f64"),
+}
+
+
+class TestSpanningStdoutPinned:
+    @pytest.mark.parametrize("s, grid", list(_SPANNING_STDOUT_SHA256))
+    def test_sha256(self, capsys, s, grid):
+        code, out, _ = run(capsys, "certify", "spanning", "--s", repr(s), "--t", repr(8.0 / s), "--grid", grid)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == _SPANNING_STDOUT_SHA256[s, grid]

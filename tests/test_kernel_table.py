@@ -18,6 +18,7 @@ from qxwit import (
     OMEGA,
     KernelGrid,
     WitnessFamily,
+    check_hermitian,
     dual_state,
     kernel_classify,
     kernel_vector,
@@ -27,7 +28,7 @@ from qxwit import (
     separable_anchor,
     spanning_check,
 )
-from qxwit.certify import RANK_THRESHOLD, _dual_face_states
+from qxwit.certify import RANK_THRESHOLD
 from qxwit.witness import _dual_entries
 from qxwit.xstate import _x_matrices
 
@@ -113,32 +114,32 @@ class TestTableMatchesSingleMembers:
         assert [r.subset for r in report.records] == list(SUBSETS)
 
 
-def dual_face_oracle(w, grid, tags, include_dual_states: bool) -> np.ndarray:
-    """The sampled dual-face states, one projector or X matrix at a time."""
-    states = [kernel_vector(w, tag, p).projector() for tag, p in grid.kernel_ids() if tag in tags]
+def dual_face_oracle(w, grid) -> np.ndarray:
+    """The sampled dual-face states, one projector or X matrix at a time: the
+    grid's kernel vectors, the six basis kernel vectors, then the dual states."""
+    states = [kernel_vector(w, tag, p).projector() for tag, p in grid.kernel_ids()]
     states += [v.projector() for v in pv4_vectors()]
-    if include_dual_states:
-        states += [dual_state(w, *p).to_matrix() for p in grid.dual_params()]
+    states += [dual_state(w, *p).to_matrix() for p in grid.dual_params()]
     return np.array(states)
 
 
 class TestDualFaceMatchesSingleStates:
     @settings(max_examples=40, deadline=None)
     @given(GRIDS, LOG_S)
-    def test_states_bitwise(self, grid, log_s):
+    def test_anchor_is_the_running_average(self, grid, log_s):
+        # The anchor is one Gram product plus one X matrix, not this running
+        # sum, so it agrees to rounding: the running sum's own rounding
+        # reaches m eps, about 7e-14 on the fine grid (m = 310).
         w = family(log_s)
-        got = _dual_face_states(w, grid)
-        assert got.tobytes() == dual_face_oracle(w, grid, FAMILY_TAGS, True).tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(GRIDS, LOG_S)
-    def test_anchor_is_the_running_average_bitwise(self, grid, log_s):
-        w = family(log_s)
-        states = dual_face_oracle(w, grid, FAMILY_TAGS, True)
+        states = dual_face_oracle(w, grid)
         acc = np.zeros((8, 8), dtype=complex)
         for m in states:
             acc += m / np.trace(m).real
-        assert separable_anchor(w, grid).tobytes() == (acc / len(states)).tobytes()
+        want = acc / len(states)
+        got = separable_anchor(w, grid)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        check_hermitian(got)
+        assert abs(np.trace(got).real - 1.0) <= 1e-14
 
 
 # Curved parameters log-uniform on [1e-2, 1e2]; flat free factors with both
