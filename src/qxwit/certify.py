@@ -1,14 +1,15 @@
 """Certification pipeline: PPT checks, the full spanning property, an
-exposedness certificate, detection of PPT-entangled states from a separable
-anchor on the sampled dual face, and classification of kernel product
-vectors.  Masks k and 7 - k of partial transposes and conjugations share
-their spectra, so only masks 0-3 are ever decomposed."""
+exposedness certificate, detection of a PPT-entangled state in closed form,
+and classification of kernel product vectors.  Masks k and 7 - k of
+partial transposes and conjugations share their spectra, so only masks 0-3
+are ever decomposed."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .witness import (
     _PV4_FACTORS,
     _bloch_min,
     _bloch_vectors,
-    _dual_entries,
     _family_factors,
     _kernel_table,
     _pauli_tensor,
@@ -503,119 +503,118 @@ def exposedness_certificate(
 
 # --- detection of PPT entanglement ----------------------------------------------
 
+#: The detected state's parameter: within 1e-3 of (8 - 4 sqrt 2) / (8 + sqrt 24),
+#: where the two bounds of ``DetectionCertificate.ball_radius`` meet.
+DETECT_DELTA = Fraction(2, 11)
+
+#: How far below zero a computed partial-transpose eigenvalue of the detected
+#: state may fall: 8 n eps for n = 8.  ``eigvalsh`` is backward stable, and a
+#: partial transpose of a unit-trace state has ||M||_2 <= ||rho||_F <= 1.  Off
+#: s = t the exact smallest eigenvalue shrinks with the frame (about 1e-201 at
+#: s = 1e-100) below what doubles resolve, so the computed one is rounding
+#: noise of either sign, and this bound, not an absolute tolerance, judges it.
+PT_ROUNDING = 64.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class DetectionCertificate:
+    """``exact``: the state is PPT and pairs negatively with the Choi matrix,
+    decided in rationals.  That proves the witness ``indecomposable``: a
+    decomposable P + sum_S Q_S^Gamma_S (P, Q_S PSD) pairs nonnegatively with
+    every PPT state.  ``ball_radius`` is the frame's radius, at s = t:
+    min(lambda_min, -pairing / ||C||_HS) bounds a Hilbert-Schmidt ball of
+    PPT, detected states (Weyl's inequality, partial transposition being an
+    isometry, and Cauchy-Schwarz), so they have positive volume; the frame
+    congruence maps the ball onto a neighbourhood of ``rho``.  ``ppt_check``
+    and ``pairing`` on ``rho`` are the cross-check, its eigenvalues allowed
+    ``pt_allowance`` below zero: the smaller of ``ppt_tol`` and
+    ``PT_ROUNDING``."""
+
     rho: np.ndarray
     pairing_value: float
     min_pt_eigs: np.ndarray
-    lambda_max: float
-    lambda_used: float
+    delta: Fraction
+    exact: bool
+    ball_radius: float
     s: float
     t: float
-    seed: int
-    grid: dict
-    direction_kind: str
     ppt_tol: float = PSD_TOL
+
+    @property
+    def indecomposable(self) -> bool:
+        return self.exact
+
+    @property
+    def pt_allowance(self) -> float:
+        return min(self.ppt_tol, PT_ROUNDING)
 
     @property
     def certified(self) -> bool:
         return bool(
-            np.all(self.min_pt_eigs >= -self.ppt_tol) and self.pairing_value < 0.0
+            self.exact
+            and np.all(self.min_pt_eigs >= -self.pt_allowance)
+            and self.pairing_value < 0.0
         )
 
     def to_json_dict(self) -> dict:
         return {
             **_field_dict(self, "ppt_tol"),
+            "delta": str(self.delta),
+            "indecomposable": self.indecomposable,
             "tol": self.ppt_tol,
+            "pt_allowance": self.pt_allowance,
             "certified": self.certified,
             "rho": matrix_to_json(self.rho),
             "min_pt_eigs": self.min_pt_eigs.tolist(),
         }
 
 
-def separable_anchor(w: WitnessFamily, grid: KernelGrid | None = None) -> np.ndarray:
-    """Unit-trace average of the sampled dual-face states; full rank by the
-    spanning property, PPT, and pairing to zero with the Choi matrix.  The
-    states are the projectors of the grid's and the six basis kernel vectors,
-    summed as one Gram product of the vectors at unit norm, and the dual
-    states, summed as the X matrix of their trace-weighted fields."""
-    grid = grid or KernelGrid.default()
-    full = tensor3(*np.concatenate([_kernel_table(w, grid), _PV4_FACTORS]).swapaxes(0, 1))
-    unit = full / np.linalg.norm(full, axis=1, keepdims=True)
-    a, b, c = _dual_entries(w, grid.dual_params())
-    traces = np.sum(a, axis=1) + np.sum(b, axis=1)
-    dual = _x_matrices(*(np.sum(f / traces[:, None], axis=0) for f in (a, b, c)))
-    return (unit.T @ unit.conj() + dual) / (len(full) + len(traces))
+def _exact_verdict(delta: Fraction) -> bool:
+    """Whether the detected state of parameter delta is PPT, (1 - delta)^2 <= 1,
+    and pairs negatively, 1 - delta > 0 and 2 (1 - delta)^2 > 1: see
+    ``find_ppt_entangled``."""
+    rest = 1 - delta
+    return rest * rest <= 1 and rest > 0 and 2 * rest * rest > 1
 
 
 def find_ppt_entangled(
-    w: WitnessFamily,
-    seed: int = 0,
-    grid: KernelGrid | None = None,
-    direction: str = "x",
-    ppt_tol: float = PSD_TOL,
+    w: WitnessFamily, seed: int = 0, ppt_tol: float = PSD_TOL
 ) -> DetectionCertificate:
-    """PPT state detected by the witness (negative pairing).
+    """PPT state detected by the witness, in closed form; ``seed`` is ignored.
 
-    Starting from the separable anchor, walks along a traceless Hermitian
-    direction d with negative pairing to the exact PPT boundary, then retreats
-    to 0.9 of the boundary parameter so the certificate sits strictly inside
-    the PPT cone.  Partial transposition is linear, so with L_k the Cholesky
-    factor of the anchor's k-th partial transpose, PT_k(anchor + lam d) is
-    L_k (I - lam M_k) L_k^H for M_k = -L_k^-1 PT_k(d) L_k^-H, and the boundary
-    is lam* = 1 / max_k lambda_max(M_k).  ``ppt_tol`` only judges the emitted
-    state.
+    At s = t it is the X state with a = b = (1, 1, 1, 1) / 8 and
+    c = -(1 - delta) / 8 (1, 1, -1, 1).  Partial transposition permutes an X
+    matrix's anti-diagonal, and a_i b_i = |c_j|^2 / (1 - delta)^2, so every
+    partial transpose has eigenvalues (1 +- (1 - delta)) / 8: PPT iff
+    (1 - delta)^2 <= 1.  The pairing is sqrt 2 / 2 - (1 - delta): negative iff
+    1 - delta > 0 and 2 (1 - delta)^2 > 1.  Here delta is ``DETECT_DELTA``.
+
+    At any other s it is the frame image D^-1 rho D^-1 / Tr, with
+    D = diag(alpha, 1/alpha) (x) I4 and alpha**2 = t / (2 sqrt 2), as in
+    ``exposedness_certificate``: C(s, t) = D C(2 sqrt 2, 2 sqrt 2) D keeps the
+    pairing's sign, and the local filter D keeps every partial transpose PSD.
+    a, b and c scale by 1 / alpha**2, alpha**2 and 1.
     """
-    grid = grid or KernelGrid.default()
-    choi = choi_explicit(w)
-    anchor = separable_anchor(w, grid)
-    if direction == "x":
-        d = _x_matrices(np.zeros(4), np.zeros(4), -_X_DIRECTION / (2.0 * _SQRT2))
-    elif direction == "random":
-        rng = np.random.default_rng(seed)
-        while True:
-            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            h = (g + g.conj().T) / 2.0
-            h -= np.trace(h).real / 8.0 * np.eye(8)
-            h /= np.linalg.norm(h)
-            p = pairing(h, choi)
-            if abs(p) > 0.1:
-                d = h if p < 0 else -h
-                break
-    else:
-        raise ValueError("direction must be 'x' or 'random'")
+    d = float(DETECT_DELTA)
+    # lambda_min = delta / 8, and ||C||_HS = sqrt 24 at s = t
+    radius = min(d / 8.0, (1.0 - d - _SQRT2 / 2.0) / math.sqrt(24.0))
 
-    try:
-        chol = np.linalg.cholesky(_pt_stack(anchor))
-    except np.linalg.LinAlgError:
-        raise RuntimeError("separable anchor failed the PPT check") from None
-    pt_d = _pt_stack(d)
-    left = np.linalg.solve(chol, pt_d)  # L^-1 PT(d)
-    m = -np.linalg.solve(chol, left.conj().swapaxes(1, 2))  # -L^-1 PT(d) L^-H
-    top = float(np.max(np.linalg.eigvalsh(m)))
-    if top <= 0.0:
-        raise RuntimeError("failed to bracket the PPT boundary")
-    lambda_max = 1.0 / top
-    lam = 0.9 * lambda_max
-    rho = anchor + lam * d
-    report = ppt_check(rho, tol=ppt_tol)
-    value = pairing(rho, choi)
-    if not report.is_ppt or value >= 0.0:
-        raise RuntimeError(
-            f"detection failed: is_ppt={report.is_ppt}, pairing={value!r}"
-        )
+    inv, alpha2 = 2.0 * _SQRT2 / w.t, w.t / (2.0 * _SQRT2)
+    trace = (inv + alpha2) / 2.0  # of D^-1 rho D^-1
+    rho = _x_matrices(
+        np.full(4, inv / 8.0 / trace),
+        np.full(4, alpha2 / 8.0 / trace),
+        -(1.0 - d) / 8.0 / trace * _X_DIRECTION,
+    )
     return DetectionCertificate(
         rho=rho,
-        pairing_value=value,
-        min_pt_eigs=report.min_eigs,
-        lambda_max=lambda_max,
-        lambda_used=lam,
+        pairing_value=pairing(rho, choi_explicit(w)),
+        min_pt_eigs=ppt_check(rho).min_eigs,
+        delta=DETECT_DELTA,
+        exact=_exact_verdict(DETECT_DELTA),
+        ball_radius=radius,
         s=w.s,
         t=w.t,
-        seed=seed,
-        grid=grid.describe(),
-        direction_kind=direction,
         ppt_tol=ppt_tol,
     )
 

@@ -68,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed",
             type=int,
             default=0,
-            help="random seed (certify positivity and detect; exposedness does not depend on it)",
+            help="random seed (certify positivity; detect and exposedness ignore it)",
         )
         p.add_argument(
             "--grid",
             choices=("small", "default", "fine"),
             default="default",
-            help="kernel sampling grid (exposedness: the control's flat rows only)",
+            help="kernel sampling grid (exposedness: the control's flat rows; detect ignores it)",
         )
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
         p.add_argument("--pretty", action="store_true", help="indent JSON, summary on stderr")
@@ -112,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("which", choices=("spanning", "exposedness", "detect", "positivity"))
     p.add_argument("--restarts", type=int, default=200, help="see-saw restarts (positivity)")
-    p.add_argument("--direction", choices=("x", "random"), default="x", help="detect direction")
+    p.add_argument(
+        "--direction", choices=("x", "random"), default="x", help="detect ignores it (closed form)"
+    )
     p.add_argument(
         "--drop-curved-constraints",
         action="store_true",
@@ -254,9 +256,7 @@ def cmd_certify(args, w):
         )
     else:
         tol = args.tol if args.tol is not None else PSD_TOL
-        cert = find_ppt_entangled(
-            w, seed=args.seed, grid=grid, direction=args.direction, ppt_tol=tol
-        )
+        cert = find_ppt_entangled(w, ppt_tol=tol)
         payload = cert.to_json_dict()
         ok = cert.certified
         note = f"PPT state with pairing {cert.pairing_value:.4g}"

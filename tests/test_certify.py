@@ -1,7 +1,7 @@
 import json
 import math
-import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,10 +26,9 @@ from qxwit import (
     ppt_check,
     product_vector_to_json,
     seesaw_minima,
-    separable_anchor,
     spanning_check,
 )
-from qxwit import certify
+from qxwit import certify, witness
 from qxwit.certify import herm_to_vec, vec_to_herm
 from qxwit.cli import main
 
@@ -207,7 +206,7 @@ class TestExposedness:
         def fail(*args, **kwargs):
             raise AssertionError("exposedness read the dual states")
 
-        monkeypatch.setattr(certify, "_dual_entries", fail)
+        monkeypatch.setattr(witness, "_dual_entries", fail)
         grid = KernelGrid.named(name)
         flat_ids = [tag for tag, _ in grid.kernel_ids() if tag in PV1_TAGS]
         cert = exposedness_certificate(w, grid)
@@ -230,15 +229,37 @@ class TestExposedness:
         ]
 
 
-class TestDetection:
-    def test_anchor_is_interior_dual_face_point(self, w):
-        anchor = separable_anchor(w)
-        assert np.trace(anchor).real == pytest.approx(1.0, abs=1e-12)
-        assert abs(pairing(anchor, choi_explicit(w))) <= 1e-9
-        rep = ppt_check(anchor)
-        assert rep.is_ppt
-        assert np.min(rep.min_eigs) > 1e-4  # strictly inside the PPT cone
+def _fraction_x(a, b, c) -> list:
+    """8x8 nested list of an X matrix with real rational fields, laid out as
+    ``XMatrix``: b listed from 111 down to 100."""
+    m = [[Fraction(0)] * 8 for _ in range(8)]
+    for i in range(4):
+        m[i][i], m[7 - i][7 - i] = a[i], b[i]
+        m[i][7 - i] = m[7 - i][i] = c[i]
+    return m
 
+
+def _fraction_pt(m, mask) -> list:
+    """Partial transpose of an 8x8 nested list: transposing a party swaps its
+    row and column bit."""
+    out = [[None] * 8 for _ in range(8)]
+    for r in range(8):
+        for col in range(8):
+            swap = (r ^ col) & mask
+            out[r][col] = m[r ^ swap][col ^ swap]
+    return out
+
+
+#: Parameters on both sides of the detection threshold (1 - delta)^2 = 1/2,
+#: delta = 1 - 1/sqrt 2 ~ 0.2929, and of the PPT threshold (1 - delta)^2 = 1;
+#: past delta = 1 the anti-diagonal changes sign, and at 19/10 the state is
+#: PPT with (1 - delta)^2 > 1/2 but pairs positively.
+DELTAS = [Fraction(2, 11), Fraction(0), Fraction(1, 10), Fraction(29, 100),
+          Fraction(3, 10), Fraction(1, 2), Fraction(-1, 10), Fraction(19, 10),
+          Fraction(21, 10)]
+
+
+class TestDetection:
     def test_detects_ppt_entanglement(self, w):
         cert = find_ppt_entangled(w, seed=0)
         assert cert.certified
@@ -258,35 +279,92 @@ class TestDetection:
             assert pairing(rho, c) < 0.0
             assert ppt_check(rho).is_ppt
 
-    def test_random_direction_mode(self, w):
-        cert = find_ppt_entangled(w, seed=11, direction="random")
-        assert cert.certified
-        assert cert.pairing_value < 0.0
-
     def test_asymmetric_witness(self):
         w = WitnessFamily(4.0, 2.0)
         cert = find_ppt_entangled(w, seed=0)
         assert cert.certified
 
-    def test_bad_direction_rejected(self, w):
-        with pytest.raises(ValueError):
-            find_ppt_entangled(w, direction="sideways")
+    @pytest.mark.parametrize("delta", DELTAS, ids=str)
+    def test_exact_at_s_equals_t(self, w, delta):
+        rho = _fraction_x([Fraction(1, 8)] * 4, [Fraction(1, 8)] * 4,
+                          [-(1 - delta) / 8 * k for k in (1, 1, -1, 1)])
+        # Every partial transpose is an X matrix with diagonal 1/8 and
+        # anti-diagonal of modulus |1 - delta| / 8, so its eigenvalues are
+        # (1 +- (1 - delta)) / 8.
+        spectrum = set()
+        for mask in range(8):
+            pt = _fraction_pt(rho, mask)
+            for i in range(8):
+                assert all(pt[i][j] == 0 for j in range(8) if j not in (i, 7 - i))
+            for i in range(4):
+                assert pt[i][i] == pt[7 - i][7 - i] == Fraction(1, 8)
+                assert pt[i][7 - i] == pt[7 - i][i]
+                assert abs(pt[i][7 - i]) == abs(1 - delta) / 8
+                spectrum |= {pt[i][i] + pt[i][7 - i], pt[i][i] - pt[i][7 - i]}
+        assert spectrum == {(1 + (1 - delta)) / 8, (1 - (1 - delta)) / 8}
+        ppt = min(spectrum) >= 0
+        assert ppt == ((1 - delta) ** 2 <= 1)
+        # The pairing with C(2 sqrt 2, 2 sqrt 2) is 2 sqrt 2 q + r, q the
+        # weight on 011 and 100 and r the anti-diagonal's part, both rational.
+        q = rho[3][3] + rho[4][4]
+        r = 2 * sum(k * rho[i][7 - i] for i, k in enumerate((1, 1, -1, 1)))
+        detected = r < 0 and 8 * q * q < r * r
+        assert detected == (1 - delta > 0 and (1 - delta) ** 2 > Fraction(1, 2))
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
-    def test_peak_allocation_below_one_state_stack(self, w, grid):
-        # A detection allocates less than one (m, 8, 8) complex stack of the
-        # grid's m dual-face states: 78, 141 and 317 kB on the small, default
-        # and fine grids.  Arrays that size were returned to the system and
-        # faulted in again on some heap layouts and not others.
-        m = len(grid.kernel_ids()) + 6 + len(grid.dual_params())
-        find_ppt_entangled(w, grid=grid)
-        tracemalloc.start()
-        try:
-            find_ppt_entangled(w, grid=grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < m * 8 * 8 * np.dtype(complex).itemsize
+        assert certify._exact_verdict(delta) is (ppt and detected)
+        if delta == certify.DETECT_DELTA:
+            cert = find_ppt_entangled(w)
+            assert cert.delta == delta
+            assert cert.exact is cert.indecomposable is cert.certified is True
+            assert np.max(np.abs(cert.rho - np.array(rho, dtype=float))) <= 1e-16
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-100.0, 100.0))
+    def test_frame_image(self, log_s):
+        # D rho_s D, times the trace of D^-1 rho_delta D^-1, is rho_delta
+        s = 10.0**log_s
+        t = 8.0 / s
+        alpha2 = t / (2.0 * SQRT2)
+        d = np.kron(np.diag([math.sqrt(alpha2), 1.0 / math.sqrt(alpha2)]), np.eye(4))
+        rho = find_ppt_entangled(WitnessFamily(s, t)).rho
+        want = find_ppt_entangled(WitnessFamily()).rho
+        got = d @ rho @ d * (1.0 / alpha2 + alpha2) / 2.0
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_ball_radius(self, w):
+        cert = find_ppt_entangled(w)
+        c = choi_explicit(w)
+        hs = np.linalg.norm(c)
+        assert cert.ball_radius == pytest.approx(2.2673e-2, abs=1e-6)
+        assert cert.ball_radius == pytest.approx(
+            min(np.min(cert.min_pt_eigs), -cert.pairing_value / hs), rel=1e-12
+        )
+        # the pairing bound is attained along C: just inside stays detected
+        for scale, detected in ((0.99, True), (1.01, False)):
+            assert (pairing(cert.rho + scale * cert.ball_radius * c / hs, c) < 0.0) is detected
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            h = (g + g.conj().T) / 2
+            rho = cert.rho + 0.99 * cert.ball_radius * h / np.linalg.norm(h)
+            assert pairing(rho, c) < 0.0
+            assert np.min(ppt_check(rho).min_eigs) > 0.0
+
+    @pytest.mark.parametrize("s", [1e-100, 1e12])
+    def test_rounding_noise_at_the_curve_ends(self, s):
+        # The exact smallest partial-transpose eigenvalue is about 1e-201 at
+        # s = 1e-100 and 1e-24 at s = 1e12, so the computed one is rounding
+        # noise of either sign.  It is judged against PT_ROUNDING, and the
+        # tolerance can only tighten that.
+        w = WitnessFamily(s, 8.0 / s)
+        cert = find_ppt_entangled(w)
+        smallest = np.min(cert.min_pt_eigs)
+        assert abs(smallest) < certify.PT_ROUNDING
+        assert cert.exact and cert.certified
+        assert cert.pt_allowance == certify.PT_ROUNDING < cert.ppt_tol
+        tight = find_ppt_entangled(w, ppt_tol=0.0)
+        assert tight.exact and tight.pt_allowance == 0.0
+        assert tight.certified is bool(smallest >= 0.0)
 
 
 class TestKernelClassify:
@@ -380,7 +458,7 @@ class TestPPTCheckOnce:
     def test_one_hermiticity_check_per_call(self, monkeypatch, w):
         from qxwit import certify, qcore
 
-        rho = separable_anchor(w)
+        rho = dual_state(w, 1, 0.5, 2.0).to_matrix()
         expected = ppt_check(rho)
         calls = []
         check = qcore.check_hermitian

@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qxwit import (
     WitnessFamily,
@@ -19,7 +25,7 @@ from qxwit import (
     x_norm,
     xpart,
 )
-from qxwit import cli, xstate
+from qxwit import certify, cli, xstate
 from qxwit.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -448,6 +454,63 @@ class TestUnwritableOutput:
         assert_one_error_line(code, out, err)
         assert err.startswith(f"error: cannot write {target}: ")
         assert not target.exists()
+
+
+def _benchmark_reference():
+    """``perfbench/reference.py``: the benchmark's independent numpy checks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("benchmark_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _benchmark_reference()
+
+
+def detect_stdout(*argv) -> tuple:
+    """Exit code and stdout of ``certify detect``, without a pytest fixture,
+    so that ``hypothesis`` can call it many times in one test."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["certify", "detect", *argv])
+    return code, out.getvalue()
+
+
+class TestDetectPayload:
+    def test_fields(self, capsys):
+        code, payload = run_json(capsys, "certify", "detect")
+        assert code == 0
+        assert payload["delta"] == "2/11"
+        assert payload["exact"] is payload["indecomposable"] is payload["certified"] is True
+        assert payload["ball_radius"] == pytest.approx(2.2673e-2, abs=1e-6)
+        assert payload["pairing_value"] == pytest.approx(-0.1111, abs=1e-4)
+        assert payload["pt_allowance"] == certify.PT_ROUNDING
+        for gone in ("lambda_max", "lambda_used", "seed", "grid", "direction_kind"):
+            assert gone not in payload
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(-100.0, 100.0),
+        st.sampled_from(["x", "random"]),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(["small", "default", "fine"]),
+    )
+    def test_direction_seed_and_grid_leave_stdout_alone(self, log_s, direction, seed, grid):
+        s = 10.0**log_s
+        curve = ("--s", repr(s), "--t", repr(8.0 / s))
+        flags = ("--direction", direction, "--seed", str(seed), "--grid", grid)
+        assert detect_stdout(*curve, *flags) == detect_stdout(*curve)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-100.0, 100.0))
+    def test_reference_accepts_stdout_along_the_curve(self, log_s):
+        s = 10.0**log_s
+        code, out = detect_stdout("--s", repr(s), "--t", repr(8.0 / s))
+        payload = json.loads(out)
+        assert code == 0
+        REF.check_detect(payload, REF.choi(s, 8.0 / s))
+        assert payload["exact"] is True and payload["certified"] is True
 
 
 class TestDetectTol:

@@ -1,6 +1,5 @@
-"""The X norm from its stationary phases, the PPT boundary from one stacked
-eigenproblem, and kernel classification with the sine distance, each
-checked against an independent search."""
+"""The X norm from its stationary phases and kernel classification with the
+sine distance, each checked against an independent search."""
 
 import json
 import math
@@ -11,15 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qxwit import (
-    SUBSETS,
     KernelGrid,
     WitnessFamily,
-    find_ppt_entangled,
     kernel_classify,
     kernel_vector,
-    partial_transpose,
     product_vector_to_json,
-    separable_anchor,
     x_norm,
 )
 from qxwit.cli import main
@@ -99,48 +94,6 @@ class TestXNormClosedForm:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "finite" in err
-
-
-def min_pt_eig(rho: np.ndarray) -> float:
-    """Smallest eigenvalue over all eight partial transposes."""
-    return min(float(np.linalg.eigvalsh(partial_transpose(rho, sub))[0]) for sub in SUBSETS)
-
-
-def bisection_boundary(anchor: np.ndarray, d: np.ndarray) -> float:
-    """Largest lam with every partial transpose of anchor + lam d PSD, found
-    by doubling and bisection with zero tolerance."""
-    hi = 1.0
-    while min_pt_eig(anchor + hi * d) >= 0.0:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if min_pt_eig(anchor + mid * d) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-class TestPPTBoundary:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.floats(math.log(0.5), math.log(16.0)),
-        st.sampled_from(["x", "random"]),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_exact_boundary(self, log_s, direction, seed):
-        s = math.exp(log_s)
-        w = WitnessFamily(s, 8.0 / s)
-        cert = find_ppt_entangled(w, seed=seed, direction=direction)
-        anchor = separable_anchor(w, KernelGrid.default())
-        d = (cert.rho - anchor) / cert.lambda_used
-        lam = cert.lambda_max
-        assert lam == pytest.approx(bisection_boundary(anchor, d), rel=1e-8)
-        assert min_pt_eig(anchor + 0.999 * lam * d) >= 0.0
-        assert min_pt_eig(anchor + 1.001 * lam * d) < 0.0
-        assert cert.lambda_used == 0.9 * lam
-        assert cert.certified
 
 
 class TestClassifySineDistance:

@@ -18,14 +18,11 @@ from qxwit import (
     OMEGA,
     KernelGrid,
     WitnessFamily,
-    check_hermitian,
     dual_state,
     kernel_classify,
     kernel_vector,
     kernel_vectors,
     partial_conjugate,
-    pv4_vectors,
-    separable_anchor,
     spanning_check,
 )
 from qxwit.certify import RANK_THRESHOLD
@@ -114,34 +111,6 @@ class TestTableMatchesSingleMembers:
         assert [r.subset for r in report.records] == list(SUBSETS)
 
 
-def dual_face_oracle(w, grid) -> np.ndarray:
-    """The sampled dual-face states, one projector or X matrix at a time: the
-    grid's kernel vectors, the six basis kernel vectors, then the dual states."""
-    states = [kernel_vector(w, tag, p).projector() for tag, p in grid.kernel_ids()]
-    states += [v.projector() for v in pv4_vectors()]
-    states += [dual_state(w, *p).to_matrix() for p in grid.dual_params()]
-    return np.array(states)
-
-
-class TestDualFaceMatchesSingleStates:
-    @settings(max_examples=40, deadline=None)
-    @given(GRIDS, LOG_S)
-    def test_anchor_is_the_running_average(self, grid, log_s):
-        # The anchor is one Gram product plus one X matrix, not this running
-        # sum, so it agrees to rounding: the running sum's own rounding
-        # reaches m eps, about 7e-14 on the fine grid (m = 310).
-        w = family(log_s)
-        states = dual_face_oracle(w, grid)
-        acc = np.zeros((8, 8), dtype=complex)
-        for m in states:
-            acc += m / np.trace(m).real
-        want = acc / len(states)
-        got = separable_anchor(w, grid)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        check_hermitian(got)
-        assert abs(np.trace(got).real - 1.0) <= 1e-14
-
-
 # Curved parameters log-uniform on [1e-2, 1e2]; flat free factors with both
 # moduli in [0.1, 10], so away from the basis endpoints where flat families
 # overlap.
@@ -191,7 +160,6 @@ class TestNoPerMemberCalls:
         member = original(w, "zeta3", (0.7, 1.9))
         spanning_check(w, grid)
         spanning_check(w, grid, tags=PV1_TAGS)
-        separable_anchor(w, grid)
         assert kernel_classify(w, member).family == "zeta3"
         assert calls == []
 

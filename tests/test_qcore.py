@@ -238,8 +238,8 @@ def test_tensor3_is_bitwise_nested_kron(x, y, z):
 
 
 class TestPartialTransposeProperties:
-    """Both ppt_check and the PPT boundary in find_ppt_entangled diagonalize
-    only the subsets with masks 0..3 and mirror the complements."""
+    """ppt_check diagonalizes only the subsets with masks 0..3 and mirrors
+    the complements."""
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(SUBSETS))
     def test_involution(self, seed, subset):
