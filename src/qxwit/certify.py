@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -503,78 +502,61 @@ def exposedness_certificate(
 
 # --- detection of PPT entanglement ----------------------------------------------
 
-#: The detected state's parameter: within 1e-3 of (8 - 4 sqrt 2) / (8 + sqrt 24),
-#: where the two bounds of ``DetectionCertificate.ball_radius`` meet.
-DETECT_DELTA = Fraction(2, 11)
+#: The detected state's parameter delta = p / q: within 1e-3 of
+#: (8 - 4 sqrt 2) / (8 + sqrt 24), where the two bounds of
+#: ``DetectionCertificate.ball_radius`` meet.
+DETECT_DELTA = (2, 11)
+
+#: The exact verdict on that state, from delta alone (see ``find_ppt_entangled``):
+#: 1 - delta = 9/11, so it is PPT, (9/11)^2 = 81/121 <= 1, and detected,
+#: 9/11 > 0 and 2 (81/121) = 162/121 > 1.  A PPT state that pairs negatively
+#: proves the witness indecomposable: a decomposable P + sum_S Q_S^Gamma_S
+#: (P, Q_S PSD) pairs nonnegatively with every PPT state.
+DETECT_EXACT = True
 
 #: How far below zero a computed partial-transpose eigenvalue of the detected
 #: state may fall: 8 n eps for n = 8.  ``eigvalsh`` is backward stable, and a
 #: partial transpose of a unit-trace state has ||M||_2 <= ||rho||_F <= 1.  Off
 #: s = t the exact smallest eigenvalue shrinks with the frame (about 1e-201 at
 #: s = 1e-100) below what doubles resolve, so the computed one is rounding
-#: noise of either sign, and this bound, not an absolute tolerance, judges it.
+#: noise of either sign, and this bound, not a tolerance, judges it.
 PT_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class DetectionCertificate:
-    """``exact``: the state is PPT and pairs negatively with the Choi matrix,
-    decided in rationals.  That proves the witness ``indecomposable``: a
-    decomposable P + sum_S Q_S^Gamma_S (P, Q_S PSD) pairs nonnegatively with
-    every PPT state.  ``ball_radius`` is the frame's radius, at s = t:
-    min(lambda_min, -pairing / ||C||_HS) bounds a Hilbert-Schmidt ball of
-    PPT, detected states (Weyl's inequality, partial transposition being an
-    isometry, and Cauchy-Schwarz), so they have positive volume; the frame
-    congruence maps the ball onto a neighbourhood of ``rho``.  ``ppt_check``
-    and ``pairing`` on ``rho`` are the cross-check, its eigenvalues allowed
-    ``pt_allowance`` below zero: the smaller of ``ppt_tol`` and
-    ``PT_ROUNDING``."""
+    """A PPT state the witness detects; its verdict is ``DETECT_EXACT``.
+    ``ball_radius`` is the frame's radius, at s = t: min(lambda_min,
+    -pairing / ||C||_HS) bounds a Hilbert-Schmidt ball of PPT, detected states
+    (Weyl's inequality, partial transposition being an isometry, and
+    Cauchy-Schwarz), so they have positive volume; the frame congruence maps
+    the ball onto a neighbourhood of ``rho``.  ``ppt_check`` and ``pairing`` on
+    ``rho`` are the cross-check, its eigenvalues allowed ``PT_ROUNDING`` below
+    zero.  ``ppt_tol`` is only reported, as ``tol``."""
 
     rho: np.ndarray
     pairing_value: float
     min_pt_eigs: np.ndarray
-    delta: Fraction
-    exact: bool
     ball_radius: float
     s: float
     t: float
     ppt_tol: float = PSD_TOL
 
     @property
-    def indecomposable(self) -> bool:
-        return self.exact
-
-    @property
-    def pt_allowance(self) -> float:
-        return min(self.ppt_tol, PT_ROUNDING)
-
-    @property
     def certified(self) -> bool:
-        return bool(
-            self.exact
-            and np.all(self.min_pt_eigs >= -self.pt_allowance)
-            and self.pairing_value < 0.0
-        )
+        return bool(np.all(self.min_pt_eigs >= -PT_ROUNDING) and self.pairing_value < 0.0)
 
     def to_json_dict(self) -> dict:
         return {
             **_field_dict(self, "ppt_tol"),
-            "delta": str(self.delta),
-            "indecomposable": self.indecomposable,
+            "delta": "%d/%d" % DETECT_DELTA,
+            "exact": DETECT_EXACT,
+            "indecomposable": DETECT_EXACT,
             "tol": self.ppt_tol,
-            "pt_allowance": self.pt_allowance,
             "certified": self.certified,
             "rho": matrix_to_json(self.rho),
             "min_pt_eigs": self.min_pt_eigs.tolist(),
         }
-
-
-def _exact_verdict(delta: Fraction) -> bool:
-    """Whether the detected state of parameter delta is PPT, (1 - delta)^2 <= 1,
-    and pairs negatively, 1 - delta > 0 and 2 (1 - delta)^2 > 1: see
-    ``find_ppt_entangled``."""
-    rest = 1 - delta
-    return rest * rest <= 1 and rest > 0 and 2 * rest * rest > 1
 
 
 def find_ppt_entangled(
@@ -593,25 +575,27 @@ def find_ppt_entangled(
     D = diag(alpha, 1/alpha) (x) I4 and alpha**2 = t / (2 sqrt 2), as in
     ``exposedness_certificate``: C(s, t) = D C(2 sqrt 2, 2 sqrt 2) D keeps the
     pairing's sign, and the local filter D keeps every partial transpose PSD.
-    a, b and c scale by 1 / alpha**2, alpha**2 and 1.
+    a, b and c scale by 1 / alpha**2, alpha**2 and 1.  Near the ends of the
+    range ``WitnessFamily`` accepts (s below about 1e-153 or above about
+    1e153) an entry of the image falls below the smallest normal double, where
+    it keeps too few digits to stand for the state; that raises ValueError.
     """
-    d = float(DETECT_DELTA)
+    d = DETECT_DELTA[0] / DETECT_DELTA[1]
     # lambda_min = delta / 8, and ||C||_HS = sqrt 24 at s = t
     radius = min(d / 8.0, (1.0 - d - _SQRT2 / 2.0) / math.sqrt(24.0))
 
     inv, alpha2 = 2.0 * _SQRT2 / w.t, w.t / (2.0 * _SQRT2)
     trace = (inv + alpha2) / 2.0  # of D^-1 rho D^-1
-    rho = _x_matrices(
-        np.full(4, inv / 8.0 / trace),
-        np.full(4, alpha2 / 8.0 / trace),
-        -(1.0 - d) / 8.0 / trace * _X_DIRECTION,
-    )
+    a, b, c = inv / 8.0 / trace, alpha2 / 8.0 / trace, (1.0 - d) / 8.0 / trace
+    if min(a, b, c) < np.finfo(float).tiny:
+        raise ValueError(
+            f"the detected state at s = {w.s!r} has an entry below the smallest normal double"
+        )
+    rho = _x_matrices(np.full(4, a), np.full(4, b), -c * _X_DIRECTION)
     return DetectionCertificate(
         rho=rho,
         pairing_value=pairing(rho, choi_explicit(w)),
         min_pt_eigs=ppt_check(rho).min_eigs,
-        delta=DETECT_DELTA,
-        exact=_exact_verdict(DETECT_DELTA),
         ball_radius=radius,
         s=w.s,
         t=w.t,

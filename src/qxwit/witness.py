@@ -400,16 +400,23 @@ def _bloch_min(tau: np.ndarray, n: np.ndarray) -> np.ndarray:
     value.  Returns the minima (...).
 
     |tau| is the root of the summed squares where it is in [lo, hi], so they
-    neither overflow nor lose accuracy to subnormals; other columns take
-    libm's ``hypot``, which numpy runs one element at a time.  Squares past
-    1.3e154 warn of overflow; the see-saw's and the probe's tau stay below 50.
+    neither overflow nor lose accuracy to subnormals.  Other columns are
+    first scaled by a power of two, exactly, to a largest entry in [0.5, 1),
+    and n is taken from the scaled column, so it is a unit vector also where
+    |tau| is subnormal.  Squares past 1.3e154 warn of overflow; the see-saw's
+    and the probe's tau stay below 50.
     """
     r = np.sqrt(np.add.reduce(tau[1:] * tau[1:], axis=0))
+    v, rv = tau[1:], r  # the direction and its length
     lo, hi = 2.0**-484, 2.0**511  # min/max as ufunc reductions: the methods cost twice as much
     if not lo <= np.minimum.reduce(r, None, initial=hi) or np.maximum.reduce(r, None, initial=lo) > hi:
         off = ~((r >= lo) & (r <= hi))
-        r[off] = np.hypot(np.hypot(tau[1][off], tau[2][off]), tau[3][off])
-    np.divide(tau[1:], -r, out=n, where=r > 1e-14 * (np.abs(tau[0]) + r))
+        _, e = np.frexp(np.max(np.abs(tau[1:, off]), axis=0))
+        v, rv = tau[1:].copy(), r.copy()
+        v[:, off] = np.ldexp(tau[1:, off], -e)
+        rv[off] = np.sqrt(np.add.reduce(v[:, off] * v[:, off], axis=0))
+        r[off] = np.ldexp(rv[off], e)
+    np.divide(v, -rv, out=n, where=r > 1e-14 * (np.abs(tau[0]) + r))
     return tau[0] - r
 
 

@@ -311,11 +311,11 @@ class TestDetection:
         detected = r < 0 and 8 * q * q < r * r
         assert detected == (1 - delta > 0 and (1 - delta) ** 2 > Fraction(1, 2))
 
-        assert certify._exact_verdict(delta) is (ppt and detected)
-        if delta == certify.DETECT_DELTA:
+        if delta == Fraction(*certify.DETECT_DELTA):
+            assert certify.DETECT_EXACT is (ppt and detected) is True
             cert = find_ppt_entangled(w)
-            assert cert.delta == delta
-            assert cert.exact is cert.indecomposable is cert.certified is True
+            assert cert.certified
+            assert cert.to_json_dict()["delta"] == str(delta)
             assert np.max(np.abs(cert.rho - np.array(rho, dtype=float))) <= 1e-16
 
     @settings(max_examples=40, deadline=None)
@@ -354,17 +354,26 @@ class TestDetection:
     def test_rounding_noise_at_the_curve_ends(self, s):
         # The exact smallest partial-transpose eigenvalue is about 1e-201 at
         # s = 1e-100 and 1e-24 at s = 1e12, so the computed one is rounding
-        # noise of either sign.  It is judged against PT_ROUNDING, and the
-        # tolerance can only tighten that.
+        # noise of either sign.  It is judged against PT_ROUNDING, whatever
+        # the tolerance.
         w = WitnessFamily(s, 8.0 / s)
-        cert = find_ppt_entangled(w)
-        smallest = np.min(cert.min_pt_eigs)
-        assert abs(smallest) < certify.PT_ROUNDING
-        assert cert.exact and cert.certified
-        assert cert.pt_allowance == certify.PT_ROUNDING < cert.ppt_tol
-        tight = find_ppt_entangled(w, ppt_tol=0.0)
-        assert tight.exact and tight.pt_allowance == 0.0
-        assert tight.certified is bool(smallest >= 0.0)
+        for tol in (0.0, 1e-10, 1e-3):
+            cert = find_ppt_entangled(w, ppt_tol=tol)
+            assert abs(np.min(cert.min_pt_eigs)) < certify.PT_ROUNDING
+            assert cert.certified
+
+    @pytest.mark.parametrize("s", [1e-161, 1e-155, 3e154])
+    def test_underflowing_frame_image_is_rejected(self, s):
+        # at 1e-161 the entry a, about s**2 / 32, is 5e-324, and the emitted
+        # matrix paired positively
+        with pytest.raises(ValueError, match="smallest normal double"):
+            find_ppt_entangled(WitnessFamily(s, 8.0 / s))
+
+    @pytest.mark.parametrize("s", [1e-153, 1e153])
+    def test_certified_next_to_the_rejected_range(self, s):
+        cert = find_ppt_entangled(WitnessFamily(s, 8.0 / s))
+        assert np.min(np.abs(np.diag(cert.rho))) >= np.finfo(float).tiny
+        assert cert.certified
 
 
 class TestKernelClassify:

@@ -200,11 +200,17 @@ class TestBlochMin:
     )
     # a gap of one subnormal spacing: (a - d) / 2 rounds to 0, so tau is a multiple of the identity
     @example(kind="generic", a=-5e-324, d=0.0, re=0.0, im=0.0, log10_scale=0.0, cur=(0.0, 0.0, -1.0))
+    # |tau| = 4.4e-311 rounds on the subnormal grid: n was 1 + 3.7e-14 long
+    @example(
+        kind="generic", a=0.0, d=0.0, re=3.130670072125392e-190, im=3.130670072125392e-190, log10_scale=-121.0,
+        cur=(0.0, 0.0, 1.0),
+    )
     def test_minimal_eigenpair(self, kind, a, d, re, im, log10_scale, cur):
         m = hermitian_2x2(kind, a, d, re, im, 10.0**log10_scale)
         current = np.array(cur) / math.hypot(*cur)
         n = current[:, None].copy()
-        value = _bloch_min(tau_of(m), n)[0]
+        tau = tau_of(m)
+        value = _bloch_min(tau, n)[0]
         size = float(np.max(np.abs(m)))
         lam = np.linalg.eigvalsh(m)
         # tau of a subnormal matrix is rounded to the subnormal spacing
@@ -216,10 +222,13 @@ class TestBlochMin:
         assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-14)
         v = _spinors(n)[0]
         assert np.linalg.norm(m @ v - lam[0] * v) <= 1e-12 * size
-        # tau is rounded to the subnormal spacing, which can turn the
-        # eigenvector of a subnormal gap or erase the gap
-        if np.ptp(lam) > max(1e-6 * size, np.finfo(float).tiny):
-            assert abs(np.vdot(np.linalg.eigh(m)[1][:, 0], v)) == pytest.approx(1.0, abs=1e-12)
+        # tau.sigma, formed from tau without rounding, has the eigenvectors
+        # _bloch_min is asked for; m's may differ where tau rounds a
+        # subnormal gap of m, or erases it
+        tx, ty, tz = tau[1:, 0]
+        if 2.0 * math.hypot(tx, ty, tz) > 1e-6 * size:
+            traceless = np.array([[tz, tx - 1j * ty], [tx + 1j * ty, -tz]])
+            assert abs(np.vdot(np.linalg.eigh(traceless)[1][:, 0], v)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_identity_up_to_rounding_keeps_the_current_vector(self, scale):
