@@ -407,6 +407,10 @@ def exposedness_certificate(
     With ``include_eta_zeta`` false the constraints are the flat members of
     ``grid`` and the six basis kernel vectors, which is known to leave a
     surviving dimension larger than one; ``grid`` selects only these rows.
+    ``surviving_ray_dim`` alone decides the control.  Its
+    ``unpruned_directions`` depends on the basis LAPACK returns for the prune
+    directions inside a degenerate singular-value cluster, not only on the
+    subspace they span, so that count says nothing about the witness.
     """
     grid = grid or KernelGrid.default()
     w0 = _CANONICAL
@@ -532,7 +536,7 @@ class DetectionCertificate:
     Cauchy-Schwarz), so they have positive volume; the frame congruence maps
     the ball onto a neighbourhood of ``rho``.  ``ppt_check`` and ``pairing`` on
     ``rho`` are the cross-check, its eigenvalues allowed ``PT_ROUNDING`` below
-    zero.  ``ppt_tol`` is only reported, as ``tol``."""
+    zero."""
 
     rho: np.ndarray
     pairing_value: float
@@ -540,7 +544,6 @@ class DetectionCertificate:
     ball_radius: float
     s: float
     t: float
-    ppt_tol: float = PSD_TOL
 
     @property
     def certified(self) -> bool:
@@ -548,20 +551,17 @@ class DetectionCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            **_field_dict(self, "ppt_tol"),
+            **_field_dict(self),
             "delta": "%d/%d" % DETECT_DELTA,
             "exact": DETECT_EXACT,
             "indecomposable": DETECT_EXACT,
-            "tol": self.ppt_tol,
             "certified": self.certified,
             "rho": matrix_to_json(self.rho),
             "min_pt_eigs": self.min_pt_eigs.tolist(),
         }
 
 
-def find_ppt_entangled(
-    w: WitnessFamily, seed: int = 0, ppt_tol: float = PSD_TOL
-) -> DetectionCertificate:
+def find_ppt_entangled(w: WitnessFamily, seed: int = 0) -> DetectionCertificate:
     """PPT state detected by the witness, in closed form; ``seed`` is ignored.
 
     At s = t it is the X state with a = b = (1, 1, 1, 1) / 8 and
@@ -599,7 +599,6 @@ def find_ppt_entangled(
         ball_radius=radius,
         s=w.s,
         t=w.t,
-        ppt_tol=ppt_tol,
     )
 
 

@@ -1,6 +1,9 @@
 """Command-line front end.
 
-Subcommands: choi, apply, pairing, kernel, classify, xstate, certify.
+Subcommands: choi, apply, pairing, kernel, classify, xstate, and certify
+with its kinds spanning, positivity, exposedness and detect.  Each declares
+only the flags its handler reads, but for the inert --seed of spanning,
+exposedness and detect and --direction of detect, which the benchmark passes.
 Output is JSON on stdout (byte-identical across runs for fixed flags and
 seed); --pretty indents it and adds a one-line summary on stderr.
 Exit codes: 0 certified / verdict positive, 1 verdict negative, 2 error.
@@ -24,7 +27,6 @@ from .certify import (
     spanning_check,
 )
 from .qcore import (
-    PSD_TOL,
     matrix_from_json,
     matrix_to_json,
     product_vector_from_json,
@@ -51,48 +53,44 @@ from .xstate import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line to main, which reports it as one error line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qxwit",
         description="Construction and numerical certification of a family of "
         "three-qubit entanglement witnesses.",
     )
     parser.add_argument("--version", action="version", version=f"qxwit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    grids = ("small", "default", "fine")
+    ignored = "ignored; the benchmark's exposed and certify workloads pass it"
 
-    def common(p):
+    def command(subparsers, name, handler, help):
+        p = subparsers.add_parser(name, help=help)
         p.add_argument("--s", type=float, default=WitnessFamily.s, help="witness parameter s")
         p.add_argument("--t", type=float, default=WitnessFamily.t, help="witness parameter t")
-        p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="random seed (certify positivity; detect and exposedness ignore it)",
-        )
-        p.add_argument(
-            "--grid",
-            choices=("small", "default", "fine"),
-            default="default",
-            help="kernel sampling grid (exposedness: the control's flat rows; detect ignores it)",
-        )
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
         p.add_argument("--pretty", action="store_true", help="indent JSON, summary on stderr")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("choi", help="emit the Choi matrix and its X decomposition")
-    common(p)
+    command(commands, "choi", cmd_choi, "emit the Choi matrix and its X decomposition")
 
-    p = sub.add_parser("apply", help="apply the bilinear map to two 2x2 matrices")
-    common(p)
+    p = command(commands, "apply", cmd_apply, "apply the bilinear map to two 2x2 matrices")
     p.add_argument("--x", required=True, help="matrix JSON file, first argument")
     p.add_argument("--y", required=True, help="matrix JSON file, second argument")
 
-    p = sub.add_parser("pairing", help="pair an 8x8 state file with the Choi matrix")
-    common(p)
+    p = command(commands, "pairing", cmd_pairing, "pair an 8x8 state file with the Choi matrix")
     p.add_argument("--rho", required=True, help="matrix JSON file (dim 8)")
 
-    p = sub.add_parser("kernel", help="emit a kernel family member and its pairing")
-    common(p)
+    p = command(commands, "kernel", cmd_kernel, "emit a kernel family member and its pairing")
+    p.add_argument("--tol", type=float, default=1e-9, help="bound on the pairing")
     p.add_argument("--family", required=True, choices=FAMILY_TAGS)
     p.add_argument(
         "--params",
@@ -100,26 +98,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list: a1,a2 for eta/zeta; re0,im0,re1,im1 (or re0,re1) for flat families",
     )
 
-    p = sub.add_parser("classify", help="match a product vector file to a kernel family")
-    common(p)
+    p = command(commands, "classify", cmd_classify, "match a product vector file to a family")
+    p.add_argument("--tol", type=float, default=1e-6, help="fit residual")
     p.add_argument("--vector", required=True, help="product vector JSON file")
 
-    p = sub.add_parser("xstate", help="verdicts for an X matrix file")
-    common(p)
+    p = command(commands, "xstate", cmd_xstate, "verdicts for an X matrix file")
     p.add_argument("--file", required=True, help="X matrix JSON file")
 
-    p = sub.add_parser("certify", help="run a certification and encode it in the exit status")
-    common(p)
-    p.add_argument("which", choices=("spanning", "exposedness", "detect", "positivity"))
-    p.add_argument("--restarts", type=int, default=200, help="see-saw restarts (positivity)")
-    p.add_argument(
-        "--direction", choices=("x", "random"), default="x", help="detect ignores it (closed form)"
-    )
-    p.add_argument(
-        "--drop-curved-constraints",
-        action="store_true",
-        help="exposedness only: restrict constraints to the flat families",
-    )
+    kinds = commands.add_parser(
+        "certify", help="run a certification and encode it in the exit status"
+    ).add_subparsers(dest="kind", required=True)
+
+    p = command(kinds, "spanning", cmd_spanning, "rank 8 of the partially conjugated kernel")
+    p.add_argument("--grid", choices=grids, default="default", help="kernel sampling grid")
+    p.add_argument("--seed", type=int, default=0, help=ignored)
+
+    p = command(kinds, "positivity", cmd_positivity, "see-saw minimum over product vectors")
+    p.add_argument("--tol", type=float, default=1e-9, help="bound below zero on the minimum")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the restarts")
+    p.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
+
+    p = command(kinds, "exposedness", cmd_exposedness, "the witness spans an exposed ray")
+    p.add_argument("--tol", type=float, default=RANK_THRESHOLD, help="rank cutoff, direction match")
+    p.add_argument("--grid", choices=grids, default="default", help="the flat-only control's grid")
+    p.add_argument("--drop-curved-constraints", action="store_true", help="the flat-only control")
+    p.add_argument("--seed", type=int, default=0, help=ignored)
+
+    p = command(kinds, "detect", cmd_detect, "a PPT state the witness detects, in closed form")
+    p.add_argument("--seed", type=int, default=0, help=ignored)
+    p.add_argument("--direction", choices=("x", "random"), default="x", help=ignored)
     return parser
 
 
@@ -176,11 +183,10 @@ def cmd_pairing(args, w):
 
 
 def cmd_kernel(args, w):
-    tol = args.tol if args.tol is not None else 1e-9
     params = _parse_params(args.family, args.params)
     v = kernel_vector(w, args.family, params)
     value = pairing(v.projector(), choi_explicit(w))
-    ok = abs(value) <= tol
+    ok = abs(value) <= args.tol
     payload = {
         "family": args.family,
         "vector": product_vector_to_json(v),
@@ -191,9 +197,8 @@ def cmd_kernel(args, w):
 
 
 def cmd_classify(args, w):
-    tol = args.tol if args.tol is not None else 1e-6
     v = product_vector_from_json(_load_json(args.vector))
-    result = kernel_classify(w, v, tol=tol)
+    result = kernel_classify(w, v, tol=args.tol)
     code = 0 if result.family is not None else 1
     return result.to_json_dict(), code, f"family = {result.family}"
 
@@ -230,48 +235,37 @@ def cmd_xstate(args, w):
     return payload, 0 if positive_verdict else 1, "xstate verdicts emitted"
 
 
-def cmd_certify(args, w):
-    grid = KernelGrid.named(args.grid)
-    if args.which == "spanning":
-        report = spanning_check(w, grid)
-        payload = report.to_json_dict()
-        ok = report.all_full_rank
-        note = f"spanning ranks: {[r.rank for r in report.records]}"
-    elif args.which == "positivity":
-        tol = args.tol if args.tol is not None else 1e-9
-        res = verify_positive(w, restarts=args.restarts, seed=args.seed)
-        ok = res.min_value >= -tol
-        payload = {**res.to_json_dict(), "certified": ok}
-        note = f"see-saw minimum = {res.min_value:.3e}"
-    elif args.which == "exposedness":
-        tol = args.tol if args.tol is not None else RANK_THRESHOLD
-        cert = exposedness_certificate(
-            w, grid, tol=tol, include_eta_zeta=not args.drop_curved_constraints
-        )
-        payload = cert.to_json_dict()
-        ok = cert.certified
-        note = (
-            f"surviving ray dim = {cert.surviving_ray_dim}, "
-            f"match error = {cert.direction_match_error:.2e}"
-        )
-    else:
-        tol = args.tol if args.tol is not None else PSD_TOL
-        cert = find_ppt_entangled(w, ppt_tol=tol)
-        payload = cert.to_json_dict()
-        ok = cert.certified
-        note = f"PPT state with pairing {cert.pairing_value:.4g}"
-    return payload, 0 if ok else 1, note
+def cmd_spanning(args, w):
+    report = spanning_check(w, KernelGrid.named(args.grid))
+    note = f"spanning ranks: {[r.rank for r in report.records]}"
+    return report.to_json_dict(), 0 if report.all_full_rank else 1, note
 
 
-_COMMANDS = {
-    "choi": cmd_choi,
-    "apply": cmd_apply,
-    "pairing": cmd_pairing,
-    "kernel": cmd_kernel,
-    "classify": cmd_classify,
-    "xstate": cmd_xstate,
-    "certify": cmd_certify,
-}
+def cmd_positivity(args, w):
+    res = verify_positive(w, restarts=args.restarts, seed=args.seed)
+    ok = res.min_value >= -args.tol
+    payload = {**res.to_json_dict(), "certified": ok}
+    return payload, 0 if ok else 1, f"see-saw minimum = {res.min_value:.3e}"
+
+
+def cmd_exposedness(args, w):
+    cert = exposedness_certificate(
+        w,
+        KernelGrid.named(args.grid),
+        tol=args.tol,
+        include_eta_zeta=not args.drop_curved_constraints,
+    )
+    note = (
+        f"surviving ray dim = {cert.surviving_ray_dim}, "
+        f"match error = {cert.direction_match_error:.2e}"
+    )
+    return cert.to_json_dict(), 0 if cert.certified else 1, note
+
+
+def cmd_detect(args, w):
+    cert = find_ppt_entangled(w)
+    note = f"PPT state with pairing {cert.pairing_value:.4g}"
+    return cert.to_json_dict(), 0 if cert.certified else 1, note
 
 
 def _emit(payload: dict, args) -> None:
@@ -290,10 +284,10 @@ def _emit(payload: dict, args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         w = WitnessFamily(args.s, args.t)
-        payload, code, note = _COMMANDS[args.command](args, w)
+        payload, code, note = args.handler(args, w)
         _emit({**payload, "s": w.s, "t": w.t}, args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -456,12 +456,14 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
     minimization, so a restart's value never rises.
 
     Returns the values (restart,), the unit factors (party, restart, 2) and
-    the cycles run; with no cycle run the values are infinite and the factors
-    the starting ones.  The number of restarts that moved in the last cycle
-    run is appended to ``moving`` when one is given.
+    the cycles run.  The number of restarts that moved in the last cycle run
+    is appended to ``moving`` when one is given.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    # a run of no cycle has no value; it must not read as a minimum of +inf
+    if max_cycles < 1:
+        raise ValueError("max_cycles must be at least 1")
     if np.shape(matrix) != (8, 8):
         raise ValueError("see-saw needs an 8x8 Hermitian matrix")
     c8 = check_hermitian(matrix)
@@ -475,13 +477,10 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
     # restart, component), and their Bloch vectors (party, 4, restart).
     draws = np.random.default_rng(seed).standard_normal((3, 2, restarts, 2))
     v = draws[:, 0] + 1j * draws[:, 1]
-    factors = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    bloch = _bloch_vectors(factors)
+    bloch = _bloch_vectors(v / np.linalg.norm(v, axis=-1, keepdims=True))
     work = np.empty((4, 4, restarts))
     tau = np.empty((4, restarts))
     values = np.full(restarts, np.inf)
-    still_moving = restarts
-    cycles = 0
     for cycles in range(1, max_cycles + 1):
         for p, (q1, q2) in enumerate(((1, 2), (0, 2), (0, 1))):
             np.multiply(bloch[q1, :, None], bloch[q2, None], out=work)
@@ -494,22 +493,16 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
             break
     if moving is not None:
         moving.append(still_moving)
-    if cycles:
-        factors = _spinors(bloch[:, 1:].swapaxes(0, 1))
-        # A minimum tau0 - |tau| is a difference of sums over every entry of
-        # T, good to about 1e-16 of the largest entry whatever its size; the
-        # form at the factors keeps the matrix's zeros and small entries
-        # apart.  On the witness curve at s = 1e12 the smallest of 200
-        # restarts' minima is -1.4e-9, past the positivity threshold -1e-9,
-        # and the smallest form at their factors -2.3e-52.
-        psi = tensor3(*factors)
-        values = np.einsum("ri,ri->r", psi.conj() @ c, psi).real
+    factors = _spinors(bloch[:, 1:].swapaxes(0, 1))
+    # A minimum tau0 - |tau| is a difference of sums over every entry of T,
+    # good to about 1e-16 of the largest entry whatever its size; the form at
+    # the factors keeps the matrix's zeros and small entries apart.  On the
+    # witness curve at s = 1e12 the smallest of 200 restarts' minima is
+    # -1.4e-9, past the positivity threshold -1e-9, and the smallest form at
+    # their factors -2.3e-52.
+    psi = tensor3(*factors)
+    values = np.einsum("ri,ri->r", psi.conj() @ c, psi).real
     return values * scale, factors, cycles
-
-
-def _check_max_cycles(max_cycles: int) -> None:
-    if max_cycles < 1:
-        raise ValueError("max_cycles must be at least 1")
 
 
 def seesaw_minima(
@@ -523,7 +516,6 @@ def seesaw_minima(
 
     The returned vectors v satisfy pairing(|v><v|, matrix) = value.
     """
-    _check_max_cycles(max_cycles)
     values, factors, _ = _seesaw(matrix, restarts, seed, max_cycles)
     return values, [ProductVector(*factors[:, k].conj()) for k in range(restarts)]
 
@@ -548,7 +540,6 @@ def min_product_value(
     ``argmin`` is the first restart whose value is within 32 ulps of its
     own terms of ``min_value``, so rounding-level changes do not move it.
     """
-    _check_max_cycles(max_cycles)
     moving = []
     values, factors, cycles = _seesaw(matrix, restarts, seed, max_cycles, moving)
     min_value = float(values.min())

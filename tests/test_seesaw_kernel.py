@@ -297,10 +297,9 @@ class TestMaxCycles:
         with pytest.raises(ValueError, match="max_cycles"):
             run(choi_explicit(WitnessFamily()), 8, 0, max_cycles=max_cycles)
 
-    def test_private_run_of_no_cycle(self):
-        values, factors, cycles = _seesaw(choi_explicit(WitnessFamily()), 8, 0, 0)
-        assert cycles == 0 and np.all(values == np.inf)
-        assert np.allclose(np.linalg.norm(factors, axis=-1), 1.0, rtol=0.0, atol=1e-15)
+    def test_private_run_rejects_it_too(self):
+        with pytest.raises(ValueError, match="max_cycles"):
+            _seesaw(choi_explicit(WitnessFamily()), 8, 0, 0)
 
 
 class TestRestartsMoving:

@@ -437,14 +437,12 @@ class TestBatchedSeesaw:
             assert pairing(res.argmin.projector(), m) == pytest.approx(res.min_value, abs=1e-12)
 
     def test_start_factors_equal_serial_draws(self, batch):
-        # with no cycle the engine returns its starting factors
+        # the reference draws each party's starting factors in turn; after one
+        # cycle every restart's value is the reference's
         matrices, _ = batch
         for m, seed in zip(matrices, self.SEEDS):
-            _, factors, _ = _seesaw(m, self.RESTARTS, seed, 0)
-            rng = np.random.default_rng(seed)
-            for party in range(3):
-                v = rng.standard_normal((self.RESTARTS, 2)) + 1j * rng.standard_normal((self.RESTARTS, 2))
-                assert np.array_equal(factors[party], v / np.linalg.norm(v, axis=1)[:, None])
+            values, _, _ = _seesaw(m, self.RESTARTS, seed, 1)
+            assert values == pytest.approx(_reference_seesaw(m, self.RESTARTS, seed, 1)[0], abs=1e-12)
 
 
 class TestMotivatingSum:
