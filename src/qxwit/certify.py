@@ -19,7 +19,6 @@ from .qcore import (
     check_hermitian,
     matrix_to_json,
     product_vector_to_json,
-    subset_mask,
     tensor3,
     _field_dict,
 )
@@ -32,13 +31,13 @@ from .witness import (
     KernelGrid,
     WitnessFamily,
     choi_explicit,
-    pairing,
     _PV1_SLOTS,
     _PV4_FACTORS,
     _bloch_min,
     _bloch_vectors,
     _family_factors,
     _kernel_table,
+    _pairing,
     _pauli_tensor,
     _spinors,
 )
@@ -116,15 +115,22 @@ class PPTReport:
         return {"is_ppt": self.is_ppt, "min_eigs": self.min_eigs.tolist()}
 
 
+def _pt_min_eigs(rho: np.ndarray) -> np.ndarray:
+    """Minimal eigenvalue of every partial transpose of a Hermitian 8x8
+    matrix, in SUBSETS (mask) order, from one stacked call over
+    ``_pt_stack``; unvalidated."""
+    spectra = np.linalg.eigvalsh(_pt_stack(rho))
+    return np.concatenate([spectra[:, 0], spectra[::-1, 0]])
+
+
 def ppt_check(rho, tol: float = PSD_TOL) -> PPTReport:
-    """Minimal eigenvalue of every partial transpose of a Hermitian matrix,
-    from one stacked call over ``_pt_stack``.  Partial transposes of a
-    Hermitian matrix are Hermitian, so rho is checked once."""
+    """Minimal eigenvalue of every partial transpose of a Hermitian matrix.
+    Partial transposes of a Hermitian matrix are Hermitian, so rho is
+    checked once."""
     rho = check_hermitian(rho)
     if rho.shape != (8, 8):
         raise ValueError(f"partial transpose needs an 8x8 matrix, got {rho.shape}")
-    spectra = np.linalg.eigvalsh(_pt_stack(rho))
-    min_eigs = np.concatenate([spectra[:, 0], spectra[::-1, 0]])
+    min_eigs = _pt_min_eigs(rho)
     return PPTReport(is_ppt=bool(np.all(min_eigs >= -tol)), min_eigs=min_eigs)
 
 
@@ -184,12 +190,15 @@ def spanning_check(
     conj = np.where(_CONJUGATED[:, None, :, None], factors.conj(), factors)
     rows = tensor3(conj[..., 0, :], conj[..., 1, :], conj[..., 2, :])
     half = np.linalg.svd(rows, compute_uv=False)
-    records = []
-    for subset, sv in zip(SUBSETS, np.concatenate([half, half[::-1]])):
-        rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-        kept, largest = float(sv[rank - 1]), float(sv[0])
-        records.append(SubsetSpanRecord(subset, subset_mask(subset), rank, kept, largest, n))
-    return SpanningReport(records=tuple(records), grid=grid.describe(), s=w.s, t=w.t)
+    ranks = np.sum(half > RANK_THRESHOLD * half[:, :1], axis=1)
+    kept = half[np.arange(4), ranks - 1]
+    # SUBSETS is in mask order, and mask 7 - k has the singular values of mask k
+    per_mask = list(zip(ranks.tolist(), kept.tolist(), half[:, 0].tolist()))
+    records = tuple(
+        SubsetSpanRecord(subset, mask, *values, n)
+        for mask, (subset, values) in enumerate(zip(SUBSETS, per_mask + per_mask[::-1]))
+    )
+    return SpanningReport(records=records, grid=grid.describe(), s=w.s, t=w.t)
 
 
 # --- exposedness certificate ----------------------------------------------------
@@ -534,9 +543,10 @@ class DetectionCertificate:
     -pairing / ||C||_HS) bounds a Hilbert-Schmidt ball of PPT, detected states
     (Weyl's inequality, partial transposition being an isometry, and
     Cauchy-Schwarz), so they have positive volume; the frame congruence maps
-    the ball onto a neighbourhood of ``rho``.  ``ppt_check`` and ``pairing`` on
-    ``rho`` are the cross-check, its eigenvalues allowed ``PT_ROUNDING`` below
-    zero."""
+    the ball onto a neighbourhood of ``rho``.  The computed pairing and
+    partial-transpose minima of ``rho``, the values ``pairing`` and
+    ``ppt_check`` return, are the cross-check, its eigenvalues allowed
+    ``PT_ROUNDING`` below zero."""
 
     rho: np.ndarray
     pairing_value: float
@@ -579,6 +589,11 @@ def find_ppt_entangled(w: WitnessFamily, seed: int = 0) -> DetectionCertificate:
     range ``WitnessFamily`` accepts (s below about 1e-153 or above about
     1e153) an entry of the image falls below the smallest normal double, where
     it keeps too few digits to stand for the state; that raises ValueError.
+
+    The cross-check computes the pairing with the Choi matrix and the
+    partial-transpose spectra as ``pairing`` and ``ppt_check`` do, bit for
+    bit, without their Hermiticity checks: the state is built exactly
+    Hermitian (real and symmetric), and so is the Choi matrix.
     """
     d = DETECT_DELTA[0] / DETECT_DELTA[1]
     # lambda_min = delta / 8, and ||C||_HS = sqrt 24 at s = t
@@ -594,8 +609,8 @@ def find_ppt_entangled(w: WitnessFamily, seed: int = 0) -> DetectionCertificate:
     rho = _x_matrices(np.full(4, a), np.full(4, b), -c * _X_DIRECTION)
     return DetectionCertificate(
         rho=rho,
-        pairing_value=pairing(rho, choi_explicit(w)),
-        min_pt_eigs=ppt_check(rho).min_eigs,
+        pairing_value=_pairing(rho, choi_explicit(w)).real,
+        min_pt_eigs=_pt_min_eigs(rho),
         ball_radius=radius,
         s=w.s,
         t=w.t,

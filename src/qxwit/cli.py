@@ -4,6 +4,9 @@ Subcommands: choi, apply, pairing, kernel, classify, xstate, and certify
 with its kinds spanning, positivity, exposedness and detect.  Each declares
 only the flags its handler reads, but for the inert --seed of spanning,
 exposedness and detect and --direction of detect, which the benchmark passes.
+An argv that names a command is parsed once, by that command's own parser;
+any other (--help, --version, a bare certify, an unknown command) goes
+through the full tree.  The handler is looked up by name when it is called.
 Output is JSON on stdout (byte-identical across runs for fixed flags and
 seed); --pretty indents it and adds a one-line summary on stderr.
 Exit codes: 0 certified / verdict positive, 1 verdict negative, 2 error.
@@ -61,35 +64,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full command tree.  Its ``leaves`` map each command path, such as
+    ("pairing",) or ("certify", "detect"), to the parser of that command,
+    whose ``handler`` default names the function main calls: cmd_pairing,
+    cmd_detect."""
     parser = _Parser(
         prog="qxwit",
         description="Construction and numerical certification of a family of "
         "three-qubit entanglement witnesses.",
     )
     parser.add_argument("--version", action="version", version=f"qxwit {__version__}")
+    parser.leaves = {}
     commands = parser.add_subparsers(dest="command", required=True)
     grids = ("small", "default", "fine")
     ignored = "ignored; the benchmark's exposed and certify workloads pass it"
 
-    def command(subparsers, name, handler, help):
-        p = subparsers.add_parser(name, help=help)
+    def command(subparsers, path, help):
+        p = subparsers.add_parser(path[-1], help=help)
         p.add_argument("--s", type=float, default=WitnessFamily.s, help="witness parameter s")
         p.add_argument("--t", type=float, default=WitnessFamily.t, help="witness parameter t")
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
         p.add_argument("--pretty", action="store_true", help="indent JSON, summary on stderr")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=f"cmd_{path[-1]}")
+        parser.leaves[path] = p
         return p
 
-    command(commands, "choi", cmd_choi, "emit the Choi matrix and its X decomposition")
+    command(commands, ("choi",), "emit the Choi matrix and its X decomposition")
 
-    p = command(commands, "apply", cmd_apply, "apply the bilinear map to two 2x2 matrices")
+    p = command(commands, ("apply",), "apply the bilinear map to two 2x2 matrices")
     p.add_argument("--x", required=True, help="matrix JSON file, first argument")
     p.add_argument("--y", required=True, help="matrix JSON file, second argument")
 
-    p = command(commands, "pairing", cmd_pairing, "pair an 8x8 state file with the Choi matrix")
+    p = command(commands, ("pairing",), "pair an 8x8 state file with the Choi matrix")
     p.add_argument("--rho", required=True, help="matrix JSON file (dim 8)")
 
-    p = command(commands, "kernel", cmd_kernel, "emit a kernel family member and its pairing")
+    p = command(commands, ("kernel",), "emit a kernel family member and its pairing")
     p.add_argument("--tol", type=float, default=1e-9, help="bound on the pairing")
     p.add_argument("--family", required=True, choices=FAMILY_TAGS)
     p.add_argument(
@@ -98,33 +107,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list: a1,a2 for eta/zeta; re0,im0,re1,im1 (or re0,re1) for flat families",
     )
 
-    p = command(commands, "classify", cmd_classify, "match a product vector file to a family")
+    p = command(commands, ("classify",), "match a product vector file to a family")
     p.add_argument("--tol", type=float, default=1e-6, help="fit residual")
     p.add_argument("--vector", required=True, help="product vector JSON file")
 
-    p = command(commands, "xstate", cmd_xstate, "verdicts for an X matrix file")
+    p = command(commands, ("xstate",), "verdicts for an X matrix file")
     p.add_argument("--file", required=True, help="X matrix JSON file")
 
     kinds = commands.add_parser(
         "certify", help="run a certification and encode it in the exit status"
     ).add_subparsers(dest="kind", required=True)
 
-    p = command(kinds, "spanning", cmd_spanning, "rank 8 of the partially conjugated kernel")
+    p = command(kinds, ("certify", "spanning"), "rank 8 of the partially conjugated kernel")
     p.add_argument("--grid", choices=grids, default="default", help="kernel sampling grid")
     p.add_argument("--seed", type=int, default=0, help=ignored)
 
-    p = command(kinds, "positivity", cmd_positivity, "see-saw minimum over product vectors")
+    p = command(kinds, ("certify", "positivity"), "see-saw minimum over product vectors")
     p.add_argument("--tol", type=float, default=1e-9, help="bound below zero on the minimum")
     p.add_argument("--seed", type=int, default=0, help="random seed of the restarts")
     p.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
 
-    p = command(kinds, "exposedness", cmd_exposedness, "the witness spans an exposed ray")
+    p = command(kinds, ("certify", "exposedness"), "the witness spans an exposed ray")
     p.add_argument("--tol", type=float, default=RANK_THRESHOLD, help="rank cutoff, direction match")
     p.add_argument("--grid", choices=grids, default="default", help="the flat-only control's grid")
     p.add_argument("--drop-curved-constraints", action="store_true", help="the flat-only control")
     p.add_argument("--seed", type=int, default=0, help=ignored)
 
-    p = command(kinds, "detect", cmd_detect, "a PPT state the witness detects, in closed form")
+    p = command(kinds, ("certify", "detect"), "a PPT state the witness detects, in closed form")
     p.add_argument("--seed", type=int, default=0, help=ignored)
     p.add_argument("--direction", choices=("x", "random"), default="x", help=ignored)
     return parser
@@ -283,11 +292,30 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed by the parser of the command it names, from what follows
+    the command's name: the full tree would hand that parser the same list.
+    Any other argv is parsed by the full tree.  So is one with an argument
+    "--=...": the root classifies each argument before it hands the list on,
+    and reports such an argument as ambiguous between --help and --version.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not any(arg.startswith("--=") for arg in argv):
+        for n in (1, 2):
+            leaf = parser.leaves.get(tuple(argv[:n]))
+            if leaf is not None:
+                return leaf.parse_args(argv[n:])
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         w = WitnessFamily(args.s, args.t)
-        payload, code, note = args.handler(args, w)
+        # By name at call time, so a handler rebound on this module after
+        # the parser was built is the one called.
+        payload, code, note = globals()[args.handler](args, w)
         _emit({**payload, "s": w.s, "t": w.t}, args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,13 +104,18 @@ def choi_explicit(w: WitnessFamily) -> np.ndarray:
     return c
 
 
+def _pairing(rho, c) -> complex:
+    """Tr(C rho^t) of two matrices of equal shape, unvalidated."""
+    return complex(np.sum(c * rho))
+
+
 def pairing(rho, c) -> float:
     """Duality pairing Tr(C rho^t) of two Hermitian matrices of equal size."""
     rho = check_hermitian(rho)
     c = check_hermitian(c)
     if rho.shape != c.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {c.shape}")
-    value = complex(np.sum(c * rho))
+    value = _pairing(rho, c)
     # Hermitian inputs pair to a real number.  The defects check_hermitian
     # allows (1e-12 of either matrix's largest entry) leave below 1e-10
     # max|c| max|rho| of imaginary part over the 64 products, rounding less.
@@ -538,7 +543,11 @@ def min_product_value(
     run stopped.
 
     ``argmin`` is the first restart whose value is within 32 ulps of its
-    own terms of ``min_value``, so rounding-level changes do not move it.
+    own terms of ``min_value``, so rounding in the values does not choose
+    among restarts at the same minimum.  The minimum is degenerate, and
+    rounding in a restart's trajectory can take it to another zero of the
+    form: at s in {1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12} a rounding-level
+    change to the engine moved ``argmin`` to another zero in 8 of 54 runs.
     """
     moving = []
     values, factors, cycles = _seesaw(matrix, restarts, seed, max_cycles, moving)

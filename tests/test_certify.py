@@ -518,3 +518,65 @@ class TestClassifyAtRangeEnds:
             result = kernel_classify(w, v)
         assert result.family is None and result.params is None
         assert result.residual > 0.5
+
+
+class TestDetectCrossCheck:
+    def test_no_hermiticity_check(self, monkeypatch, w):
+        from qxwit import qcore
+
+        calls = []
+        check = qcore.check_hermitian
+
+        def counting(m, *args, **kwargs):
+            calls.append(1)
+            return check(m, *args, **kwargs)
+
+        for module in (qcore, witness, certify):
+            monkeypatch.setattr(module, "check_hermitian", counting)
+        assert find_ppt_entangled(w).certified
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-150.0, 150.0))
+    def test_same_values_as_the_validating_calls(self, log_s):
+        s = 10.0**log_s
+        w = WitnessFamily(s, 8.0 / s)
+        cert = find_ppt_entangled(w)
+        assert np.array_equal(cert.rho, cert.rho.conj().T)
+        # bit for bit, the sign of a zero included
+        assert type(cert.pairing_value) is float
+        assert cert.pairing_value.hex() == pairing(cert.rho, choi_explicit(w)).hex()
+        assert cert.min_pt_eigs.tobytes() == ppt_check(cert.rho).min_eigs.tobytes()
+
+
+def _spanning_records_by_loop(w, grid, tags):
+    """Records of ``spanning_check`` as it built them one subset at a time,
+    with a rank count, ``subset_mask`` and float conversions per subset."""
+    from qxwit import SUBSETS, subset_mask, tensor3
+
+    factors = witness._kernel_table(w, grid, tags)
+    conj = np.where(certify._CONJUGATED[:, None, :, None], factors.conj(), factors)
+    rows = tensor3(conj[..., 0, :], conj[..., 1, :], conj[..., 2, :])
+    half = np.linalg.svd(rows, compute_uv=False)
+    records = []
+    for subset, sv in zip(SUBSETS, np.concatenate([half, half[::-1]])):
+        rank = int(np.sum(sv > certify.RANK_THRESHOLD * sv[0]))
+        kept, largest = float(sv[rank - 1]), float(sv[0])
+        records.append(
+            certify.SubsetSpanRecord(subset, subset_mask(subset), rank, kept, largest, len(factors))
+        )
+    return tuple(records)
+
+
+class TestSpanningMatchesLoop:
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("s", [1e-8, 0.5, 2 * SQRT2, 16.0, 1e12])
+    def test_records(self, grid, s):
+        w = WitnessFamily(s, 8.0 / s)
+        for tags in (witness.FAMILY_TAGS, PV1_TAGS):
+            report = spanning_check(w, grid, tags)
+            want = _spanning_records_by_loop(w, grid, tags)
+            assert report.records == want
+            assert json.dumps([r.to_json_dict() for r in report.records]) == json.dumps(
+                [r.to_json_dict() for r in want]
+            )

@@ -507,6 +507,15 @@ def _leaf_flags(parser, path=()):
             for leaf, flags in _leaf_flags(p, (*path, name)).items()}
 
 
+def assert_parsed_as_by_the_full_tree(parser, argv):
+    """main parses argv into the full tree's namespace, less the command
+    names only the tree records."""
+    want = vars(parser.parse_args(argv))
+    del want["command"]
+    want.pop("kind", None)
+    assert vars(cli._parse(argv)) == want
+
+
 def _benchmark_workloads():
     """``perfbench/workloads.py``, which builds the benchmark's argv."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -538,7 +547,8 @@ class TestFlagSurface:
             for i in (0, 1, 7):
                 certify = [argv for *_, argv in workloads.certify_argvs(seed, i)]
                 for argv in workloads.exposed_argvs(seed, i) + certify:
-                    assert parser.parse_args(argv).handler is getattr(cli, f"cmd_{argv[1]}")
+                    assert parser.parse_args(argv).handler == f"cmd_{argv[1]}"
+                    assert_parsed_as_by_the_full_tree(parser, argv)
         seen = []
         monkeypatch.setattr(workloads, "run_cli", seen.append)
         screen = workloads.Screen(0, str(tmp_path), pool=2)
@@ -548,7 +558,8 @@ class TestFlagSurface:
                     job.call()
         assert len(seen) == 12
         for argv in seen:
-            assert parser.parse_args(argv).handler is getattr(cli, f"cmd_{argv[0]}")
+            assert parser.parse_args(argv).handler == f"cmd_{argv[0]}"
+            assert_parsed_as_by_the_full_tree(parser, argv)
 
 
 def _readme_commands():
@@ -566,7 +577,66 @@ class TestReadmeCommands:
 
     @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
     def test_parses(self, argv):
-        cli.build_parser().parse_args(argv)
+        assert_parsed_as_by_the_full_tree(cli.build_parser(), argv)
+
+
+def _exit_and_stdout(parse, argv) -> tuple:
+    """What a parse that prints and exits (--help, --version) writes to
+    stdout, with its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue()
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("leaf", sorted(_LEAF_FLAGS))
+    def test_one_parse_per_leaf_argv(self, capsys, monkeypatch, leaf):
+        parses, handled = [], []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            parses.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        def handler(args, w):
+            handled.append(args)
+            return {}, 0, ""
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        monkeypatch.setattr(cli, f"cmd_{leaf.split()[-1]}", handler)
+        code, out, err = run(capsys, *leaf.split(), *_REQUIRED.get(leaf, []))
+        assert (code, err) == (0, "")
+        assert parses == [f"qxwit {leaf}"]
+        assert len(handled) == 1
+
+    def test_handler_is_looked_up_when_called(self, capsys, monkeypatch):
+        called = []
+        cli._parser()
+        monkeypatch.setattr(cli, "cmd_choi", lambda args, w: called.append(w) or ({}, 0, ""))
+        code, out, _ = run(capsys, "choi", "--s", "4", "--t", "2")
+        assert code == 0 and json.loads(out) == {"s": 4.0, "t": 2.0}
+        assert len(called) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["-h"], ["--version"], ["certify", "--help"]]
+        + [[*leaf.split(), "--help"] for leaf in sorted(_LEAF_FLAGS)],
+        ids=" ".join,
+    )
+    def test_help_and_version_print_what_the_full_tree_prints(self, argv):
+        code, out = _exit_and_stdout(main, argv)
+        assert code == 0 and out
+        assert (code, out) == _exit_and_stdout(cli.build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [["choi", "--=x"], ["certify", "spanning", "--=1"]], ids=" ".join)
+    def test_root_ambiguity_reported_as_the_full_tree_does(self, capsys, argv):
+        with pytest.raises(ValueError) as exc:
+            cli.build_parser().parse_args(argv)
+        assert str(exc.value).endswith("could match --help, --version")
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {exc.value}\n"
 
 
 class TestUnwritableOutput:
