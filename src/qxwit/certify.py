@@ -20,6 +20,8 @@ from .qcore import (
     matrix_to_json,
     product_vector_to_json,
     tensor3,
+    _PT_COLS,
+    _PT_ROWS,
     _field_dict,
 )
 from .witness import (
@@ -41,10 +43,21 @@ from .witness import (
     _pauli_tensor,
     _spinors,
 )
-from .xstate import xpart, _x_matrices
+from .xstate import _x_matrices
 
-#: Relative singular-value cutoff for numerical ranks and nullspaces.
+#: Relative singular-value cutoff for numerical ranks and nullspaces, and the
+#: bound on the exposedness certificate's ``direction_match_error``.
 RANK_THRESHOLD = 1e-8
+
+#: A see-saw minimum at or above minus this certifies positivity.  Absolute:
+#: the minimum is the form at unit product vectors at a kernel zero, at most
+#: about 1e-16 in magnitude at twelve s measured from 1e-150 to 1e150.
+POSITIVITY_TOL = 1e-9
+
+#: ``qxwit kernel``'s bound on a member's pairing, as a fraction of its own
+#: terms |v|^T |C| |v|, whatever the member's scale: members read below
+#: 1e-15, the same members with one factor rotated 0.4 or more.
+KERNEL_PAIRING_TOL = 1e-9
 
 #: Step eps of the prune perturbations C +- eps E along unit directions E.
 PRUNE_STEP = 0.05
@@ -88,22 +101,11 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
 # --- PPT check ----------------------------------------------------------------
 
 
-def _pt_index_maps() -> tuple:
-    """Row and column gather indices (4, 8, 8) of the partial transposes for
-    the masks 0..3: transposing a party swaps its row and column bit."""
-    row, col = np.indices((8, 8))
-    swap = (row ^ col) & np.arange(4)[:, None, None]
-    return row ^ swap, col ^ swap
-
-
-_PT_ROWS, _PT_COLS = _pt_index_maps()
-
-
 def _pt_stack(m: np.ndarray) -> np.ndarray:
     """Partial transposes (4, 8, 8) of an 8x8 matrix for the masks 0..3.  Mask
     7 - k shares the spectrum of mask k: transposing the remaining parties is
     a global transpose of the already transposed matrix."""
-    return m[_PT_ROWS, _PT_COLS]
+    return m[_PT_ROWS[:4], _PT_COLS[:4]]
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,9 @@ def ppt_check(rho, tol: float = PSD_TOL) -> PPTReport:
 
 
 # --- full spanning property -----------------------------------------------------
+
+#: The canonical frame s = t = 2 sqrt(2), where spanning and exposedness run.
+_CANONICAL = WitnessFamily()
 
 #: Per subset of masks 0-3 (party 1 left alone), which parties it conjugates.
 _CONJUGATED = np.array([[p in subset for p in (1, 2, 3)] for subset in SUBSETS[:4]])
@@ -180,9 +185,13 @@ def spanning_check(
     vectors stacked as rows; the full spanning property means rank 8 for all
     eight subsets.  The rows of mask 7 - k conjugate those of mask k, and
     every IEEE operation commutes with conjugation, so one stacked SVD of
-    masks 0-3 gives all eight subsets' singular values, bit for bit."""
+    masks 0-3 gives all eight subsets' singular values, bit for bit.  The
+    records are the frame's: the rows are the grid's members at s = t, which
+    D^-1 (see ``exposedness_certificate``) maps to kernel vectors at (s, t);
+    D^-1 is real, diagonal and invertible, so it commutes with partial
+    conjugation and keeps every rank."""
     grid = grid or KernelGrid.default()
-    factors = _kernel_table(w, grid, tags)
+    factors = _kernel_table(_CANONICAL, grid, tags)
     n = len(factors)
     if n < 8:
         raise ValueError(f"grid yields only {n} kernel vectors, need >= 8")
@@ -223,14 +232,11 @@ class ExposednessCertificate:
     s: float
     t: float
     grid: dict
-    tol: float
     constraint_count: int
     nullspace_dim: int
     surviving_ray_dim: int
     direction_match_error: float
     pv4_diagonal_error: float
-    survivor_offx_error: float
-    equality_case: dict
     unpruned_directions: int
     # Per signed perturbation: its direction, step, probe factors, value and matrix
     _direction: np.ndarray = field(repr=False, compare=False)
@@ -261,22 +267,22 @@ class ExposednessCertificate:
     def certified(self) -> bool:
         return (
             self.surviving_ray_dim == 1
-            and self.direction_match_error < self.tol
+            and self.direction_match_error < RANK_THRESHOLD
             and self.unpruned_directions == 0
         )
 
     def to_json_dict(self) -> dict:
-        return {**_field_dict(self), "certified": self.certified}
+        return {**_field_dict(self), "tol": RANK_THRESHOLD, "certified": self.certified}
 
 
-def _rank(sv: np.ndarray, tol: float) -> int:
-    """Count of the descending singular values above ``tol`` times the largest;
-    raises when the smallest counted one is within a factor 10 of that cutoff."""
-    rank = int(np.sum(sv > tol * sv[0]))
-    if 0 < rank < len(sv) and sv[rank - 1] < 10.0 * tol * sv[0]:
+def _rank(sv: np.ndarray) -> int:
+    """Count of the descending singular values above ``RANK_THRESHOLD`` times
+    the largest; raises when the smallest counted one is within 10x of it."""
+    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
+    if 0 < rank < len(sv) and sv[rank - 1] < 10.0 * RANK_THRESHOLD * sv[0]:
         raise ValueError(
             "nullspace computation is ill-conditioned (singular-value gap "
-            f"{sv[rank - 1] / sv[0]:.3e} is within a factor 10 of the cutoff {tol:.3e})"
+            f"{sv[rank - 1] / sv[0]:.3e} is within a factor 10 of the cutoff {RANK_THRESHOLD:.3e})"
         )
     return rank
 
@@ -284,8 +290,6 @@ def _rank(sv: np.ndarray, tol: float) -> int:
 #: Diagonal indices forced to zero by the six basis product vectors in the
 #: flat kernel families (all but 011 and 100).
 _PV4_DIAG_INDICES = (0, 1, 2, 5, 6, 7)
-
-_X_DIRECTION = np.array([1.0, 1.0, -1.0, 1.0])
 
 
 def _prune_probe(x: np.ndarray, perts: np.ndarray, tensors: np.ndarray) -> tuple:
@@ -361,9 +365,6 @@ CERTIFICATE_KERNEL_IDS = (
     ),
 )
 
-#: The canonical frame s = t = 2 sqrt(2), where every exposedness stage runs.
-_CANONICAL = WitnessFamily()
-
 #: ``CERTIFICATE_KERNEL_IDS`` as the (tags, params (tag, 1, 2)) of one
 #: ``_family_factors`` call per family kind, flat then curved.
 _CERTIFICATE_CALLS = [
@@ -378,7 +379,6 @@ _CERTIFICATE_CALLS = [
 def exposedness_certificate(
     w: WitnessFamily,
     grid: KernelGrid | None = None,
-    tol: float = RANK_THRESHOLD,
     include_eta_zeta: bool = True,
 ) -> ExposednessCertificate:
     """Certificate that the witness spans an exposed ray.
@@ -433,13 +433,13 @@ def exposedness_certificate(
     rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
     # all 64 right singular vectors are needed only when rows are fewer
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
-    null_basis = vt[_rank(sv, tol) :]
+    null_basis = vt[_rank(sv) :]
     nullspace_dim = null_basis.shape[0]
 
     # The basis kernel vectors force these diagonals to vanish on all of N.
     # herm_to_vec stores the diagonal in coordinates 0-7.
     pv4_diag_error = float(np.max(np.abs(null_basis[:, _PV4_DIAG_INDICES]), initial=0.0))
-    if pv4_diag_error > 10.0 * tol:
+    if pv4_diag_error > 10.0 * RANK_THRESHOLD:
         raise ValueError(
             f"nullspace elements have nonzero pinned diagonals ({pv4_diag_error:.3e})"
         )
@@ -463,19 +463,7 @@ def exposedness_certificate(
     forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * full[:, None]
     values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
     tangent = np.concatenate([values.real, values.imag])
-    surviving_ray_dim = nullspace_dim - _rank(np.linalg.svd(tangent, compute_uv=False), tol)
-
-    # Equality-case data of the surviving direction.
-    survivor_mat = vec_to_herm(survivor_unit)
-    sx = xpart(survivor_mat)
-    survivor_offx_error = float(np.max(np.abs(survivor_mat - sx.to_matrix())))
-    x4, y4 = float(sx.a[3]), float(sx.b[3])
-    r_fit = float(np.real(np.vdot(_X_DIRECTION, sx.c)) / 4.0)
-    scale = float(np.max(np.abs(survivor_unit))) + 1e-300
-    equality_case = {
-        "z_pattern_error": float(np.max(np.abs(sx.c - r_fit * _X_DIRECTION))) / scale,
-        "balance_error": abs(x4 * w0.s - y4 * w0.t) / (abs(x4 * w0.s) + abs(y4 * w0.t) + 1e-300),
-    }
+    surviving_ray_dim = nullspace_dim - _rank(np.linalg.svd(tangent, compute_uv=False))
 
     # Falsification route: every direction in N orthogonal to the ray must
     # break block positivity under both signed perturbations M = C + eps E.
@@ -499,14 +487,11 @@ def exposedness_certificate(
         s=w.s,
         t=w.t,
         grid=grid.describe(),
-        tol=tol,
         constraint_count=len(rows),
         nullspace_dim=nullspace_dim,
         surviving_ray_dim=surviving_ray_dim,
         direction_match_error=direction_match_error,
         pv4_diagonal_error=pv4_diag_error,
-        survivor_offx_error=survivor_offx_error,
-        equality_case=equality_case,
         unpruned_directions=unpruned,
         _direction=task_direction, _eps=task_eps,
         _factors=probe, _values=probe_values, _perts=perts,
@@ -519,6 +504,9 @@ def exposedness_certificate(
 #: (8 - 4 sqrt 2) / (8 + sqrt 24), where the two bounds of
 #: ``DetectionCertificate.ball_radius`` meet.
 DETECT_DELTA = (2, 11)
+
+#: The anti-diagonal pattern of the Choi matrix, and of the detected state.
+_X_DIRECTION = np.array([1.0, 1.0, -1.0, 1.0])
 
 #: The exact verdict on that state, from delta alone (see ``find_ppt_entangled``):
 #: 1 - delta = 9/11, so it is PPT, (9/11)^2 = 81/121 <= 1, and detected,

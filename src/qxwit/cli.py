@@ -4,9 +4,11 @@ Subcommands: choi, apply, pairing, kernel, classify, xstate, and certify
 with its kinds spanning, positivity, exposedness and detect.  Each declares
 only the flags its handler reads, but for the inert --seed of spanning,
 exposedness and detect and --direction of detect, which the benchmark passes.
-An argv that names a command is parsed once, by that command's own parser;
-any other (--help, --version, a bare certify, an unknown command) goes
-through the full tree.  The handler is looked up by name when it is called.
+Every verdict's pass mark is a constant of qxwit.certify, not a flag; only
+classify takes --tol, the match radius for a query vector.  An argv that
+names a command is parsed once, by that command's own parser; any other
+(--help, --version, a bare certify, an unknown command) goes through the
+full tree.  The handler is looked up by name when it is called.
 Output is JSON on stdout (byte-identical across runs for fixed flags and
 seed); --pretty indents it and adds a one-line summary on stderr.
 Exit codes: 0 certified / verdict positive, 1 verdict negative, 2 error.
@@ -23,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .certify import (
-    RANK_THRESHOLD,
+    KERNEL_PAIRING_TOL,
+    POSITIVITY_TOL,
     exposedness_certificate,
     find_ppt_entangled,
     kernel_classify,
@@ -99,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True, help="matrix JSON file (dim 8)")
 
     p = command(commands, ("kernel",), "emit a kernel family member and its pairing")
-    p.add_argument("--tol", type=float, default=1e-9, help="bound on the pairing")
     p.add_argument("--family", required=True, choices=FAMILY_TAGS)
     p.add_argument(
         "--params",
@@ -123,12 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help=ignored)
 
     p = command(kinds, ("certify", "positivity"), "see-saw minimum over product vectors")
-    p.add_argument("--tol", type=float, default=1e-9, help="bound below zero on the minimum")
     p.add_argument("--seed", type=int, default=0, help="random seed of the restarts")
     p.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
 
     p = command(kinds, ("certify", "exposedness"), "the witness spans an exposed ray")
-    p.add_argument("--tol", type=float, default=RANK_THRESHOLD, help="rank cutoff, direction match")
     p.add_argument("--grid", choices=grids, default="default", help="the flat-only control's grid")
     p.add_argument("--drop-curved-constraints", action="store_true", help="the flat-only control")
     p.add_argument("--seed", type=int, default=0, help=ignored)
@@ -194,8 +194,10 @@ def cmd_pairing(args, w):
 def cmd_kernel(args, w):
     params = _parse_params(args.family, args.params)
     v = kernel_vector(w, args.family, params)
-    value = pairing(v.projector(), choi_explicit(w))
-    ok = abs(value) <= args.tol
+    c = choi_explicit(w)
+    value = pairing(v.projector(), c)
+    mags = np.abs(v.full)
+    ok = abs(value) <= KERNEL_PAIRING_TOL * float(mags @ np.abs(c) @ mags)
     payload = {
         "family": args.family,
         "vector": product_vector_to_json(v),
@@ -252,17 +254,14 @@ def cmd_spanning(args, w):
 
 def cmd_positivity(args, w):
     res = verify_positive(w, restarts=args.restarts, seed=args.seed)
-    ok = res.min_value >= -args.tol
+    ok = res.min_value >= -POSITIVITY_TOL
     payload = {**res.to_json_dict(), "certified": ok}
     return payload, 0 if ok else 1, f"see-saw minimum = {res.min_value:.3e}"
 
 
 def cmd_exposedness(args, w):
     cert = exposedness_certificate(
-        w,
-        KernelGrid.named(args.grid),
-        tol=args.tol,
-        include_eta_zeta=not args.drop_curved_constraints,
+        w, KernelGrid.named(args.grid), include_eta_zeta=not args.drop_curved_constraints
     )
     note = (
         f"surviving ray dim = {cert.surviving_ray_dim}, "

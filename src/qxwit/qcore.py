@@ -108,6 +108,13 @@ class ProductVector:
         return ProductVector(self.x.conj(), self.y.conj(), self.z.conj())
 
 
+#: Row and column gather indices (mask, 8, 8) of the partial transposes:
+#: transposing a party swaps its row and column bit.
+_ROW, _COL = np.indices((8, 8))
+_SWAP = (_ROW ^ _COL) & np.arange(8)[:, None, None]
+_PT_ROWS, _PT_COLS = _ROW ^ _SWAP, _COL ^ _SWAP
+
+
 def partial_transpose(m, parties) -> np.ndarray:
     """Transpose the tensor factors named in ``parties`` of an 8x8 matrix.
 
@@ -117,12 +124,8 @@ def partial_transpose(m, parties) -> np.ndarray:
     m = _square(m)
     if m.shape != (8, 8):
         raise ValueError(f"partial transpose needs an 8x8 matrix, got {m.shape}")
-    t = m.reshape((2,) * 6)
-    for p in set(parties):
-        if p not in PARTIES:
-            raise ValueError(f"party must be one of {PARTIES}, got {p!r}")
-        t = np.swapaxes(t, p - 1, p + 2)
-    return np.ascontiguousarray(t.reshape(8, 8))
+    mask = subset_mask(parties)
+    return m[_PT_ROWS[mask], _PT_COLS[mask]]
 
 
 def partial_conjugate(v: ProductVector, parties) -> ProductVector:

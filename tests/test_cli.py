@@ -5,9 +5,11 @@ import importlib.util
 import io
 import json
 import math
+import re
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qxwit import (
+    ETA_TAGS,
+    ZETA_TAGS,
+    ProductVector,
     WitnessFamily,
     XMatrix,
     choi_explicit,
@@ -162,6 +167,45 @@ class TestKernelAndClassify:
         code, payload = run_json(capsys, "classify", "--vector", str(path))
         assert code == 1
         assert payload["family"] is None
+
+
+class TestKernelBound:
+    """``within_tol`` bounds the pairing by ``KERNEL_PAIRING_TOL`` times its
+    own terms |v|^T |C| |v|, not by an absolute 1e-9."""
+
+    def test_far_out_member(self, capsys):
+        # pairing 1.8e-7 at |v|^2 ~ 1.2e21: an absolute 1e-9 bound rejected it
+        argv = ["kernel", "--family", "eta1", "--params", "1e8,3", "--s", "1e6", "--t", "8e-6"]
+        code, payload = run_json(capsys, *argv)
+        assert code == 0 and payload["within_tol"] is True
+        assert abs(payload["pairing"]) > 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(ETA_TAGS + ZETA_TAGS),
+        st.floats(-8.0, 8.0),
+        st.floats(-8.0, 8.0),
+        st.floats(-12.0, 12.0),
+        st.integers(0, 2),
+    )
+    def test_members_within_and_rotated_members_not(self, tag, log_a1, log_a2, log_s, party):
+        s = 10.0**log_s
+        w = WitnessFamily(s, 8.0 / s)
+        args = argparse.Namespace(family=tag, params=f"{10.0**log_a1!r},{10.0**log_a2!r}")
+        payload, code, _ = cli.cmd_kernel(args, w)
+        assert code == 0 and payload["within_tol"] is True
+
+        member = cli.kernel_vector
+
+        def rotated(w, tag, params):
+            # one factor rotated by pi about the z axis of its Bloch sphere
+            factors = list(member(w, tag, params).factors())
+            factors[party] = factors[party] * [1.0, -1.0]
+            return ProductVector(*factors)
+
+        with mock.patch.object(cli, "kernel_vector", rotated):
+            payload, code, _ = cli.cmd_kernel(args, w)
+        assert code == 1 and payload["within_tol"] is False
 
 
 class TestXState:
@@ -465,27 +509,28 @@ _LEAF_FLAGS = {
     "choi": _COMMON_FLAGS,
     "apply": _COMMON_FLAGS | {"--x", "--y"},
     "pairing": _COMMON_FLAGS | {"--rho"},
-    "kernel": _COMMON_FLAGS | {"--tol", "--family", "--params"},
+    "kernel": _COMMON_FLAGS | {"--family", "--params"},
     "classify": _COMMON_FLAGS | {"--tol", "--vector"},
     "xstate": _COMMON_FLAGS | {"--file"},
     "certify spanning": _COMMON_FLAGS | {"--grid", "--seed"},
-    "certify positivity": _COMMON_FLAGS | {"--tol", "--seed", "--restarts"},
-    "certify exposedness": _COMMON_FLAGS | {"--tol", "--grid", "--drop-curved-constraints", "--seed"},
+    "certify positivity": _COMMON_FLAGS | {"--seed", "--restarts"},
+    "certify exposedness": _COMMON_FLAGS | {"--grid", "--drop-curved-constraints", "--seed"},
     "certify detect": _COMMON_FLAGS | {"--seed", "--direction"},
 }
 
 #: Flags each leaf accepted, and ignored, before every command declared only
-#: the flags its handler reads.
+#: the flags its handler reads; and the --tol of kernel, positivity and
+#: exposedness, whose pass marks are now constants of ``qxwit.certify``.
 _REMOVED_FLAGS = {
     "choi": ("--tol", "--seed", "--grid"),
     "apply": ("--tol", "--seed", "--grid"),
     "pairing": ("--tol", "--seed", "--grid"),
-    "kernel": ("--seed", "--grid"),
+    "kernel": ("--seed", "--grid", "--tol"),
     "classify": ("--seed", "--grid"),
     "xstate": ("--tol", "--seed", "--grid"),
     "certify spanning": ("--tol", "--restarts", "--direction", "--drop-curved-constraints"),
-    "certify positivity": ("--grid", "--direction", "--drop-curved-constraints"),
-    "certify exposedness": ("--restarts", "--direction"),
+    "certify positivity": ("--grid", "--direction", "--drop-curved-constraints", "--tol"),
+    "certify exposedness": ("--restarts", "--direction", "--tol"),
     "certify detect": ("--tol", "--grid", "--restarts", "--drop-curved-constraints"),
 }
 
@@ -527,8 +572,8 @@ def _benchmark_workloads():
 class TestFlagSurface:
     def test_each_leaf_registers_its_table_row(self):
         assert _leaf_flags(cli.build_parser()) == _LEAF_FLAGS
-        assert sum(map(len, _LEAF_FLAGS.values())) == 60
-        assert sum(map(len, _REMOVED_FLAGS.values())) == 29
+        assert sum(map(len, _LEAF_FLAGS.values())) == 57
+        assert sum(map(len, _REMOVED_FLAGS.values())) == 32
 
     @pytest.mark.parametrize(
         "leaf, flag", [(leaf, flag) for leaf, flags in _REMOVED_FLAGS.items() for flag in flags]
@@ -562,12 +607,31 @@ class TestFlagSurface:
             assert_parsed_as_by_the_full_tree(parser, argv)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands():
     """Every ``qxwit ...`` line of the README's sh blocks, as argv after ``qxwit``."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     blocks = [b.partition("\n")[2] for b in text.split("```")[1::2] if b.startswith("sh\n")]
     lines = [line.partition("#")[0] for b in blocks for line in b.splitlines()]
     return [shlex.split(line)[1:] for line in lines if line.startswith("qxwit ")]
+
+
+def _readme_flag_table():
+    """{command: the flags its row names} of the README's table of per-command
+    flags: each row is "| `command` | ... |", a flag a code span "`--name...`"."""
+    rows = re.findall(r"^\| `([a-z ]+)` \| (.*) \|$", README.read_text(encoding="utf-8"), flags=re.M)
+    return {leaf: set(re.findall(r"`(--[a-z][a-z-]*)", flags)) for leaf, flags in rows}
+
+
+class TestReadmeFlagTable:
+    def test_rows_are_what_each_leaf_registers(self):
+        table = _readme_flag_table()
+        assert len(table) == len(_LEAF_FLAGS)
+        assert {leaf: flags | _COMMON_FLAGS for leaf, flags in table.items()} == _leaf_flags(
+            cli.build_parser()
+        )
 
 
 class TestReadmeCommands:
@@ -793,23 +857,25 @@ class TestPositivityRunReport:
 
 #: sha256 of the stdout, with the exit code, of ``certify exposedness`` at
 #: (s, grid, constraints), t = 8 / s.  Recorded once both runs moved to the
-#: frame s = t and the certificate to its fixed 32 members; a change meant to
-#: keep the output must keep these.  They pin one platform's floating point
+#: frame s = t and the certificate to its fixed 32 members, and again when
+#: the JSON dropped ``survivor_offx_error`` and ``equality_case``, which only
+#: restated ``direction_match_error``; a change meant to keep the output must
+#: keep these.  They pin one platform's floating point
 #: (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or LAPACK may
 #: round the last bits differently.
 _EXPOSEDNESS_STDOUT_SHA256 = {
-    (0.5, "small", "certificate"): (0, "608dff75cfbfde9d7b6b8eee7d50de37462d47b78ec99b548b0e3c3ed552971f"),
-    (0.5, "small", "control"): (1, "a776a829a7f652d536b1338c09985fa63e1fd88001c244f1b6474dd77645e6b9"),
-    (0.5, "default", "certificate"): (0, "43ea19ef7facbe2c425eb90ba10f8fddfc5b69c6020aaf5eb2091fab215533a0"),
-    (0.5, "default", "control"): (1, "e61a68ec755ab7b2b9dd5f8132287cc324109253f7154fc229cbdc7f85a0f4a8"),
-    (2 * SQRT2, "small", "certificate"): (0, "7e2cac5c48c1c2f184f94277c6337c3c4aa17418f715e7bb4628d4c6cc70df12"),
-    (2 * SQRT2, "small", "control"): (1, "d9bf5e04f4f51d7056c1ca071142568f4580a9c887baffe8b35d035abfc7dc7d"),
-    (2 * SQRT2, "default", "certificate"): (0, "93573948a9bbea7614f4a6f09fcd17b5f46ad84b2edec9541a0b79cbdaf2241c"),
-    (2 * SQRT2, "default", "control"): (1, "4e331688ea543cb281d760bcaa6c832458e02cb7fff67e8e7608ef203d8d73c1"),
-    (16.0, "small", "certificate"): (0, "c21a242ebe71702add888e81fee0d99255664718e6fa4c6361dad7330b08edd1"),
-    (16.0, "small", "control"): (1, "e5859e3c28305cf92902885c7a12b23aea6e523761af65c97d13533862b9f734"),
-    (16.0, "default", "certificate"): (0, "ce2d5fa138ed75641df38aa07e0cc650679d76e2757b0806371cfae66e08473c"),
-    (16.0, "default", "control"): (1, "c17327a733565a9c1c94fdd23ecf050d1e0fdcbafb1768c95403a70fcfd4a96e"),
+    (0.5, "small", "certificate"): (0, "f8135be935b09883abe2788f32d3aa116bdeff92d4a21db9766d1c495f1c0440"),
+    (0.5, "small", "control"): (1, "b70a8b81f9b52ae4a320ad4ca3bc6679c74c9f63ddd5db6c02aea567a0abd713"),
+    (0.5, "default", "certificate"): (0, "7a9d0f0de2920a02400f4c72227fbeb477b8df329dd01a7f9b1ae6d9910b2328"),
+    (0.5, "default", "control"): (1, "58d43c89d0f8a1ded569b09582a67f0aef55cbb94f3fd3663c883de862ffbd57"),
+    (2 * SQRT2, "small", "certificate"): (0, "609594d5f69e3907ea06d642c8199a49a76ac45fd0ba36e917a6cfdbea9b5742"),
+    (2 * SQRT2, "small", "control"): (1, "4a7d071364f264e990f7de8764a1b785d24424045d0fa616a807d3466c5c5cbf"),
+    (2 * SQRT2, "default", "certificate"): (0, "ce639a5c75bd596f1c139103aa9ca0dfcf89329ac0d5d2691330ed0eae6e8414"),
+    (2 * SQRT2, "default", "control"): (1, "549b8f41b20c939867aa0c200277b2a41f3caf093ee3db8138ea17e63d47f6fa"),
+    (16.0, "small", "certificate"): (0, "748ac8ad0b82bb9a01d037c51dc1e4647511582c51fec0f75555f437b17b1076"),
+    (16.0, "small", "control"): (1, "cc55ca8235d019d5c94be02a9a849aacd968aeba8c6388de848ec886d14b2ec5"),
+    (16.0, "default", "certificate"): (0, "5465de3ed9956100faf6b1ab669a63db37a00eb0a0fa6aefdade13fb9a4ccd15"),
+    (16.0, "default", "control"): (1, "300aac8efb4c2ab67b5366c22b75e5be392505a2c70bc8b3c999dde1ab8f4595"),
 }
 
 
@@ -826,18 +892,20 @@ class TestExposednessStdoutPinned:
 
 #: sha256 of the stdout, with the exit code, of ``certify spanning`` at (s,
 #: grid), t = 8 / s.  Recorded while all eight conjugation classes still took
-#: their own SVD; a change meant to keep the output must keep these.  They
-#: pin the same platform's floating point as the exposedness digests above.
+#: their own SVD, and at s = 0.5 and 16 again when spanning moved to the frame
+#: s = t (the digests at s = t did not move); a change meant to keep the
+#: output must keep these.  They pin the same platform's floating point as the
+#: exposedness digests above.
 _SPANNING_STDOUT_SHA256 = {
-    (0.5, "small"): (0, "bbf1788a16031e2e702077608eed0a2ad6dc31d0bf71dd347d9ab59852223380"),
-    (0.5, "default"): (0, "f29b45c6f24a433f3af78b082e2ee8e15c4ee247f33dedcb00ff884616bf4fd7"),
-    (0.5, "fine"): (0, "d5f249274422813581ee5298d24138f86fe4b6f3109cf29fe4dba610c2ee2724"),
+    (0.5, "small"): (0, "375d51d2416586e7f972addc6dc7ef503129d2bc47b7d4619fffacf33cdd2cc7"),
+    (0.5, "default"): (0, "b7436edd08e714b171d0ba3637f87430a56e475196bcfa3530904150717b149d"),
+    (0.5, "fine"): (0, "5a6548f5782462c6c7043c0e620144d66a64cfe0af55d1a93d520e118db33e1d"),
     (2 * SQRT2, "small"): (0, "e3a714e9aa3d5b0fe88858821936fdd221513a078c3753cc81b2ec7091711e56"),
     (2 * SQRT2, "default"): (0, "a846aebcfe13d07e0a0f95753f3e8fd34197b64e2fe2c544ac2f34b463435f37"),
     (2 * SQRT2, "fine"): (0, "e66b9557bddce7aa4654a5ae343445afcf1731d0a326b42d060da7ba0e3196cb"),
-    (16.0, "small"): (0, "6784be8a6822a49119b1cc208e391c798dadac96c5dd58dc6eda30b923722d4c"),
-    (16.0, "default"): (0, "a2174a265a87a281aa192e9aea95931010439432e97411e1323de2ebdeab8b52"),
-    (16.0, "fine"): (0, "832ae54a9da1b8dd819da8065e5d17644b41b605e6a1e4b5b6728191b8570f64"),
+    (16.0, "small"): (0, "8297275421fe5944858e6e28a80955aa5dbd88dfd7b969e72afa24cd73eb469c"),
+    (16.0, "default"): (0, "6073ba8f07db341fa75e42e751b8a2c44350536cf992244953e9aa1d2ab837d5"),
+    (16.0, "fine"): (0, "00361fafa598b30a618223f5150c6942920638945ce263181b25d2390ac05ed7"),
 }
 
 

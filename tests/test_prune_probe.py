@@ -23,7 +23,6 @@ from qxwit import ProductVector, certify, witness
 from qxwit.certify import (
     PRUNE_STEP,
     PRUNE_VIOLATION,
-    RANK_THRESHOLD,
     PruneRecord,
     herm_to_vec,
     vec_to_herm,
@@ -177,7 +176,7 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
     full = tensor3(*x.swapaxes(0, 1))
     rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
-    null_basis = vt[_rank(sv, RANK_THRESHOLD) :]
+    null_basis = vt[_rank(sv) :]
     cvec = herm_to_vec(choi)
     cunit = cvec / np.linalg.norm(cvec)
     perp = null_basis - np.outer(null_basis @ cunit, cunit)
@@ -247,13 +246,11 @@ _JSON_KEYS = {
     "certified",
     "constraint_count",
     "direction_match_error",
-    "equality_case",
     "grid",
     "nullspace_dim",
     "pv4_diagonal_error",
     "s",
     "surviving_ray_dim",
-    "survivor_offx_error",
     "t",
     "tol",
     "unpruned_directions",
