@@ -229,6 +229,10 @@ class PruneRecord:
 
 @dataclass(frozen=True)
 class ExposednessCertificate:
+    """What each stage of ``exposedness_certificate`` decided.
+    ``unpruned_directions`` is None, and the probe arrays are empty, when the
+    first-order route has refused already and no falsification ran."""
+
     s: float
     t: float
     grid: dict
@@ -237,7 +241,7 @@ class ExposednessCertificate:
     surviving_ray_dim: int
     direction_match_error: float
     pv4_diagonal_error: float
-    unpruned_directions: int
+    unpruned_directions: int | None
     # Per signed perturbation: its direction, step, probe factors, value and matrix
     _direction: np.ndarray = field(repr=False, compare=False)
     _eps: np.ndarray = field(repr=False, compare=False)
@@ -376,6 +380,110 @@ _CERTIFICATE_CALLS = [
 ]
 
 
+def _constraint_vectors(grid: KernelGrid, include_eta_zeta: bool) -> tuple:
+    """Stage 1: the conjugated constraint product vectors x (n, party, 2) at
+    s = t, and their full 8-vectors: the members ``CERTIFICATE_KERNEL_IDS``,
+    or for the control the grid's flat members and the six basis kernel
+    vectors.  Each is a zero of the Choi matrix's form and imposes the
+    real-linear constraint <x|W|x> = 0 on Hermitian matrices W."""
+    w0 = _CANONICAL
+    if include_eta_zeta:
+        x = np.concatenate([_family_factors(w0, *call)[:, 0] for call in _CERTIFICATE_CALLS])
+    else:
+        x = np.concatenate([_kernel_table(w0, grid, PV1_TAGS), _PV4_FACTORS])
+    x = x.conj()
+    return x, tensor3(*x.swapaxes(0, 1))
+
+
+def _zero_value_nullspace(full: np.ndarray) -> tuple:
+    """Stage 2: an orthonormal basis (dim, 64) of the common nullspace N of
+    those constraints, from the SVD of their rows; it is the nullspace the
+    grid's kernel vectors and dual states pin.  Also the largest entry of
+    the basis at the diagonals the six basis kernel vectors pin, which must
+    vanish on all of N."""
+    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
+    # all 64 right singular vectors are needed only when rows are fewer
+    _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
+    null_basis = vt[_rank(sv) :]
+    # herm_to_vec stores the diagonal in coordinates 0-7
+    pv4_diag_error = float(np.max(np.abs(null_basis[:, _PV4_DIAG_INDICES]), initial=0.0))
+    if pv4_diag_error > 10.0 * RANK_THRESHOLD:
+        raise ValueError(
+            f"nullspace elements have nonzero pinned diagonals ({pv4_diag_error:.3e})"
+        )
+    return null_basis, pv4_diag_error
+
+
+def _first_order(
+    x: np.ndarray, full: np.ndarray, null_basis: np.ndarray, cunit: np.ndarray
+) -> tuple:
+    """Stage 3: ``direction_match_error``, the distance of the Choi matrix's
+    unit direction ``cunit`` to its projection onto N, and
+    ``surviving_ray_dim``, the dimension of the subspace of N that meets the
+    first-order conditions at every constraint vector: a block-positive
+    matrix that vanishes at a product vector has vanishing partial gradients
+    there too."""
+    survivor = null_basis.T @ (null_basis @ cunit)
+    survivor_norm = np.linalg.norm(survivor)
+    if survivor_norm == 0.0:
+        raise ValueError("the Choi matrix is not in the constraint nullspace")
+    survivor_unit = survivor / survivor_norm
+    if survivor_unit @ cunit < 0:
+        survivor_unit = -survivor_unit
+    direction_match_error = float(np.linalg.norm(survivor_unit - cunit))
+
+    # <a|W|x> for W in N at each constraint product vector x, a that x with one
+    # party's factor (axis 0) replaced by its orthogonal complement
+    xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
+    a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
+    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * full[:, None]
+    values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
+    tangent = np.concatenate([values.real, values.imag])
+    surviving_ray_dim = len(null_basis) - _rank(np.linalg.svd(tangent, compute_uv=False))
+    return direction_match_error, surviving_ray_dim
+
+
+def _falsification(
+    x: np.ndarray, choi: np.ndarray, cunit: np.ndarray, null_basis: np.ndarray
+) -> dict:
+    """Stage 4: both signed perturbations C +- ``PRUNE_STEP`` E of the Choi
+    matrix along every direction E of N orthogonal to it must lose block
+    positivity, shown by a value below ``PRUNE_VIOLATION``.  A closed-form
+    probe (``_prune_probe``) tries one party update from every constraint
+    product vector; a perturbation it does not take below the threshold
+    stays open, and its direction counts as unpruned.  Returns that count
+    and the probe's per-task arrays, keyed by their certificate fields."""
+    # Projecting the ray out of N leaves nullspace_dim - 1 of them; the last
+    # singular value of perp is only the part of C outside the computed N.
+    perp = null_basis - np.outer(null_basis @ cunit, cunit)
+    directions = vec_to_herm(np.linalg.svd(perp, full_matrices=False)[2][: len(null_basis) - 1])
+    task_direction = np.repeat(np.arange(len(directions)), 2)
+    task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
+    perts = choi + task_eps[:, None, None] * directions[task_direction]
+    # T is linear, so the tensors of the perturbations come from those of C
+    # and the directions, at most 64 matrices: few enough for one thread.
+    tensors = _pauli_tensor(np.concatenate([choi[None], directions]))
+    tensors = tensors[0] + task_eps[:, None, None, None] * tensors[1 + task_direction]
+
+    probe, probe_values = _prune_probe(x, perts, tensors)
+    # A direction is pruned when both of its signed perturbations violate.
+    return {
+        "unpruned_directions": len(set(task_direction[~(probe_values < PRUNE_VIOLATION)].tolist())),
+        "_direction": task_direction, "_eps": task_eps,
+        "_factors": probe, "_values": probe_values, "_perts": perts,
+    }
+
+
+#: A certificate's falsification fields when the first-order route has
+#: refused already: no count and no probe tasks, so no prune records.
+_NOT_FALSIFIED = {
+    "unpruned_directions": None,
+    "_direction": np.empty(0, dtype=int), "_eps": np.empty(0),
+    "_factors": np.empty((0, 3, 2), dtype=complex), "_values": np.empty(0),
+    "_perts": np.empty((0, 8, 8), dtype=complex),
+}
+
+
 def exposedness_certificate(
     w: WitnessFamily,
     grid: KernelGrid | None = None,
@@ -393,108 +501,43 @@ def exposedness_certificate(
     input, and every other field, prune records included, is of the s = t
     computation.
 
-    Pipeline: (1) the constraint product vectors x, the conjugated members
-    ``CERTIFICATE_KERNEL_IDS``, are zeros of the Choi matrix's form; each
-    imposes the real-linear constraint <x|W|x> = 0 on Hermitian matrices W,
-    and their common nullspace N, the same as the grid's kernel vectors and
-    dual states pin, is computed by SVD.  (2) Every element of N must have
-    zero diagonal at the indices of the six basis kernel vectors.  (3) The
-    ray is isolated two ways, which must agree: by first-order conditions,
-    since a block-positive matrix that vanishes at a product vector has
-    vanishing partial gradients there too (the dimension of the subspace of
-    N meeting them at every constraint product vector is reported as
-    ``surviving_ray_dim``), and by falsification: both signed perturbations
-    C +- ``PRUNE_STEP`` E of the Choi matrix along every nullspace direction
-    E orthogonal to it must lose block positivity, shown by a value below
-    ``PRUNE_VIOLATION``.  A closed-form probe (``_prune_probe``) tries one
-    party update from every constraint product vector; a perturbation it
-    does not take below the threshold stays open, and its direction counts
-    as unpruned, so it can only withhold the certificate, never grant it.
-    (4) The surviving direction is compared to the Choi matrix
-    (``direction_match_error``).
+    The stages: the constraint product vectors (``_constraint_vectors``),
+    the nullspace N of their zero-value constraints
+    (``_zero_value_nullspace``), the direction match and the first-order
+    rank (``_first_order``), and the falsification (``_falsification``).
+    The falsification can only withhold the certificate, never grant it, so
+    it runs only once the first-order route has isolated the ray:
+    ``surviving_ray_dim`` 1 and ``direction_match_error`` below
+    ``RANK_THRESHOLD``.  Otherwise ``unpruned_directions`` is None and there
+    are no prune records.
 
     With ``include_eta_zeta`` false the constraints are the flat members of
     ``grid`` and the six basis kernel vectors, which is known to leave a
     surviving dimension larger than one; ``grid`` selects only these rows.
-    ``surviving_ray_dim`` alone decides the control.  Its
-    ``unpruned_directions`` depends on the basis LAPACK returns for the prune
-    directions inside a degenerate singular-value cluster, not only on the
-    subspace they span, so that count says nothing about the witness.
+    ``surviving_ray_dim`` alone decides the control, and it runs no
+    falsification.
     """
     grid = grid or KernelGrid.default()
-    w0 = _CANONICAL
-    choi = choi_explicit(w0)
-    if include_eta_zeta:
-        x = np.concatenate([_family_factors(w0, *call)[:, 0] for call in _CERTIFICATE_CALLS])
-    else:
-        x = np.concatenate([_kernel_table(w0, grid, PV1_TAGS), _PV4_FACTORS])
-    x = x.conj()
-    full = tensor3(*x.swapaxes(0, 1))
-    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
-    # all 64 right singular vectors are needed only when rows are fewer
-    _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
-    null_basis = vt[_rank(sv) :]
-    nullspace_dim = null_basis.shape[0]
-
-    # The basis kernel vectors force these diagonals to vanish on all of N.
-    # herm_to_vec stores the diagonal in coordinates 0-7.
-    pv4_diag_error = float(np.max(np.abs(null_basis[:, _PV4_DIAG_INDICES]), initial=0.0))
-    if pv4_diag_error > 10.0 * RANK_THRESHOLD:
-        raise ValueError(
-            f"nullspace elements have nonzero pinned diagonals ({pv4_diag_error:.3e})"
-        )
-
+    x, full = _constraint_vectors(grid, include_eta_zeta)
+    null_basis, pv4_diag_error = _zero_value_nullspace(full)
+    choi = choi_explicit(_CANONICAL)
     cvec = herm_to_vec(choi)
     cunit = cvec / np.linalg.norm(cvec)
-    coeffs = null_basis @ cunit
-    survivor = null_basis.T @ coeffs
-    survivor_norm = np.linalg.norm(survivor)
-    if survivor_norm == 0.0:
-        raise ValueError("the Choi matrix is not in the constraint nullspace")
-    survivor_unit = survivor / survivor_norm
-    if survivor_unit @ cunit < 0:
-        survivor_unit = -survivor_unit
-    direction_match_error = float(np.linalg.norm(survivor_unit - cunit))
-
-    # <a|W|x> for W in N at each constraint product vector x, a that x with one
-    # party's factor (axis 0) replaced by its orthogonal complement
-    xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
-    a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
-    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * full[:, None]
-    values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
-    tangent = np.concatenate([values.real, values.imag])
-    surviving_ray_dim = nullspace_dim - _rank(np.linalg.svd(tangent, compute_uv=False))
-
-    # Falsification route: every direction in N orthogonal to the ray must
-    # break block positivity under both signed perturbations M = C + eps E.
-    # Projecting the ray out of N leaves nullspace_dim - 1 of them; the last
-    # singular value of perp is only the part of C outside the computed N.
-    perp = null_basis - np.outer(null_basis @ cunit, cunit)
-    directions = vec_to_herm(np.linalg.svd(perp, full_matrices=False)[2][: nullspace_dim - 1])
-    task_direction = np.repeat(np.arange(len(directions)), 2)
-    task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
-    perts = choi + task_eps[:, None, None] * directions[task_direction]
-    # T is linear, so the tensors of the perturbations come from those of C
-    # and the directions, at most 64 matrices: few enough for one thread.
-    tensors = _pauli_tensor(np.concatenate([choi[None], directions]))
-    tensors = tensors[0] + task_eps[:, None, None, None] * tensors[1 + task_direction]
-
-    probe, probe_values = _prune_probe(x, perts, tensors)
-    # A direction is pruned when both of its signed perturbations violate.
-    unpruned = len(set(task_direction[~(probe_values < PRUNE_VIOLATION)].tolist()))
-
+    direction_match_error, surviving_ray_dim = _first_order(x, full, null_basis, cunit)
+    if surviving_ray_dim == 1 and direction_match_error < RANK_THRESHOLD:
+        falsified = _falsification(x, choi, cunit, null_basis)
+    else:
+        falsified = _NOT_FALSIFIED
     return ExposednessCertificate(
         s=w.s,
         t=w.t,
         grid=grid.describe(),
-        constraint_count=len(rows),
-        nullspace_dim=nullspace_dim,
+        constraint_count=len(x),
+        nullspace_dim=len(null_basis),
         surviving_ray_dim=surviving_ray_dim,
         direction_match_error=direction_match_error,
         pv4_diagonal_error=pv4_diag_error,
-        unpruned_directions=unpruned,
-        _direction=task_direction, _eps=task_eps,
-        _factors=probe, _values=probe_values, _perts=perts,
+        **falsified,
     )
 
 

@@ -5,6 +5,7 @@ by v -> D^-1 v: the local-filtering invariance of block positivity and
 exposed rays (Ha and Kye, Open Syst. Inf. Dyn. 18, 2011).  Checked across
 log10 s in [-100, 100], together with the fixed set's ranks and gaps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -78,11 +79,15 @@ class TestFrameIdentity:
 
     def test_control_settled_far_out(self):
         # with an absolute PRUNE_VIOLATION this control left 2 directions open
-        # when it ran at the given s; at s = t it prunes as the canonical one
+        # when it ran at the given s; at s = t it is decided as the canonical
+        # one, by its first-order rank alone, with no falsification
         grid = KernelGrid.small()
         far = exposedness_certificate(curve(5.011872336272653e-06), grid, include_eta_zeta=False)
         here = exposedness_certificate(W0, grid, include_eta_zeta=False)
-        assert far.unpruned_directions == here.unpruned_directions == 0
+        assert far.unpruned_directions is here.unpruned_directions is None
+        assert far.prune_records == here.prune_records == ()
+        assert dataclasses.replace(far, s=W0.s, t=W0.t) == here
+        assert here.surviving_ray_dim >= 2 and not far.certified
 
 
 def member_factors(ids) -> np.ndarray:

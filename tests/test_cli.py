@@ -724,12 +724,12 @@ def _benchmark_reference():
 REF = _benchmark_reference()
 
 
-def detect_stdout(*argv) -> tuple:
-    """Exit code and stdout of ``certify detect``, without a pytest fixture,
+def cli_stdout(*argv) -> tuple:
+    """Exit code and stdout of ``qxwit`` on argv, without a pytest fixture,
     so that ``hypothesis`` can call it many times in one test."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["certify", "detect", *argv])
+        code = main(list(argv))
     return code, out.getvalue()
 
 
@@ -754,13 +754,13 @@ class TestDetectPayload:
         s = 10.0**log_s
         curve = ("--s", repr(s), "--t", repr(8.0 / s))
         flags = ("--direction", direction, "--seed", str(seed))
-        assert detect_stdout(*curve, *flags) == detect_stdout(*curve)
+        assert cli_stdout("certify", "detect", *curve, *flags) == cli_stdout("certify", "detect", *curve)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-100.0, 100.0))
     def test_reference_accepts_stdout_along_the_curve(self, log_s):
         s = 10.0**log_s
-        code, out = detect_stdout("--s", repr(s), "--t", repr(8.0 / s))
+        code, out = cli_stdout("certify", "detect", "--s", repr(s), "--t", repr(8.0 / s))
         payload = json.loads(out)
         assert code == 0
         REF.check_detect(payload, REF.choi(s, 8.0 / s))
@@ -859,23 +859,25 @@ class TestPositivityRunReport:
 #: (s, grid, constraints), t = 8 / s.  Recorded once both runs moved to the
 #: frame s = t and the certificate to its fixed 32 members, and again when
 #: the JSON dropped ``survivor_offx_error`` and ``equality_case``, which only
-#: restated ``direction_match_error``; a change meant to keep the output must
-#: keep these.  They pin one platform's floating point
+#: restated ``direction_match_error``.  The control's were recorded again when
+#: it stopped at its first-order refusal, which left its payload the same but
+#: for ``"unpruned_directions": null`` in place of 0; a change meant to keep
+#: the output must keep these.  They pin one platform's floating point
 #: (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or LAPACK may
 #: round the last bits differently.
 _EXPOSEDNESS_STDOUT_SHA256 = {
     (0.5, "small", "certificate"): (0, "f8135be935b09883abe2788f32d3aa116bdeff92d4a21db9766d1c495f1c0440"),
-    (0.5, "small", "control"): (1, "b70a8b81f9b52ae4a320ad4ca3bc6679c74c9f63ddd5db6c02aea567a0abd713"),
+    (0.5, "small", "control"): (1, "c944f24d0a411a9bb12a15a7949b8adf150b5f02e49faad91671761753419f47"),
     (0.5, "default", "certificate"): (0, "7a9d0f0de2920a02400f4c72227fbeb477b8df329dd01a7f9b1ae6d9910b2328"),
-    (0.5, "default", "control"): (1, "58d43c89d0f8a1ded569b09582a67f0aef55cbb94f3fd3663c883de862ffbd57"),
+    (0.5, "default", "control"): (1, "329f049c09590e588684371147a752d266284f2b3a100f4c8f4325d995b01ad3"),
     (2 * SQRT2, "small", "certificate"): (0, "609594d5f69e3907ea06d642c8199a49a76ac45fd0ba36e917a6cfdbea9b5742"),
-    (2 * SQRT2, "small", "control"): (1, "4a7d071364f264e990f7de8764a1b785d24424045d0fa616a807d3466c5c5cbf"),
+    (2 * SQRT2, "small", "control"): (1, "757a2e8a594f3244eb67aff66afa9dbf08b48cae0520a9601e42a41db8ac1fc4"),
     (2 * SQRT2, "default", "certificate"): (0, "ce639a5c75bd596f1c139103aa9ca0dfcf89329ac0d5d2691330ed0eae6e8414"),
-    (2 * SQRT2, "default", "control"): (1, "549b8f41b20c939867aa0c200277b2a41f3caf093ee3db8138ea17e63d47f6fa"),
+    (2 * SQRT2, "default", "control"): (1, "22821de0dd4e98662a06cb2de506e462a66d139f046def05e7cf5f85b511ef03"),
     (16.0, "small", "certificate"): (0, "748ac8ad0b82bb9a01d037c51dc1e4647511582c51fec0f75555f437b17b1076"),
-    (16.0, "small", "control"): (1, "cc55ca8235d019d5c94be02a9a849aacd968aeba8c6388de848ec886d14b2ec5"),
+    (16.0, "small", "control"): (1, "25b6ae07f065e08c006b2b691e05fd7f137e9c56b532af045b7a2ccc208c294b"),
     (16.0, "default", "certificate"): (0, "5465de3ed9956100faf6b1ab669a63db37a00eb0a0fa6aefdade13fb9a4ccd15"),
-    (16.0, "default", "control"): (1, "300aac8efb4c2ab67b5366c22b75e5be392505a2c70bc8b3c999dde1ab8f4595"),
+    (16.0, "default", "control"): (1, "57c3a4cb1efbe7e2881b8a4fdc4a6162e1f7287f358d5484ec63241ba82d42e7"),
 }
 
 
@@ -888,6 +890,34 @@ class TestExposednessStdoutPinned:
         code, out, _ = run(capsys, *argv)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == _EXPOSEDNESS_STDOUT_SHA256[s, grid, kind]
+
+
+class TestExposednessGate:
+    """``perfbench/reference.py``'s ``check_exposedness``, the benchmark's gate
+    on ``certify exposedness``, over the whole curve and on the benchmark's
+    own argv.  The probe runs once per certificate; the control, which its
+    first-order rank refuses, runs none."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-100.0, 100.0), st.sampled_from(["small", "default", "fine"]))
+    def test_reference_accepts_stdout_along_the_curve(self, log_s, grid):
+        s = 10.0**log_s
+        curve = ("certify", "exposedness", "--s", repr(s), "--t", repr(8.0 / s), "--grid", grid)
+        for control, extra in ((False, ()), (True, ("--drop-curved-constraints",))):
+            with mock.patch.object(certify, "_prune_probe", wraps=certify._prune_probe) as spy:
+                code, out = cli_stdout(*curve, *extra)
+            payload = json.loads(out)
+            REF.check_exposedness(code, payload, control)
+            assert spy.call_count == (0 if control else 1)
+            assert payload["unpruned_directions"] == (None if control else 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_benchmark_rounds_pass_the_gate(self, seed):
+        workloads = _benchmark_workloads()
+        for i in range(10):
+            for argv in workloads.exposed_argvs(seed, i):
+                code, out = cli_stdout(*argv)
+                REF.check_exposedness(code, json.loads(out), "--drop-curved-constraints" in argv)
 
 
 #: sha256 of the stdout, with the exit code, of ``certify spanning`` at (s,

@@ -1,6 +1,7 @@
 """The exposedness prune probe, the non-finite input check and the see-saw
 argmin window."""
 
+import dataclasses
 import json
 import math
 
@@ -63,14 +64,23 @@ class TestProbeSettlesCertificates:
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_control_settled_too(self, grid):
+        # The first-order route refuses the control, so it runs no probe; on
+        # the control's inputs the probe still settles every perturbation.
         cert = exposedness_certificate(WitnessFamily(), grid=GRIDS[grid], include_eta_zeta=False)
-        assert cert.unpruned_directions == 0 and not cert.certified
-        assert all(rec.violated for rec in cert.prune_records)
+        assert cert.unpruned_directions is None and not cert.certified
+        assert cert.prune_records == ()
+        x, _, _, perts = _reference_inputs(GRIDS[grid], include_eta_zeta=False)
+        _, values = certify._prune_probe(x, perts, _pauli_tensor(perts))
+        assert len(values) == 2 * (cert.nullspace_dim - 1)
+        assert np.all(values < PRUNE_VIOLATION)
 
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_one_direction_per_nullspace_dimension_but_the_ray(self, grid, flat):
         cert = exposedness_certificate(WitnessFamily(), grid=GRIDS[grid], include_eta_zeta=not flat)
+        if flat:
+            assert cert.prune_records == ()
+            cert = dataclasses.replace(cert, **_control_falsification(GRIDS[grid]))
         assert len(cert.prune_records) == 2 * (cert.nullspace_dim - 1)
         assert sorted({rec.direction for rec in cert.prune_records}) == list(
             range(cert.nullspace_dim - 1)
@@ -159,13 +169,13 @@ def _assert_probe_matches(factors, values, perts, ref_factors, ref_values, near)
         assert np.max(overlaps) == pytest.approx(1.0, abs=1e-13)
 
 
-def _reference_records(grid, include_eta_zeta=True) -> tuple:
-    """The prune records as the certificate built them eagerly, from the
+def _reference_inputs(grid, include_eta_zeta=True) -> tuple:
+    """The probe's inputs as the certificate built them eagerly, from the
     zero-value rows of ``herm_to_vec`` of the projector stack, in the frame
-    s = t whatever the certificate's s: the fixed certificate members, one
-    ``kernel_vector`` each, or the grid's flat members and the basis kernel
-    vectors.  The probe is the eigh oracle, whose lowest moves per record
-    come first."""
+    s = t whatever the certificate's s: the conjugated product vectors x,
+    the fixed certificate members, one ``kernel_vector`` each, or the grid's
+    flat members and the basis kernel vectors; and per signed perturbation
+    its direction, step and matrix."""
     w0 = WitnessFamily()
     choi = choi_explicit(w0)
     if include_eta_zeta:
@@ -184,6 +194,14 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
     task_direction = np.repeat(np.arange(len(directions)), 2)
     task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
     perts = choi + task_eps[:, None, None] * directions[task_direction]
+    return x, task_direction, task_eps, perts
+
+
+def _reference_records(grid, include_eta_zeta=True) -> tuple:
+    """The prune records of ``_reference_inputs`` as the certificate built
+    them eagerly.  The probe is the eigh oracle, whose lowest moves per
+    record come first."""
+    x, task_direction, task_eps, perts = _reference_inputs(grid, include_eta_zeta)
     probe, probe_values, near = _reference_probe(x, perts)
     return near, tuple(
         PruneRecord(
@@ -198,6 +216,16 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
             task_direction.tolist(), task_eps.tolist(), perts, probe_values.tolist(), probe.conj()
         )
     )
+
+
+def _control_falsification(grid) -> dict:
+    """The falsification stage run on the flat-only control's nullspace,
+    which the control itself skips once its first-order rank refuses it."""
+    x, full = certify._constraint_vectors(grid, include_eta_zeta=False)
+    null_basis, _ = certify._zero_value_nullspace(full)
+    choi = choi_explicit(WitnessFamily())
+    cvec = herm_to_vec(choi)
+    return certify._falsification(x, choi, cvec / np.linalg.norm(cvec), null_basis)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -218,6 +246,11 @@ class TestProbeAgainstReference:
 
         monkeypatch.setattr(certify, "_prune_probe", spy)
         exposedness_certificate(curve(s), grid=GRIDS[grid], include_eta_zeta=not flat)
+        if flat:
+            # the control runs no probe; check it on the control's inputs
+            assert calls == []
+            x, _, _, perts = _reference_inputs(GRIDS[grid], include_eta_zeta=False)
+            spy(x, perts, _pauli_tensor(perts))
         [(x, perts, (factors, values))] = calls
         _assert_probe_matches(factors, values, perts, *_reference_probe(x, perts))
 
@@ -238,6 +271,10 @@ class TestProbeAgainstReference:
         probe = certify._prune_probe
         monkeypatch.setattr(certify, "_prune_probe", lambda *args: calls.append(args) or probe(*args))
         exposedness_certificate(WitnessFamily(), grid=KernelGrid.small(), include_eta_zeta=not flat)
+        if flat:
+            # the control stops before the falsification; run that stage alone
+            assert calls == []
+            _control_falsification(KernelGrid.small())
         [(_, perts, tensors)] = calls
         assert np.max(np.abs(tensors - _pauli_tensor(perts))) <= 1e-15 * np.max(np.abs(perts))
 
@@ -278,6 +315,10 @@ class TestRecordsOnDemand:
     def test_equal_to_eager_records(self, grid, s, flat):
         w = curve(s)
         cert = exposedness_certificate(w, grid=GRIDS[grid], include_eta_zeta=not flat)
+        if flat:
+            # the records the control would hold had it run the falsification
+            assert cert.unpruned_directions is None and cert.prune_records == ()
+            cert = dataclasses.replace(cert, **_control_falsification(GRIDS[grid]))
         records = cert.prune_records
         near, reference = _reference_records(GRIDS[grid], not flat)
         assert len(records) == len(reference)
