@@ -380,28 +380,74 @@ _CERTIFICATE_CALLS = [
 ]
 
 
-def _constraint_vectors(grid: KernelGrid, include_eta_zeta: bool) -> tuple:
-    """Stage 1: the conjugated constraint product vectors x (n, party, 2) at
-    s = t, and their full 8-vectors: the members ``CERTIFICATE_KERNEL_IDS``,
-    or for the control the grid's flat members and the six basis kernel
-    vectors.  Each is a zero of the Choi matrix's form and imposes the
-    real-linear constraint <x|W|x> = 0 on Hermitian matrices W."""
-    w0 = _CANONICAL
-    if include_eta_zeta:
-        x = np.concatenate([_family_factors(w0, *call)[:, 0] for call in _CERTIFICATE_CALLS])
-    else:
-        x = np.concatenate([_kernel_table(w0, grid, PV1_TAGS), _PV4_FACTORS])
-    x = x.conj()
-    return x, tensor3(*x.swapaxes(0, 1))
+def _constraint_data(x: np.ndarray) -> tuple:
+    """The constraints that conjugated product vectors x (n, party, 2) impose
+    on Hermitian matrices W, as real rows in ``herm_to_vec`` coordinates:
+    ``x`` itself, the zero-value rows (n, 64) of W -> <x|W|x>, and the
+    first-order coefficient rows (6n, 64) of W -> <a|W|x>, a being x with
+    one party's factor replaced by its orthogonal complement.  Each x is a
+    zero of the Choi matrix's form, and a block-positive W that vanishes at
+    x has vanishing partial gradients there too.
 
-
-def _zero_value_nullspace(full: np.ndarray) -> tuple:
-    """Stage 2: an orthonormal basis (dim, 64) of the common nullspace N of
-    those constraints, from the SVD of their rows; it is the nullspace the
-    grid's kernel vectors and dual states pin.  Also the largest entry of
-    the basis at the diagonals the six basis kernel vectors pin, which must
-    vanish on all of N."""
+    For the coordinate matrices B_k of ``vec_to_herm`` the coefficients
+    g_k = <a|B_k|x> are those of F = conj(a) x^T: F_dd on the diagonal, and
+    (F_ij + F_ji) / sqrt 2 and i (F_ij - F_ji) / sqrt 2 for i < j, so
+    <a|W|x> = g . v for W = vec_to_herm(v), and its real and imaginary
+    parts are the rows Re g and Im g: all real parts, party by party, then
+    all imaginary parts."""
+    full = tensor3(*x.swapaxes(0, 1))
     rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
+    # a (party, n, party, 2): x with the factor of the party of axis 0 replaced
+    xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
+    a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
+    abar = tensor3(*np.moveaxis(a, -2, 0)).conj().reshape(-1, 8)
+    xs = np.tile(full, (3, 1))
+    upper, lower = abar[:, _IU] * xs[:, _JU], abar[:, _JU] * xs[:, _IU]
+    g = np.concatenate(
+        [abar * xs, (upper + lower) / _SQRT2, 1j * (upper - lower) / _SQRT2], axis=-1
+    )
+    return x, rows, np.concatenate([g.real, g.imag])
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+#: The certificate's constraint data, ``_constraint_data`` of the members
+#: ``CERTIFICATE_KERNEL_IDS`` at s = t, conjugated.  It depends on nothing
+#: else, so it is built once; every decision on it runs per call.
+_CERTIFICATE_DATA = _read_only(
+    *_constraint_data(
+        np.concatenate([_family_factors(_CANONICAL, *c)[:, 0] for c in _CERTIFICATE_CALLS]).conj()
+    )
+)
+
+#: The ``herm_to_vec`` coordinates of the canonical Choi matrix C, and their
+#: unit vector, the ray the certificate tests.
+_CHOI_VEC = herm_to_vec(choi_explicit(_CANONICAL))
+_CHOI_UNIT = _CHOI_VEC / np.linalg.norm(_CHOI_VEC)
+_read_only(_CHOI_VEC, _CHOI_UNIT)
+
+
+def _constraint_vectors(grid: KernelGrid, include_eta_zeta: bool) -> tuple:
+    """Stage 1: the constraint product vectors at s = t, as
+    ``_constraint_data``: the members ``CERTIFICATE_KERNEL_IDS``, whose data
+    are built at import, or for the control the grid's flat members and the
+    six basis kernel vectors, built on every call."""
+    if include_eta_zeta:
+        return _CERTIFICATE_DATA
+    x = np.concatenate([_kernel_table(_CANONICAL, grid, PV1_TAGS), _PV4_FACTORS])
+    return _constraint_data(x.conj())
+
+
+def _zero_value_nullspace(rows: np.ndarray) -> tuple:
+    """Stage 2: an orthonormal basis (dim, 64) of the common nullspace N of
+    the zero-value rows, from their SVD; it is the nullspace the grid's
+    kernel vectors and dual states pin.  Also the largest entry of the basis
+    at the diagonals the six basis kernel vectors pin, which must vanish on
+    all of N."""
     # all 64 right singular vectors are needed only when rows are fewer
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
     null_basis = vt[_rank(sv) :]
@@ -414,56 +460,52 @@ def _zero_value_nullspace(full: np.ndarray) -> tuple:
     return null_basis, pv4_diag_error
 
 
-def _first_order(
-    x: np.ndarray, full: np.ndarray, null_basis: np.ndarray, cunit: np.ndarray
-) -> tuple:
+def _first_order(coeff: np.ndarray, null_basis: np.ndarray) -> tuple:
     """Stage 3: ``direction_match_error``, the distance of the Choi matrix's
-    unit direction ``cunit`` to its projection onto N, and
-    ``surviving_ray_dim``, the dimension of the subspace of N that meets the
-    first-order conditions at every constraint vector: a block-positive
-    matrix that vanishes at a product vector has vanishing partial gradients
-    there too."""
-    survivor = null_basis.T @ (null_basis @ cunit)
+    unit direction to its projection onto N, and ``surviving_ray_dim``, the
+    dimension of the subspace of N that meets the first-order conditions at
+    every constraint vector.  The conditions on N are the real product of
+    the coefficient rows with the basis, and its SVD gives their rank."""
+    survivor = null_basis.T @ (null_basis @ _CHOI_UNIT)
     survivor_norm = np.linalg.norm(survivor)
     if survivor_norm == 0.0:
         raise ValueError("the Choi matrix is not in the constraint nullspace")
     survivor_unit = survivor / survivor_norm
-    if survivor_unit @ cunit < 0:
+    if survivor_unit @ _CHOI_UNIT < 0:
         survivor_unit = -survivor_unit
-    direction_match_error = float(np.linalg.norm(survivor_unit - cunit))
-
-    # <a|W|x> for W in N at each constraint product vector x, a that x with one
-    # party's factor (axis 0) replaced by its orthogonal complement
-    xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
-    a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
-    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * full[:, None]
-    values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
-    tangent = np.concatenate([values.real, values.imag])
+    direction_match_error = float(np.linalg.norm(survivor_unit - _CHOI_UNIT))
+    tangent = coeff @ null_basis.T
     surviving_ray_dim = len(null_basis) - _rank(np.linalg.svd(tangent, compute_uv=False))
     return direction_match_error, surviving_ray_dim
 
 
-def _falsification(
-    x: np.ndarray, choi: np.ndarray, cunit: np.ndarray, null_basis: np.ndarray
-) -> dict:
+def _prune_directions(null_basis: np.ndarray) -> np.ndarray:
+    """The directions (dim - 1, 64) of N orthogonal to the Choi matrix C, a
+    completion of C's coordinates u = N c in the basis N of the nullspace:
+    the Householder reflection H = I - 2 w w^T / w^T w, with
+    w = u + sign(u_0) |u| e_1, maps u onto a multiple of e_1, so rows 2 to
+    dim of H N are orthonormal and orthogonal to C."""
+    w = null_basis @ _CHOI_UNIT
+    w[0] += math.copysign(np.linalg.norm(w), w[0])
+    return null_basis[1:] - np.outer(w[1:], (2.0 / (w @ w)) * (w @ null_basis))
+
+
+def _falsification(x: np.ndarray, null_basis: np.ndarray) -> dict:
     """Stage 4: both signed perturbations C +- ``PRUNE_STEP`` E of the Choi
     matrix along every direction E of N orthogonal to it must lose block
     positivity, shown by a value below ``PRUNE_VIOLATION``.  A closed-form
     probe (``_prune_probe``) tries one party update from every constraint
     product vector; a perturbation it does not take below the threshold
     stays open, and its direction counts as unpruned.  Returns that count
-    and the probe's per-task arrays, keyed by their certificate fields."""
-    # Projecting the ray out of N leaves nullspace_dim - 1 of them; the last
-    # singular value of perp is only the part of C outside the computed N.
-    perp = null_basis - np.outer(null_basis @ cunit, cunit)
-    directions = vec_to_herm(np.linalg.svd(perp, full_matrices=False)[2][: len(null_basis) - 1])
+    and the probe's per-task arrays, keyed by their certificate fields.
+    The directions are ``_prune_directions``, and the perturbations are
+    built in ``herm_to_vec`` coordinates."""
+    directions = _prune_directions(null_basis)
     task_direction = np.repeat(np.arange(len(directions)), 2)
     task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
-    perts = choi + task_eps[:, None, None] * directions[task_direction]
-    # T is linear, so the tensors of the perturbations come from those of C
-    # and the directions, at most 64 matrices: few enough for one thread.
-    tensors = _pauli_tensor(np.concatenate([choi[None], directions]))
-    tensors = tensors[0] + task_eps[:, None, None, None] * tensors[1 + task_direction]
+    perts = vec_to_herm(_CHOI_VEC + task_eps[:, None] * directions[task_direction])
+    # the certificate's 62 matrices: few enough for one thread
+    tensors = _pauli_tensor(perts)
 
     probe, probe_values = _prune_probe(x, perts, tensors)
     # A direction is pruned when both of its signed perturbations violate.
@@ -505,6 +547,11 @@ def exposedness_certificate(
     the nullspace N of their zero-value constraints
     (``_zero_value_nullspace``), the direction match and the first-order
     rank (``_first_order``), and the falsification (``_falsification``).
+    Two SVDs decide, one for N and one for the first-order rank; the prune
+    directions are a Householder completion of C in the basis of N that the
+    first returned.  The fixed members' constraint rows and the Choi
+    matrix's coordinates are built at import; every SVD, rank and probe
+    runs per call.
     The falsification can only withhold the certificate, never grant it, so
     it runs only once the first-order route has isolated the ray:
     ``surviving_ray_dim`` 1 and ``direction_match_error`` below
@@ -518,14 +565,11 @@ def exposedness_certificate(
     falsification.
     """
     grid = grid or KernelGrid.default()
-    x, full = _constraint_vectors(grid, include_eta_zeta)
-    null_basis, pv4_diag_error = _zero_value_nullspace(full)
-    choi = choi_explicit(_CANONICAL)
-    cvec = herm_to_vec(choi)
-    cunit = cvec / np.linalg.norm(cvec)
-    direction_match_error, surviving_ray_dim = _first_order(x, full, null_basis, cunit)
+    x, rows, coeff = _constraint_vectors(grid, include_eta_zeta)
+    null_basis, pv4_diag_error = _zero_value_nullspace(rows)
+    direction_match_error, surviving_ray_dim = _first_order(coeff, null_basis)
     if surviving_ray_dim == 1 and direction_match_error < RANK_THRESHOLD:
-        falsified = _falsification(x, choi, cunit, null_basis)
+        falsified = _falsification(x, null_basis)
     else:
         falsified = _NOT_FALSIFIED
     return ExposednessCertificate(

@@ -153,6 +153,24 @@ def x_norm(z) -> float:
     # underflow, where np.roots' division by the leading one overflows.
     z = z / scale
     z[np.abs(z) < 1e-20] = 0.0
+    try:
+        return scale * _unit_x_norm(z)
+    except FloatingPointError:
+        # A real or imaginary part far below its entry can still leave the
+        # leading coefficient, p q (p - q) up to sign, subnormal: with p - q
+        # about 2e-313 the division overflows.  Zeroing the parts below 1e-20
+        # as well moves the norm by under 4e-20 of it, and every nonzero
+        # coefficient then stays far from underflow.  Inputs whose division
+        # does not overflow never come here, so their norm keeps its bits.
+        z.real[np.abs(z.real) < 1e-20] = 0.0
+        z.imag[np.abs(z.imag) < 1e-20] = 0.0
+        return scale * _unit_x_norm(z)
+
+
+def _unit_x_norm(z: np.ndarray) -> float:
+    """``x_norm`` of a complex 4-vector at unit scale; raises
+    FloatingPointError where np.roots' division by the leading coefficient
+    overflows."""
     # Python complex arithmetic rounds like numpy's scalars, at less cost.
     z1, z2, z3, z4 = z.tolist()
     p, q = z1 * z4, z2 * z3
@@ -163,10 +181,12 @@ def x_norm(z) -> float:
     pp, qq = p * p, q * q
     poly = np.convolve([pp, 0, -2 * abs(p) ** 2, 0, pp.conjugate()], [q, b, q.conjugate()])
     poly -= np.convolve([qq, 0, -2 * abs(q) ** 2, 0, qq.conjugate()], [p, a, p.conjugate()])
-    phases = np.angle(np.concatenate([np.roots(poly), [1.0, p, q]]))
+    with np.errstate(over="raise", invalid="raise"):
+        roots = np.roots(poly)
+    phases = np.angle(np.concatenate([roots, [1.0, p, q]]))
     phases[-2:] *= -1.0
     e = np.exp(1j * phases)
-    return scale * float(np.max(abs(z1 * e + z4.conjugate()) + abs(z2 * e + z3.conjugate())))
+    return float(np.max(abs(z1 * e + z4.conjugate()) + abs(z2 * e + z3.conjugate())))
 
 
 @dataclass(frozen=True)

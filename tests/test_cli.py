@@ -245,6 +245,14 @@ class TestXState:
         assert payload["block_positive"] is False
         assert payload["ghz_diagonal"] is True
 
+    def test_subnormal_part_of_an_entry(self, capsys, tmp_path):
+        # p - q is about 2e-313, which once overflowed np.roots' division by
+        # the leading coefficient: two RuntimeWarnings and exit 2
+        x = XMatrix([0, 0, 0, 4.0], [0, 0, 0, 4.0], [1, 1 + 2.2250738585e-313j, 1j, 1j])
+        code, out, err = run(capsys, "xstate", "--file", _put(tmp_path, "w.json", x.to_json()))
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["x_norm"] == 4.0
+
     def test_all_verdicts_negative(self, capsys, tmp_path):
         x = XMatrix([0, 0, 0, 1.0], [0, 0, 0, 1.0], [1j, 1, -1, 1])
         path = tmp_path / "w.json"

@@ -20,7 +20,9 @@ from qxwit import (
     kernel_vector,
     pv4_vectors,
 )
-from qxwit.certify import herm_to_vec, vec_to_herm
+from qxwit import certify
+from qxwit.certify import CERTIFICATE_KERNEL_IDS, herm_to_vec, vec_to_herm, _rank
+from qxwit.qcore import tensor3
 
 
 def family(log_s: float) -> WitnessFamily:
@@ -103,3 +105,43 @@ class TestFirstOrderOracle:
         w = family(log_s)
         null = first_order_oracle(w, grid, PV1_TAGS, False)
         assert len(null) == control(w, grid).surviving_ray_dim == 10
+
+
+def form_route_tangent(x: np.ndarray, null_basis: np.ndarray) -> np.ndarray:
+    """The first-order conditions on the nullspace basis, as the certificate
+    built them before its coefficient rows: the (3, n, 8, 8) stack of forms
+    conj(a) x^T, summed against ``vec_to_herm`` of the basis, real parts
+    then imaginary parts."""
+    full = tensor3(*x.swapaxes(0, 1))
+    xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
+    a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
+    forms = tensor3(*np.moveaxis(a, -2, 0)).conj()[..., None] * full[:, None]
+    values = forms.reshape(-1, 64) @ vec_to_herm(null_basis).reshape(-1, 64).T
+    return np.concatenate([values.real, values.imag])
+
+
+class TestCoefficientRows:
+    """The first-order rows in ``herm_to_vec`` coordinates against the 8x8
+    form route, on the certificate's and the control's constraints."""
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("name", ["small", "default", "fine"])
+    def test_against_the_form_route(self, name, flat):
+        x, rows, coeff = certify._constraint_vectors(KernelGrid.named(name), not flat)
+        null_basis, _ = certify._zero_value_nullspace(rows)
+        sv = np.linalg.svd(coeff @ null_basis.T, compute_uv=False)
+        reference = np.linalg.svd(form_route_tangent(x, null_basis), compute_uv=False)
+        assert np.max(np.abs(sv - reference)) <= 1e-14 * reference[0]
+        assert _rank(sv) == _rank(reference) == len(null_basis) - (1 if not flat else 10)
+
+    def test_constants_are_a_rebuild_and_read_only(self):
+        w0 = WitnessFamily()
+        x = np.array([kernel_vector(w0, tag, p).factors() for tag, p in CERTIFICATE_KERNEL_IDS])
+        cvec = herm_to_vec(choi_explicit(w0))
+        rebuilt = (*certify._constraint_data(x.conj()), cvec, cvec / np.linalg.norm(cvec))
+        constants = (*certify._CERTIFICATE_DATA, certify._CHOI_VEC, certify._CHOI_UNIT)
+        assert len(constants) == len(rebuilt) == 5
+        for const, fresh in zip(constants, rebuilt):
+            assert const.dtype == fresh.dtype and const.shape == fresh.shape
+            assert const.tobytes() == fresh.tobytes()
+            assert not const.flags.writeable

@@ -4,6 +4,7 @@ argmin window."""
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,15 +170,29 @@ def _assert_probe_matches(factors, values, perts, ref_factors, ref_values, near)
         assert np.max(overlaps) == pytest.approx(1.0, abs=1e-13)
 
 
-def _reference_inputs(grid, include_eta_zeta=True) -> tuple:
-    """The probe's inputs as the certificate built them eagerly, from the
-    zero-value rows of ``herm_to_vec`` of the projector stack, in the frame
-    s = t whatever the certificate's s: the conjugated product vectors x,
-    the fixed certificate members, one ``kernel_vector`` each, or the grid's
-    flat members and the basis kernel vectors; and per signed perturbation
-    its direction, step and matrix."""
+def _householder_completion(null_basis: np.ndarray, cunit: np.ndarray) -> np.ndarray:
+    """Rows 2 to dim of H N for the basis rows N: H = I - 2 w w^T / w^T w,
+    w = u + sign(u_0) |u| e_1 for C's coordinates u = N c, reflects u onto
+    a multiple of e_1, so the rows are an orthonormal basis of N less C."""
+    w = null_basis @ cunit
+    w[0] += math.copysign(np.linalg.norm(w), w[0])
+    return null_basis[1:] - np.outer(w[1:], (2.0 / (w @ w)) * (w @ null_basis))
+
+
+def _svd_completion(null_basis: np.ndarray, cunit: np.ndarray) -> np.ndarray:
+    """The same subspace from the SVD of N with C projected out: the last
+    singular value of perp is only the part of C outside the computed N."""
+    perp = null_basis - np.outer(null_basis @ cunit, cunit)
+    return np.linalg.svd(perp, full_matrices=False)[2][: len(null_basis) - 1]
+
+
+def _reference_nullspace(grid, include_eta_zeta=True) -> tuple:
+    """The conjugated product vectors x, the fixed certificate members, one
+    ``kernel_vector`` each, or the grid's flat members and the basis kernel
+    vectors, in the frame s = t whatever the certificate's s; and the basis
+    of the nullspace of their zero-value rows, ``herm_to_vec`` of the
+    projector stack."""
     w0 = WitnessFamily()
-    choi = choi_explicit(w0)
     if include_eta_zeta:
         ids = certify.CERTIFICATE_KERNEL_IDS
         x = np.array([kernel_vector(w0, tag, p).factors() for tag, p in ids]).conj()
@@ -186,22 +201,36 @@ def _reference_inputs(grid, include_eta_zeta=True) -> tuple:
     full = tensor3(*x.swapaxes(0, 1))
     rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
-    null_basis = vt[_rank(sv) :]
+    return x, vt[_rank(sv) :]
+
+
+def _reference_inputs(grid, include_eta_zeta=True, householder=False) -> tuple:
+    """The probe's inputs as the certificate built them eagerly: the
+    conjugated product vectors x, and per signed perturbation its direction,
+    step and matrix.  The directions come from the SVD of perp, as before
+    the certificate took their Householder completion, or with
+    ``householder`` from that completion, and then the perturbations are
+    built in ``herm_to_vec`` coordinates as the certificate builds them."""
+    x, null_basis = _reference_nullspace(grid, include_eta_zeta)
+    choi = choi_explicit(WitnessFamily())
     cvec = herm_to_vec(choi)
     cunit = cvec / np.linalg.norm(cvec)
-    perp = null_basis - np.outer(null_basis @ cunit, cunit)
-    directions = vec_to_herm(np.linalg.svd(perp, full_matrices=False)[2][: len(null_basis) - 1])
-    task_direction = np.repeat(np.arange(len(directions)), 2)
-    task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
-    perts = choi + task_eps[:, None, None] * directions[task_direction]
+    task_direction = np.repeat(np.arange(len(null_basis) - 1), 2)
+    task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(null_basis) - 1)
+    if householder:
+        directions = _householder_completion(null_basis, cunit)
+        perts = vec_to_herm(cvec + task_eps[:, None] * directions[task_direction])
+    else:
+        directions = vec_to_herm(_svd_completion(null_basis, cunit))
+        perts = choi + task_eps[:, None, None] * directions[task_direction]
     return x, task_direction, task_eps, perts
 
 
 def _reference_records(grid, include_eta_zeta=True) -> tuple:
-    """The prune records of ``_reference_inputs`` as the certificate built
-    them eagerly.  The probe is the eigh oracle, whose lowest moves per
-    record come first."""
-    x, task_direction, task_eps, perts = _reference_inputs(grid, include_eta_zeta)
+    """The prune records of ``_reference_inputs``, on the Householder
+    completion, as the certificate built them eagerly.  The probe is the
+    eigh oracle, whose lowest moves per record come first."""
+    x, task_direction, task_eps, perts = _reference_inputs(grid, include_eta_zeta, householder=True)
     probe, probe_values, near = _reference_probe(x, perts)
     return near, tuple(
         PruneRecord(
@@ -221,11 +250,9 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
 def _control_falsification(grid) -> dict:
     """The falsification stage run on the flat-only control's nullspace,
     which the control itself skips once its first-order rank refuses it."""
-    x, full = certify._constraint_vectors(grid, include_eta_zeta=False)
-    null_basis, _ = certify._zero_value_nullspace(full)
-    choi = choi_explicit(WitnessFamily())
-    cvec = herm_to_vec(choi)
-    return certify._falsification(x, choi, cvec / np.linalg.norm(cvec), null_basis)
+    x, rows, _ = certify._constraint_vectors(grid, include_eta_zeta=False)
+    null_basis, _ = certify._zero_value_nullspace(rows)
+    return certify._falsification(x, null_basis)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -277,6 +304,46 @@ class TestProbeAgainstReference:
             _control_falsification(KernelGrid.small())
         [(_, perts, tensors)] = calls
         assert np.max(np.abs(tensors - _pauli_tensor(perts))) <= 1e-15 * np.max(np.abs(perts))
+
+
+class TestHouseholderCompletion:
+    """The prune directions, on the certificate's and the control's
+    nullspaces: an orthonormal basis of N less the Choi matrix, the subspace
+    the SVD of perp spans."""
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_orthonormal_and_the_svd_subspace(self, grid, flat):
+        _, rows, _ = certify._constraint_vectors(GRIDS[grid], not flat)
+        null_basis, _ = certify._zero_value_nullspace(rows)
+        cvec = herm_to_vec(choi_explicit(WitnessFamily()))
+        cunit = cvec / np.linalg.norm(cvec)
+        directions = certify._prune_directions(null_basis)
+        assert directions.shape == (len(null_basis) - 1, 64)
+        assert np.max(np.abs(directions @ directions.T - np.eye(len(directions)))) <= 1e-14
+        assert np.max(np.abs(directions @ cunit)) <= 1e-14
+        svd = _svd_completion(null_basis, cunit)
+        assert np.max(np.abs(directions.T @ directions - svd.T @ svd)) <= 1e-12
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_certificate_margin(self, grid):
+        # every perturbation far below PRUNE_VIOLATION, so a change of basis
+        # that thins the margin shows here first
+        cert = exposedness_certificate(WitnessFamily(), grid=GRIDS[grid])
+        assert len(cert._values) == 62
+        assert np.max(cert._values) <= -1e-5
+
+
+class TestTwoSVDs:
+    """The certificate and the control each take two SVDs: the zero-value
+    nullspace and the first-order rank."""
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_svd_calls(self, grid, flat):
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+            exposedness_certificate(curve(0.5), grid=GRIDS[grid], include_eta_zeta=not flat)
+        assert spy.call_count == 2
 
 
 _JSON_KEYS = {
