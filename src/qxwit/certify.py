@@ -34,7 +34,6 @@ from .witness import (
     WitnessFamily,
     choi_explicit,
     _PV1_SLOTS,
-    _PV4_FACTORS,
     _bloch_min,
     _bloch_vectors,
     _family_factors,
@@ -319,7 +318,7 @@ def _prune_probe(x: np.ndarray, perts: np.ndarray, tensors: np.ndarray) -> tuple
     bloch = _bloch_vectors(unit.swapaxes(0, 1))  # (party, 4, x)
     best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
     best_bloch = np.empty((3, 3, tasks))
-    # Party by party: for the control on the default grid, tau of all three
+    # Party by party: for 48 product vectors and 90 tasks, tau of all three
     # parties at once is 415 kB, and arrays that size were handed back to the
     # system and faulted in again on every call, about 200 minor faults.
     for p, (q1, q2) in enumerate(((1, 2), (0, 2), (0, 1))):
@@ -369,15 +368,36 @@ CERTIFICATE_KERNEL_IDS = (
     ),
 )
 
-#: ``CERTIFICATE_KERNEL_IDS`` as the (tags, params (tag, 1, 2)) of one
-#: ``_family_factors`` call per family kind, flat then curved.
-_CERTIFICATE_CALLS = [
-    (tuple(tag for tag, _ in ids), np.array([p for _, p in ids])[:, None])
-    for ids in (
-        [i for i in CERTIFICATE_KERNEL_IDS if i[0] in PV1_TAGS],
-        [i for i in CERTIFICATE_KERNEL_IDS if i[0] not in PV1_TAGS],
-    )
-]
+#: The constraint product vectors of the flat-only control, as kernel ids
+#: at s = t.  Their 18 zero-value rows span the same 18-dimensional row
+#: space as any grid's flat members and basis kernel vectors, and together
+#: with their first-order rows the same 54-dimensional space, so they leave
+#: the grids' nullspace (46) and surviving dimension (10).  They were chosen
+#: once by a pivoted selection from the flat families of the pool of
+#: ``CERTIFICATE_KERNEL_IDS``, in pool order: a member is taken when its
+#: zero-value row raises the numerical rank (singular values above 1e-8 of
+#: the largest), up to 18, and then when its zero-value and first-order
+#: rows raise the joint rank, up to 54.  The first stage reached joint rank
+#: 54 by itself.  Every factor entry is 0, 1 or OMEGA, and the six basis
+#: vectors are among the members.
+CONTROL_KERNEL_IDS = (
+    *(("x01", p) for p in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, OMEGA))),
+    *(("x10", p) for p in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, OMEGA))),
+    *(("0y0", p) for p in ((1.0, 0.0), (1.0, 1.0), (1.0, OMEGA))),
+    *(("1y1", p) for p in ((0.0, 1.0), (1.0, 1.0), (1.0, OMEGA))),
+    *(("00z", p) for p in ((1.0, 1.0), (1.0, OMEGA))),
+    *(("11z", p) for p in ((1.0, 1.0), (1.0, OMEGA))),
+)
+
+
+def _member_factors(ids) -> np.ndarray:
+    """Factors (n, party, 2) at s = t of the kernel ids, from one
+    ``_family_factors`` call per family kind, flat then curved."""
+    kinds = ([i for i in ids if i[0] in PV1_TAGS], [i for i in ids if i[0] not in PV1_TAGS])
+    return np.concatenate([
+        _family_factors(_CANONICAL, tuple(tag for tag, _ in k), np.array([p for _, p in k])[:, None])[:, 0]
+        for k in kinds if k
+    ])
 
 
 def _constraint_data(x: np.ndarray) -> tuple:
@@ -415,14 +435,12 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-#: The certificate's constraint data, ``_constraint_data`` of the members
-#: ``CERTIFICATE_KERNEL_IDS`` at s = t, conjugated.  It depends on nothing
-#: else, so it is built once; every decision on it runs per call.
-_CERTIFICATE_DATA = _read_only(
-    *_constraint_data(
-        np.concatenate([_family_factors(_CANONICAL, *c)[:, 0] for c in _CERTIFICATE_CALLS]).conj()
-    )
-)
+#: The constraint data of the certificate and of the control,
+#: ``_constraint_data`` of the members ``CERTIFICATE_KERNEL_IDS`` and
+#: ``CONTROL_KERNEL_IDS`` at s = t, conjugated.  They depend on nothing else,
+#: so they are built once; every decision on them runs per call.
+_CERTIFICATE_DATA = _read_only(*_constraint_data(_member_factors(CERTIFICATE_KERNEL_IDS).conj()))
+_CONTROL_DATA = _read_only(*_constraint_data(_member_factors(CONTROL_KERNEL_IDS).conj()))
 
 #: The ``herm_to_vec`` coordinates of the canonical Choi matrix C, and their
 #: unit vector, the ray the certificate tests.
@@ -431,15 +449,11 @@ _CHOI_UNIT = _CHOI_VEC / np.linalg.norm(_CHOI_VEC)
 _read_only(_CHOI_VEC, _CHOI_UNIT)
 
 
-def _constraint_vectors(grid: KernelGrid, include_eta_zeta: bool) -> tuple:
+def _constraint_vectors(include_eta_zeta: bool) -> tuple:
     """Stage 1: the constraint product vectors at s = t, as
-    ``_constraint_data``: the members ``CERTIFICATE_KERNEL_IDS``, whose data
-    are built at import, or for the control the grid's flat members and the
-    six basis kernel vectors, built on every call."""
-    if include_eta_zeta:
-        return _CERTIFICATE_DATA
-    x = np.concatenate([_kernel_table(_CANONICAL, grid, PV1_TAGS), _PV4_FACTORS])
-    return _constraint_data(x.conj())
+    ``_constraint_data``, both built at import: the members
+    ``CERTIFICATE_KERNEL_IDS``, or for the control ``CONTROL_KERNEL_IDS``."""
+    return _CERTIFICATE_DATA if include_eta_zeta else _CONTROL_DATA
 
 
 def _zero_value_nullspace(rows: np.ndarray) -> tuple:
@@ -549,23 +563,25 @@ def exposedness_certificate(
     rank (``_first_order``), and the falsification (``_falsification``).
     Two SVDs decide, one for N and one for the first-order rank; the prune
     directions are a Householder completion of C in the basis of N that the
-    first returned.  The fixed members' constraint rows and the Choi
-    matrix's coordinates are built at import; every SVD, rank and probe
-    runs per call.
+    first returned.  The fixed members' constraint rows, the certificate's
+    and the control's, and the Choi matrix's coordinates are built at
+    import; every SVD, rank and probe runs per call.  ``grid`` is only
+    echoed: neither run reads it.
     The falsification can only withhold the certificate, never grant it, so
     it runs only once the first-order route has isolated the ray:
     ``surviving_ray_dim`` 1 and ``direction_match_error`` below
     ``RANK_THRESHOLD``.  Otherwise ``unpruned_directions`` is None and there
     are no prune records.
 
-    With ``include_eta_zeta`` false the constraints are the flat members of
-    ``grid`` and the six basis kernel vectors, which is known to leave a
-    surviving dimension larger than one; ``grid`` selects only these rows.
-    ``surviving_ray_dim`` alone decides the control, and it runs no
-    falsification.
+    With ``include_eta_zeta`` false the constraints are the flat-only
+    control's members ``CONTROL_KERNEL_IDS``, whose zero-value and
+    first-order rows span those of every grid's flat members and six basis
+    kernel vectors; they are known to leave a surviving dimension larger
+    than one.  ``surviving_ray_dim`` alone decides the control, and it runs
+    no falsification.
     """
     grid = grid or KernelGrid.default()
-    x, rows, coeff = _constraint_vectors(grid, include_eta_zeta)
+    x, rows, coeff = _constraint_vectors(include_eta_zeta)
     null_basis, pv4_diag_error = _zero_value_nullspace(rows)
     direction_match_error, surviving_ray_dim = _first_order(coeff, null_basis)
     if surviving_ray_dim == 1 and direction_match_error < RANK_THRESHOLD:
@@ -723,8 +739,11 @@ def kernel_classify(w: WitnessFamily, v: ProductVector, tol: float = 1e-6) -> Cl
     when no family reproduces the vector within tolerance (a valid verdict,
     and an alarm for the completeness of the enumeration).  A zero factor
     gives family None; a factor that is not finite, or whose norm overflows,
-    raises ValueError.
+    raises ValueError, and so does a ``tol`` that is not finite and
+    nonnegative.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"kernel classification needs a finite, nonnegative tol, got {tol!r}")
     raw = np.array(v.factors())
     # On the numpy/OpenBLAS build the tests run on, np.vecdot rounds a
     # 2-vector's squared norm as np.linalg.norm does.  numpy promises no such

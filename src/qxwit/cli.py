@@ -129,7 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
 
     p = command(kinds, ("certify", "exposedness"), "the witness spans an exposed ray")
-    p.add_argument("--grid", choices=grids, default="default", help="the flat-only control's grid")
+    p.add_argument(
+        "--grid", choices=grids, default="default",
+        help="echoed as the JSON's grid; both runs compute from fixed kernel members",
+    )
     p.add_argument("--drop-curved-constraints", action="store_true", help="the flat-only control")
     p.add_argument("--seed", type=int, default=0, help=ignored)
 
@@ -195,9 +198,15 @@ def cmd_kernel(args, w):
     params = _parse_params(args.family, args.params)
     v = kernel_vector(w, args.family, params)
     c = choi_explicit(w)
-    value = pairing(v.projector(), c)
     mags = np.abs(v.full)
-    ok = abs(value) <= KERNEL_PAIRING_TOL * float(mags @ np.abs(c) @ mags)
+    # The member's projector is finite; its products with C need not be.
+    try:
+        with np.errstate(over="raise"):
+            value = pairing(v.projector(), c)
+            terms = float(mags @ np.abs(c) @ mags)
+    except FloatingPointError as exc:
+        raise ValueError(f"family {args.family}: the member's pairing overflows") from exc
+    ok = abs(value) <= KERNEL_PAIRING_TOL * terms
     payload = {
         "family": args.family,
         "vector": product_vector_to_json(v),

@@ -191,21 +191,33 @@ def _family_factors(w: WitnessFamily, tags, params) -> np.ndarray:
 def kernel_vector(w: WitnessFamily, tag: str, params) -> ProductVector:
     """Member of one of the fourteen kernel families.
 
-    Flat families take a complex pair (the free factor); the eta and zeta
-    families take two positive reals (a1, a2).  Every returned vector v pairs
-    to zero with the Choi matrix: pairing(|v><v|, C) = 0.
+    Flat families take a finite, nonzero complex pair (the free factor); the
+    eta and zeta families take two finite positive reals (a1, a2).  Every
+    returned vector v pairs to zero with the Choi matrix:
+    pairing(|v><v|, C) = 0.  A member whose squared norm, the trace of its
+    projector and a bound on every entry, under- or overflows raises
+    ValueError.
     """
     if tag in _PV1_SLOTS:
         params = np.asarray(params, dtype=complex)
         if params.shape != (2,):
             raise ValueError(f"family {tag} takes a complex 2-vector parameter")
+        if not np.isfinite(params).all():
+            raise ValueError(f"family {tag} takes a finite parameter")
+        if not params.any():
+            raise ValueError(f"family {tag} has no member at the zero vector")
     elif tag in _PHASE_EIGHTHS:
         a1, a2 = params
-        if a1 <= 0.0 or a2 <= 0.0:
-            raise ValueError(f"family {tag} takes two positive parameters")
+        if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
+            raise ValueError(f"family {tag} takes two finite positive parameters")
     else:
         raise ValueError(f"unknown kernel family tag {tag!r}")
-    return ProductVector(*_family_factors(w, (tag,), [params])[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _family_factors(w, (tag,), [params])[0, 0]
+        norm2 = float(np.prod(np.vecdot(factors, factors).real))
+    if not 0.0 < norm2 < math.inf:
+        raise ValueError(f"family {tag}: the member's squared norm under- or overflows")
+    return ProductVector(*factors)
 
 
 #: Factors (6, party, 2) of the six basis product vectors in the flat kernel
@@ -256,6 +268,13 @@ class KernelGrid:
     phase_count: int = 5
     ab_values: tuple = (0.5, 1.0, 2.0)
     name: str = "default"
+
+    def __post_init__(self):
+        # Python scalar checks only: the CLI builds a grid on every call
+        if type(self.phase_count) is not int or self.phase_count < 0:
+            raise ValueError(f"phase_count must be an int of at least 0, got {self.phase_count!r}")
+        if not self.ab_values or not all(0.0 < a < math.inf for a in self.ab_values):
+            raise ValueError(f"ab_values must be nonempty, finite and positive, got {self.ab_values!r}")
 
     @classmethod
     def small(cls) -> "KernelGrid":

@@ -1,9 +1,9 @@
 """The exposedness certificate runs in the frame s = t from a fixed set of 32
-kernel members.  With D = diag(alpha, 1/alpha) (x) I4 and alpha**2 =
+kernel members, and its flat-only control from a fixed set of 18.  With D = diag(alpha, 1/alpha) (x) I4 and alpha**2 =
 t / (2 sqrt 2), C(s, t) = D C(2 sqrt 2, 2 sqrt 2) D, and kernel vectors map
 by v -> D^-1 v: the local-filtering invariance of block positivity and
 exposed rays (Ha and Kye, Open Syst. Inf. Dyn. 18, 2011).  Checked across
-log10 s in [-100, 100], together with the fixed set's ranks and gaps."""
+log10 s in [-100, 100], together with the fixed sets' ranks and gaps."""
 
 import dataclasses
 import math
@@ -26,7 +26,7 @@ from qxwit import (
     pairing,
 )
 from qxwit import certify, witness
-from qxwit.certify import CERTIFICATE_KERNEL_IDS, herm_to_vec, vec_to_herm
+from qxwit.certify import CERTIFICATE_KERNEL_IDS, CONTROL_KERNEL_IDS, herm_to_vec, vec_to_herm
 from qxwit.qcore import tensor3
 from qxwit.witness import _PV4_FACTORS
 
@@ -193,3 +193,84 @@ class TestFixedSet:
             exposedness_certificate(curve(0.5), grid)
         assert all(np.array_equal(x, seen[0]) for x in seen)
         assert np.array_equal(seen[0], member_factors(CERTIFICATE_KERNEL_IDS).conj())
+
+
+def rank(rows: np.ndarray) -> int:
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(sv > 1e-8 * sv[0])) if len(sv) else 0
+
+
+def joint_rows(factors: np.ndarray) -> np.ndarray:
+    """The zero-value rows and, over all 64 coordinates, the first-order
+    rows of the product vectors."""
+    return np.concatenate([zero_value_rows(factors), first_order_rows(factors, np.eye(64))])
+
+
+def grid_flat_factors(grid) -> np.ndarray:
+    """The grid's flat members and the six basis kernel vectors, at s = t:
+    the constraints the control read from the grid before it had fixed
+    members."""
+    return np.concatenate([witness._kernel_table(W0, grid, PV1_TAGS), _PV4_FACTORS])
+
+
+class TestControlSet:
+    def test_zero_value_and_joint_ranks_and_gaps(self):
+        factors = member_factors(CONTROL_KERNEL_IDS)
+        sv = np.linalg.svd(zero_value_rows(factors), compute_uv=False)
+        assert len(sv) == 18 and sv[17] / sv[0] > 0.1
+        sv = np.linalg.svd(joint_rows(factors), compute_uv=False)
+        assert int(np.sum(sv > 1e-8 * sv[0])) == 54
+        assert sv[53] / sv[0] > 0.1
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    def test_zero_value_rows_span_the_grids(self, grid):
+        fixed = zero_value_rows(member_factors(CONTROL_KERNEL_IDS))
+        both = np.concatenate([fixed, zero_value_rows(grid_flat_factors(grid))])
+        assert rank(both) == rank(fixed) == 18
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    def test_joint_rows_span_the_grids(self, grid):
+        fixed = joint_rows(member_factors(CONTROL_KERNEL_IDS))
+        both = np.concatenate([fixed, joint_rows(grid_flat_factors(grid))])
+        assert rank(both) == rank(fixed) == 54
+
+    def test_every_member_annihilated(self):
+        c = choi_explicit(W0)
+        for tag, p in CONTROL_KERNEL_IDS:
+            assert tag in PV1_TAGS
+            v = kernel_vector(W0, tag, p)
+            assert abs(pairing(v.projector(), c)) <= 1e-14 * np.vdot(v.full, v.full).real
+
+    def test_entries_are_zero_one_or_omega(self):
+        factors = member_factors(CONTROL_KERNEL_IDS)
+        assert set(factors.ravel().tolist()) == {0.0, 1.0, complex(OMEGA)}
+
+    def test_pivot_of_the_flat_pool(self):
+        # the flat families of the certificate's pool, in its order; a member
+        # is taken when its rows raise the rank, first of the zero-value rows
+        # up to 18, then of the joint rows up to 54
+        endpoints = [(1.0, 0.0), (0.0, 1.0)]
+        pool = [(tag, p) for tag in PV1_TAGS for p in endpoints + [(1.0, OMEGA**k) for k in range(8)]]
+        factors = member_factors(pool)
+        picked = []
+        for rows_of, target in ((zero_value_rows, 18), (joint_rows, 54)):
+            for j in range(len(pool)):
+                have = rank(rows_of(factors[picked]))
+                if have < target and rank(rows_of(factors[picked + [j]])) > have:
+                    picked.append(j)
+        assert rank(joint_rows(factors[picked])) == 54
+        assert tuple(pool[j] for j in sorted(picked)) == CONTROL_KERNEL_IDS
+
+    def test_rows_do_not_depend_on_grid(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the control read the grid's kernel table")
+
+        monkeypatch.setattr(certify, "_kernel_table", fail)
+        payloads = []
+        for grid in GRIDS:
+            payload = exposedness_certificate(curve(0.5), grid, include_eta_zeta=False).to_json_dict()
+            assert payload.pop("grid") == grid.describe()
+            payloads.append(payload)
+        assert payloads[0]["constraint_count"] == 18
+        assert payloads[0]["nullspace_dim"] == 46 and payloads[0]["surviving_ray_dim"] == 10
+        assert all(p == payloads[0] for p in payloads)

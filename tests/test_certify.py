@@ -148,7 +148,7 @@ class TestSpanning:
             assert spanning_check(w, grid).to_json_dict()["certified"] is True
 
     def test_too_small_grid_rejected(self, w):
-        tiny = KernelGrid(phase_count=1, ab_values=(), name="tiny")
+        tiny = KernelGrid(phase_count=1, ab_values=(1.0,), name="tiny")
         with pytest.raises(ValueError, match="kernel vectors"):
             spanning_check(w, tiny, tags=("00z",))
 
@@ -214,9 +214,9 @@ class TestExposedness:
     )
     def test_one_constraint_per_product_vector(self, monkeypatch, w, name, full, flat):
         # one row per fixed certificate member, 32 in place of the grid's
-        # ``full`` kernel and basis vectors; the control has one per flat
-        # kernel vector of the grid and per basis kernel vector; the dual
-        # states are not read
+        # ``full`` kernel and basis vectors; the control has one per fixed
+        # control member, 18 in place of the grid's ``flat`` flat kernel
+        # vectors and basis kernel vectors; the dual states are not read
         def fail(*args, **kwargs):
             raise AssertionError("exposedness read the dual states")
 
@@ -226,8 +226,9 @@ class TestExposedness:
         cert = exposedness_certificate(w, grid)
         control = exposedness_certificate(w, grid, include_eta_zeta=False)
         assert len(kernel_vectors(w, grid)) + 6 == full
+        assert len(flat_ids) + 6 == flat
         assert cert.constraint_count == len(certify.CERTIFICATE_KERNEL_IDS) == 32
-        assert control.constraint_count == len(flat_ids) + 6 == flat
+        assert control.constraint_count == len(certify.CONTROL_KERNEL_IDS) == 18
 
     def test_flat_constraints_leave_more_survivors(self, w):
         cert = exposedness_certificate(w, include_eta_zeta=False)
@@ -452,6 +453,14 @@ class TestKernelClassify:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+    def test_tol_finite_and_nonnegative(self, w, tol):
+        # an exact member is no verdict on a bad radius: before, nan and -1
+        # returned family None with residual 0.0 (the CLI property in
+        # tests/test_cli.py checks classify --tol)
+        with pytest.raises(ValueError, match="tol"):
+            kernel_classify(w, kernel_vector(w, "eta1", (1.0, 2.0)), tol=tol)
 
     def test_seesaw_minima_all_classify(self, w):
         # statistical completeness of the family enumeration

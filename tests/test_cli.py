@@ -8,16 +8,19 @@ import math
 import re
 import shlex
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qxwit import (
     ETA_TAGS,
+    FAMILY_TAGS,
+    PV1_TAGS,
     ZETA_TAGS,
     ProductVector,
     WitnessFamily,
@@ -167,6 +170,84 @@ class TestKernelAndClassify:
         code, payload = run_json(capsys, "classify", "--vector", str(path))
         assert code == 1
         assert payload["family"] is None
+
+
+#: Floats the robustness property draws besides any other: non-finite,
+#: negative, zero, at the ends of the double range, and ordinary.
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1e-300, 1e300, -1e300, 1.0, 2.0, 0.5)
+_CLI_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+def _robust_run(*argv) -> tuple:
+    """Exit code, stdout and stderr of one ``main`` call, and the messages of
+    the warnings it raised, every one recorded rather than raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def _assert_robust(code, out, err, caught) -> dict | None:
+    """No warning escapes, the exit code is 0, 1 or 2, and exit 2 means no
+    stdout and exactly one error line; returns the JSON payload otherwise."""
+    assert caught == []
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return None
+    return json.loads(out)
+
+
+@pytest.fixture(scope="module")
+def exact_member_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("robust") / "eta1.json"
+    member = kernel_vector(WitnessFamily(), "eta1", (1.0, 2.0))
+    path.write_text(json.dumps(product_vector_to_json(member)))
+    return str(path)
+
+
+class TestCliRobustness:
+    """``kernel --params`` and ``classify --tol`` through ``main`` on
+    non-finite, negative, zero, huge, tiny and ordinary values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FAMILY_TAGS), st.lists(_CLI_FLOATS, min_size=4, max_size=4), st.booleans())
+    @example("eta1", [math.inf, 1.0, 0.0, 0.0], False)
+    @example("eta1", [1e300, 1e-300, 0.0, 0.0], False)
+    @example("x01", [1e200, 1e200, 0.0, 0.0], False)
+    @example("x01", [0.0, 0.0, 0.0, 0.0], False)
+    @example("1y1", [1e-200, 0.0, 0.0, 0.0], False)
+    def test_kernel_params(self, family, values, complex_pair):
+        values = values if family in PV1_TAGS and complex_pair else values[:2]
+        params = ",".join(repr(v) for v in values)
+        code, out, err, caught = _robust_run("kernel", "--family", family, f"--params={params}")
+        payload = _assert_robust(code, out, err, caught)
+        if payload is None:
+            assert f"family {family}" in err
+            return
+        # a reported member is a product vector whose projector and pairing
+        # are finite and not zero
+        assert math.isfinite(payload["pairing"])
+        v = payload["vector"]
+        norm2 = math.prod(
+            sum(a * a for a in v[f"{name}_re"] + v[f"{name}_im"]) for name in "xyz"
+        )
+        assert 0.0 < norm2 < math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(_CLI_FLOATS)
+    @example(math.nan)
+    @example(-1.0)
+    @example(0.0)
+    def test_classify_tol(self, exact_member_file, tol):
+        code, out, err, caught = _robust_run("classify", "--vector", exact_member_file, f"--tol={tol!r}")
+        payload = _assert_robust(code, out, err, caught)
+        # the member is exact: any radius that is one matches it
+        assert code == (0 if 0.0 <= tol < math.inf else 2)
+        if payload is not None:
+            assert payload["family"] == "eta1" and payload["residual"] == 0.0
 
 
 class TestKernelBound:
@@ -869,23 +950,26 @@ class TestPositivityRunReport:
 #: the JSON dropped ``survivor_offx_error`` and ``equality_case``, which only
 #: restated ``direction_match_error``.  The control's were recorded again when
 #: it stopped at its first-order refusal, which left its payload the same but
-#: for ``"unpruned_directions": null`` in place of 0; a change meant to keep
-#: the output must keep these.  They pin one platform's floating point
+#: for ``"unpruned_directions": null`` in place of 0, and again when it moved
+#: to its 18 fixed members, which changed ``constraint_count`` (36 and 48 on
+#: the small and default grids) and took ``direction_match_error`` and
+#: ``pv4_diagonal_error`` from about 1e-16 to 0.0, and nothing else; a change
+#: meant to keep the output must keep these.  They pin one platform's floating point
 #: (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or LAPACK may
 #: round the last bits differently.
 _EXPOSEDNESS_STDOUT_SHA256 = {
     (0.5, "small", "certificate"): (0, "f8135be935b09883abe2788f32d3aa116bdeff92d4a21db9766d1c495f1c0440"),
-    (0.5, "small", "control"): (1, "c944f24d0a411a9bb12a15a7949b8adf150b5f02e49faad91671761753419f47"),
+    (0.5, "small", "control"): (1, "47ae81edde2e992289ecce4783f7a355e9c67876cef4eb1b3ef803c62c3b4ae6"),
     (0.5, "default", "certificate"): (0, "7a9d0f0de2920a02400f4c72227fbeb477b8df329dd01a7f9b1ae6d9910b2328"),
-    (0.5, "default", "control"): (1, "329f049c09590e588684371147a752d266284f2b3a100f4c8f4325d995b01ad3"),
+    (0.5, "default", "control"): (1, "0af3b58af0baf76f7c52317be890eb45825e761304a1f58fb812e6ccd1d642d5"),
     (2 * SQRT2, "small", "certificate"): (0, "609594d5f69e3907ea06d642c8199a49a76ac45fd0ba36e917a6cfdbea9b5742"),
-    (2 * SQRT2, "small", "control"): (1, "757a2e8a594f3244eb67aff66afa9dbf08b48cae0520a9601e42a41db8ac1fc4"),
+    (2 * SQRT2, "small", "control"): (1, "e1a423e48b9958a57441e238ad0f39fb543d1d4e8123ee730269a5b784d0912d"),
     (2 * SQRT2, "default", "certificate"): (0, "ce639a5c75bd596f1c139103aa9ca0dfcf89329ac0d5d2691330ed0eae6e8414"),
-    (2 * SQRT2, "default", "control"): (1, "22821de0dd4e98662a06cb2de506e462a66d139f046def05e7cf5f85b511ef03"),
+    (2 * SQRT2, "default", "control"): (1, "089998d4c350a708fd2f4f58231dee370cbb33714b2851c4ddd46faa57342c98"),
     (16.0, "small", "certificate"): (0, "748ac8ad0b82bb9a01d037c51dc1e4647511582c51fec0f75555f437b17b1076"),
-    (16.0, "small", "control"): (1, "25b6ae07f065e08c006b2b691e05fd7f137e9c56b532af045b7a2ccc208c294b"),
+    (16.0, "small", "control"): (1, "2aeb2276cb04271654e1815eacb8747be18e9f65d09e1002dc889f5d493bb9e3"),
     (16.0, "default", "certificate"): (0, "5465de3ed9956100faf6b1ab669a63db37a00eb0a0fa6aefdade13fb9a4ccd15"),
-    (16.0, "default", "control"): (1, "57c3a4cb1efbe7e2881b8a4fdc4a6162e1f7287f358d5484ec63241ba82d42e7"),
+    (16.0, "default", "control"): (1, "fe5d3f2113195eddfdf372ff20bbba8c78a8c4ed8120b1f12d3bf5a5c0b06ada"),
 }
 
 

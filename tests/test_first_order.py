@@ -20,9 +20,10 @@ from qxwit import (
     kernel_vector,
     pv4_vectors,
 )
-from qxwit import certify
-from qxwit.certify import CERTIFICATE_KERNEL_IDS, herm_to_vec, vec_to_herm, _rank
+from qxwit import certify, witness
+from qxwit.certify import CERTIFICATE_KERNEL_IDS, CONTROL_KERNEL_IDS, herm_to_vec, vec_to_herm, _rank
 from qxwit.qcore import tensor3
+from qxwit.witness import _PV4_FACTORS
 
 
 def family(log_s: float) -> WitnessFamily:
@@ -122,12 +123,19 @@ def form_route_tangent(x: np.ndarray, null_basis: np.ndarray) -> np.ndarray:
 
 class TestCoefficientRows:
     """The first-order rows in ``herm_to_vec`` coordinates against the 8x8
-    form route, on the certificate's and the control's constraints."""
+    form route, on the certificate's and the control's constraints: the
+    fixed members of stage 1, and each grid's members (all, or for the
+    control the flat ones) with the six basis kernel vectors."""
 
     @pytest.mark.parametrize("flat", [False, True])
-    @pytest.mark.parametrize("name", ["small", "default", "fine"])
+    @pytest.mark.parametrize("name", [None, "small", "default", "fine"])
     def test_against_the_form_route(self, name, flat):
-        x, rows, coeff = certify._constraint_vectors(KernelGrid.named(name), not flat)
+        if name is None:
+            x, rows, coeff = certify._constraint_vectors(not flat)
+        else:
+            tags = PV1_TAGS if flat else FAMILY_TAGS
+            members = witness._kernel_table(WitnessFamily(), KernelGrid.named(name), tags)
+            x, rows, coeff = certify._constraint_data(np.concatenate([members, _PV4_FACTORS]).conj())
         null_basis, _ = certify._zero_value_nullspace(rows)
         sv = np.linalg.svd(coeff @ null_basis.T, compute_uv=False)
         reference = np.linalg.svd(form_route_tangent(x, null_basis), compute_uv=False)
@@ -136,11 +144,15 @@ class TestCoefficientRows:
 
     def test_constants_are_a_rebuild_and_read_only(self):
         w0 = WitnessFamily()
-        x = np.array([kernel_vector(w0, tag, p).factors() for tag, p in CERTIFICATE_KERNEL_IDS])
         cvec = herm_to_vec(choi_explicit(w0))
-        rebuilt = (*certify._constraint_data(x.conj()), cvec, cvec / np.linalg.norm(cvec))
-        constants = (*certify._CERTIFICATE_DATA, certify._CHOI_VEC, certify._CHOI_UNIT)
-        assert len(constants) == len(rebuilt) == 5
+        rebuilt = [cvec, cvec / np.linalg.norm(cvec)]
+        for ids in (CERTIFICATE_KERNEL_IDS, CONTROL_KERNEL_IDS):
+            x = np.array([kernel_vector(w0, tag, p).factors() for tag, p in ids])
+            rebuilt += certify._constraint_data(x.conj())
+        constants = (
+            certify._CHOI_VEC, certify._CHOI_UNIT, *certify._CERTIFICATE_DATA, *certify._CONTROL_DATA
+        )
+        assert len(constants) == len(rebuilt) == 8
         for const, fresh in zip(constants, rebuilt):
             assert const.dtype == fresh.dtype and const.shape == fresh.shape
             assert const.tobytes() == fresh.tobytes()

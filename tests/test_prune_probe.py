@@ -188,13 +188,14 @@ def _svd_completion(null_basis: np.ndarray, cunit: np.ndarray) -> np.ndarray:
 
 def _reference_nullspace(grid, include_eta_zeta=True) -> tuple:
     """The conjugated product vectors x, the fixed certificate members, one
-    ``kernel_vector`` each, or the grid's flat members and the basis kernel
-    vectors, in the frame s = t whatever the certificate's s; and the basis
-    of the nullspace of their zero-value rows, ``herm_to_vec`` of the
+    ``kernel_vector`` each; for the control, with ``grid`` None the fixed
+    control members, or else the grid's flat members and the basis kernel
+    vectors; all in the frame s = t whatever the certificate's s.  And the
+    basis of the nullspace of their zero-value rows, ``herm_to_vec`` of the
     projector stack."""
     w0 = WitnessFamily()
-    if include_eta_zeta:
-        ids = certify.CERTIFICATE_KERNEL_IDS
+    if include_eta_zeta or grid is None:
+        ids = certify.CERTIFICATE_KERNEL_IDS if include_eta_zeta else certify.CONTROL_KERNEL_IDS
         x = np.array([kernel_vector(w0, tag, p).factors() for tag, p in ids]).conj()
     else:
         x = np.concatenate([_kernel_table(w0, grid, PV1_TAGS), _PV4_FACTORS]).conj()
@@ -247,10 +248,11 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
     )
 
 
-def _control_falsification(grid) -> dict:
+def _control_falsification(grid=None) -> dict:
     """The falsification stage run on the flat-only control's nullspace,
-    which the control itself skips once its first-order rank refuses it."""
-    x, rows, _ = certify._constraint_vectors(grid, include_eta_zeta=False)
+    which the control itself skips once its first-order rank refuses it.
+    The control computes from its fixed members, so ``grid`` is ignored."""
+    x, rows, _ = certify._constraint_vectors(include_eta_zeta=False)
     null_basis, _ = certify._zero_value_nullspace(rows)
     return certify._falsification(x, null_basis)
 
@@ -312,10 +314,13 @@ class TestHouseholderCompletion:
     the SVD of perp spans."""
 
     @pytest.mark.parametrize("flat", [False, True])
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("grid", [None, *sorted(GRIDS)])
     def test_orthonormal_and_the_svd_subspace(self, grid, flat):
-        _, rows, _ = certify._constraint_vectors(GRIDS[grid], not flat)
-        null_basis, _ = certify._zero_value_nullspace(rows)
+        # stage 1's nullspace, or the control's on a grid's own members
+        if grid is None:
+            null_basis, _ = certify._zero_value_nullspace(certify._constraint_vectors(not flat)[1])
+        else:
+            _, null_basis = _reference_nullspace(GRIDS[grid], not flat)
         cvec = herm_to_vec(choi_explicit(WitnessFamily()))
         cunit = cvec / np.linalg.norm(cvec)
         directions = certify._prune_directions(null_basis)
@@ -385,9 +390,10 @@ class TestRecordsOnDemand:
         if flat:
             # the records the control would hold had it run the falsification
             assert cert.unpruned_directions is None and cert.prune_records == ()
-            cert = dataclasses.replace(cert, **_control_falsification(GRIDS[grid]))
+            cert = dataclasses.replace(cert, **_control_falsification())
         records = cert.prune_records
-        near, reference = _reference_records(GRIDS[grid], not flat)
+        # both runs compute from their fixed members on every grid
+        near, reference = _reference_records(None, not flat)
         assert len(records) == len(reference)
         for rec, ref in zip(records, reference):
             assert rec.direction == ref.direction and rec.violated == ref.violated

@@ -270,6 +270,29 @@ class TestKernelFamilies:
         with pytest.raises(ValueError):
             kernel_vector(w, "x01", np.array([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "tag, params, match",
+        [
+            ("eta1", (math.inf, 1.0), "finite positive"),
+            ("zeta3", (1.0, math.nan), "finite positive"),
+            ("x01", (math.nan, 1.0), "finite"),
+            ("00z", (1.0, complex(0.0, math.inf)), "finite"),
+            ("x01", (0.0, 0.0), "zero vector"),
+            # a1 / a2 overflows: the third factor is not finite
+            ("eta1", (1e300, 1e-300), "squared norm"),
+            # finite factors whose squared norm over- or underflows
+            ("x01", (1e200, 1e200), "squared norm"),
+            ("1y1", (1e-200, 0.0), "squared norm"),
+        ],
+    )
+    def test_member_out_of_range(self, tag, params, match):
+        w = WitnessFamily()
+        if tag in PV1_TAGS:
+            params = np.array(params, dtype=complex)
+        with pytest.raises(ValueError, match=match) as info:
+            kernel_vector(w, tag, params)
+        assert f"family {tag}" in str(info.value)
+
     def test_pv4_vectors_are_kernel_members(self):
         w = WitnessFamily()
         c = choi_explicit(w)
@@ -326,6 +349,28 @@ class TestKernelGrid:
         assert KernelGrid.named("fine").phase_count == 7
         with pytest.raises(ValueError):
             KernelGrid.named("huge")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"ab_values": ()},
+            {"ab_values": (-1.0, 2.0)},
+            {"ab_values": (0.0,)},
+            {"ab_values": (1.0, math.nan)},
+            {"ab_values": (1.0, math.inf)},
+            {"phase_count": -3},
+            {"phase_count": 2.0},
+            {"phase_count": True},
+        ],
+    )
+    def test_rejected_at_construction(self, fields):
+        # before, () gave an IndexError in spanning_check, (-1, 2) a
+        # RuntimeWarning and then "SVD did not converge", and -3 meant 0
+        with pytest.raises(ValueError, match="phase_count|ab_values"):
+            KernelGrid(**fields)
+
+    def test_no_phases_allowed(self):
+        assert len(KernelGrid(phase_count=0, ab_values=(1.0,)).pv1_params()) == 2
 
     def test_default_counts(self):
         grid = KernelGrid.default()
