@@ -33,13 +33,13 @@ from .witness import (
     KernelGrid,
     WitnessFamily,
     choi_explicit,
+    _PAULI_MAP,
     _PV1_SLOTS,
     _bloch_min,
     _bloch_vectors,
     _family_factors,
     _kernel_table,
     _pairing,
-    _pauli_tensor,
     _spinors,
 )
 from .xstate import _x_matrices
@@ -241,16 +241,18 @@ class ExposednessCertificate:
     direction_match_error: float
     pv4_diagonal_error: float
     unpruned_directions: int | None
-    # Per signed perturbation: its direction, step, probe factors, value and matrix
+    # Per signed perturbation: its direction, step, probe factors, value and
+    # herm_to_vec coordinates
     _direction: np.ndarray = field(repr=False, compare=False)
     _eps: np.ndarray = field(repr=False, compare=False)
     _factors: np.ndarray = field(repr=False, compare=False)
     _values: np.ndarray = field(repr=False, compare=False)
-    _perts: np.ndarray = field(repr=False, compare=False)
+    _coords: np.ndarray = field(repr=False, compare=False)
 
     @functools.cached_property
     def prune_records(self) -> tuple:
-        """One ``PruneRecord`` per signed perturbation, built on first access."""
+        """One ``PruneRecord`` per signed perturbation, built on first access,
+        with its 8x8 matrix, which no stage needs."""
         return tuple(
             PruneRecord(
                 direction=k,
@@ -262,7 +264,7 @@ class ExposednessCertificate:
             )
             for k, eps, value, f, pert in zip(
                 self._direction.tolist(), self._eps.tolist(), self._values.tolist(),
-                self._factors.conj(), self._perts,
+                self._factors.conj(), vec_to_herm(self._coords),
             )
         )
 
@@ -295,46 +297,60 @@ def _rank(sv: np.ndarray) -> int:
 _PV4_DIAG_INDICES = (0, 1, 2, 5, 6, 7)
 
 
-def _prune_probe(x: np.ndarray, perts: np.ndarray, tensors: np.ndarray) -> tuple:
-    """For each matrix M of a stack (task, 8, 8), given with its Pauli tensor
-    (task, 4, 4, 4) (see ``witness._pauli_tensor``), the best product vector
-    one see-saw party update reaches from any product vector x of a stack
-    (n, party, 2).  Returns its unit factors (task, party, 2) and the form of
-    M itself there.
+#: Axis orders of a stack of Pauli tensors (task, 4, 4, 4) that put one
+#: party's index first, then the task, then the other two parties in order.
+_PARTY_FIRST = ((1, 0, 2, 3), (2, 0, 1, 3), (3, 0, 1, 2))
+
+
+def _prune_probe(x: np.ndarray, tensors: np.ndarray) -> tuple:
+    """For each Pauli tensor T (task, 4, 4, 4) of a stack of Hermitian 8x8
+    matrices M (see ``witness._pauli_tensor``), the best product vector one
+    see-saw party update reaches from any product vector x of a stack (n,
+    party, 2).  Returns its unit factors (task, party, 2) and the form of M
+    there, the trilinear form of T at the factors' Bloch vectors; no 8x8
+    matrix is needed.
 
     Where the form of M vanishes at x but a partial gradient there does not,
     changing one party's factor of x takes the form below zero, and the best
     change is the lowest eigenvector of that party's effective 2x2 matrix at
     the other two unit factors of x.  As in the see-saw, that matrix is
     tau0 I + tau.sigma, with tau the contraction of T with the other two
-    parties' Bloch vectors, and ``_bloch_min`` gives its lowest eigenvalue
-    and Bloch vector for every (party, task, x).  Each Bloch vector starts
-    at x's own, so a matrix that is a multiple of the identity keeps x's
-    factor.
+    parties' Bloch vectors: its lowest eigenvalue tau0 - |tau| is taken for
+    every (party, task, x), and ``_bloch_min`` gives the Bloch vector of the
+    one move each task keeps.  That Bloch vector starts at x's own, so a
+    matrix that is a multiple of the identity keeps x's factor.
     """
-    tasks, n = len(perts), len(x)
+    tasks, n = len(tensors), len(x)
     pick = np.arange(tasks)
     unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
     bloch = _bloch_vectors(unit.swapaxes(0, 1))  # (party, 4, x)
     best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
-    best_bloch = np.empty((3, 3, tasks))
+    best_tau = np.empty((3, tasks, 4))
     # Party by party: for 48 product vectors and 90 tasks, tau of all three
     # parties at once is 415 kB, and arrays that size were handed back to the
     # system and faulted in again on every call, about 200 minor faults.
     for p, (q1, q2) in enumerate(((1, 2), (0, 2), (0, 1))):
         # T with the party's index first, then the task, then the other two
-        rows = np.moveaxis(tensors, 1 + p, 0).reshape(4 * tasks, 16)
-        tau = rows @ (bloch[q1, :, None] * bloch[q2, None]).reshape(16, n)
-        moved = np.tile(bloch[p, 1:], tasks)  # x's own Bloch vectors, per task
-        lowest = _bloch_min(tau.reshape(4, tasks * n), moved).reshape(tasks, n)
+        rows = tensors.transpose(_PARTY_FIRST[p]).reshape(4 * tasks, 16)
+        tau = (rows @ (bloch[q1, :, None] * bloch[q2, None]).reshape(16, n)).reshape(4, tasks, n)
+        # The minima tau0 - |tau| as ``_bloch_min`` takes them, which then
+        # runs only on each task's chosen column, for its Bloch vector.  It
+        # rescales a column whose |tau| is below 2^-484, where the sum of
+        # squares here may underflow: the value moves by less than 1e-145.
+        lowest = tau[0] - np.sqrt(np.add.reduce(tau[1:] * tau[1:], axis=0))
         best_x[p] = np.argmin(lowest, axis=1)
         best_value[p] = lowest[pick, best_x[p]]
-        best_bloch[p] = moved.reshape(3, tasks, n)[:, pick, best_x[p]]
+        best_tau[p] = tau[:, pick, best_x[p]].T
     party = np.argmin(best_value, axis=0)
-    probe = unit[best_x[party, pick]]
-    probe[pick, party] = _spinors(best_bloch[party, :, pick].T)
-    psi = tensor3(probe[:, 0], probe[:, 1], probe[:, 2])
-    return probe, np.einsum("ti,tij,tj->t", psi.conj(), perts, psi).real
+    chosen = best_x[party, pick]
+    moved = bloch[party, 1:, chosen].T.copy()  # x's own Bloch vectors, then the move
+    _bloch_min(best_tau[party, pick].T, moved)
+    probe = unit[chosen]
+    probe[pick, party] = _spinors(moved)
+    # the form at the factors, sum_ijk T_ijk a_i b_j c_k over their Bloch vectors
+    a, b, c = _bloch_vectors(probe.swapaxes(0, 1))  # (4, task) each
+    abc = (a[:, None, None] * b[None, :, None] * c[None, None]).reshape(64, tasks)
+    return probe, np.einsum("tm,mt->t", tensors.reshape(tasks, 64), abc)
 
 
 #: The constraint product vectors of the certificate, as kernel ids (tag,
@@ -442,11 +458,50 @@ def _read_only(*arrays) -> tuple:
 _CERTIFICATE_DATA = _read_only(*_constraint_data(_member_factors(CERTIFICATE_KERNEL_IDS).conj()))
 _CONTROL_DATA = _read_only(*_constraint_data(_member_factors(CONTROL_KERNEL_IDS).conj()))
 
+#: The first-order rows that decide the certificate's first-order rank, as
+#: indices into the 6n coefficient rows of ``_CERTIFICATE_DATA`` (real parts
+#: party by party, then imaginary parts, member by member within a party):
+#: 31 of the 192, as many as their rank restricted to the nullspace N of
+#: the zero-value rows.  They were chosen once by a pivoted Gram-Schmidt on
+#: all 192 rows restricted to N, taking the largest remaining row first (the
+#: first in order among those within 1e-9 of it), which does not depend on
+#: the basis of N.  A subset of the rows can only lower the rank, and the
+#: Choi matrix meets every first-order condition, so rank 31 on these rows
+#: is rank 31 on all 192: they isolate the ray exactly when all rows do.
+CERTIFICATE_PIVOT_ROWS = (
+    7, 14, 17, 21, 28, 45, 60, 63, 68, 70, 74, 77, 80, 82, 84, 88,
+    92, 103, 107, 110, 121, 125, 127, 134, 139, 170, 176, 180, 184, 188, 191,
+)
+
+#: The same for the flat-only control: 36 of the 108 coefficient rows of
+#: ``_CONTROL_DATA``, chosen by the same pivoted Gram-Schmidt.  Its rows
+#: restricted to N have rank 36, which the pivots reach by themselves.
+CONTROL_PIVOT_ROWS = (
+    8, 9, 11, 12, 14, 16, 21, 25, 32, 34, 38, 42, 62, 63, 65, 66, 68, 70,
+    72, 74, 75, 77, 78, 79, 86, 87, 88, 89, 91, 92, 93, 94, 96, 97, 99, 102,
+)
+
+#: The coefficient rows ``CERTIFICATE_PIVOT_ROWS`` and ``CONTROL_PIVOT_ROWS``
+#: of the two runs' constraint data, the rows stage 3 decides on.
+_CERTIFICATE_PIVOTS = _read_only(_CERTIFICATE_DATA[2][list(CERTIFICATE_PIVOT_ROWS)])[0]
+_CONTROL_PIVOTS = _read_only(_CONTROL_DATA[2][list(CONTROL_PIVOT_ROWS)])[0]
+
 #: The ``herm_to_vec`` coordinates of the canonical Choi matrix C, and their
 #: unit vector, the ray the certificate tests.
 _CHOI_VEC = herm_to_vec(choi_explicit(_CANONICAL))
 _CHOI_UNIT = _CHOI_VEC / np.linalg.norm(_CHOI_VEC)
 _read_only(_CHOI_VEC, _CHOI_UNIT)
+
+#: ``_pauli_tensor`` of ``vec_to_herm``, as one real (64, 64) map on
+#: ``herm_to_vec`` coordinates: row k is the flattened Pauli tensor of the
+#: k-th coordinate matrix B_k.  It takes the prune perturbations'
+#: coordinates to their Pauli tensors without building their 8x8 matrices.
+#: Entry (k, ijk) is tr(B_k P) / 8 for the Pauli product P = sigma_i (x)
+#: sigma_j (x) sigma_k, the Hilbert-Schmidt product of B_k and P / 8, so it
+#: is the k-th ``herm_to_vec`` coordinate of P / 8 (an isometry): built
+#: from ``witness._PAULI_MAP``, whose row ijk is (P / 8)^T, with no matrix
+#: product, so that importing starts no BLAS.
+_HERM_PAULI = _read_only(np.ascontiguousarray(herm_to_vec(_PAULI_MAP.reshape(64, 8, 8).swapaxes(1, 2)).T))[0]
 
 
 def _constraint_vectors(include_eta_zeta: bool) -> tuple:
@@ -474,12 +529,16 @@ def _zero_value_nullspace(rows: np.ndarray) -> tuple:
     return null_basis, pv4_diag_error
 
 
-def _first_order(coeff: np.ndarray, null_basis: np.ndarray) -> tuple:
+def _first_order(pivots: np.ndarray, null_basis: np.ndarray) -> tuple:
     """Stage 3: ``direction_match_error``, the distance of the Choi matrix's
     unit direction to its projection onto N, and ``surviving_ray_dim``, the
     dimension of the subspace of N that meets the first-order conditions at
     every constraint vector.  The conditions on N are the real product of
-    the coefficient rows with the basis, and its SVD gives their rank."""
+    the coefficient rows with the basis, and its SVD gives their rank.  The
+    rows are the fixed pivots (``CERTIFICATE_PIVOT_ROWS`` or
+    ``CONTROL_PIVOT_ROWS``), whose rank on N is that of all the rows: 31 x
+    32 for the certificate and 36 x 46 for the control, where all the rows
+    were 192 x 32 and 108 x 46."""
     survivor = null_basis.T @ (null_basis @ _CHOI_UNIT)
     survivor_norm = np.linalg.norm(survivor)
     if survivor_norm == 0.0:
@@ -488,7 +547,7 @@ def _first_order(coeff: np.ndarray, null_basis: np.ndarray) -> tuple:
     if survivor_unit @ _CHOI_UNIT < 0:
         survivor_unit = -survivor_unit
     direction_match_error = float(np.linalg.norm(survivor_unit - _CHOI_UNIT))
-    tangent = coeff @ null_basis.T
+    tangent = pivots @ null_basis.T
     surviving_ray_dim = len(null_basis) - _rank(np.linalg.svd(tangent, compute_uv=False))
     return direction_match_error, surviving_ray_dim
 
@@ -512,21 +571,23 @@ def _falsification(x: np.ndarray, null_basis: np.ndarray) -> dict:
     product vector; a perturbation it does not take below the threshold
     stays open, and its direction counts as unpruned.  Returns that count
     and the probe's per-task arrays, keyed by their certificate fields.
-    The directions are ``_prune_directions``, and the perturbations are
-    built in ``herm_to_vec`` coordinates."""
+    The directions are ``_prune_directions``; the perturbations stay in
+    ``herm_to_vec`` coordinates, which ``_HERM_PAULI`` takes to the Pauli
+    tensors the probe reads, and their 8x8 matrices are built only for
+    ``prune_records``."""
     directions = _prune_directions(null_basis)
     task_direction = np.repeat(np.arange(len(directions)), 2)
     task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
-    perts = vec_to_herm(_CHOI_VEC + task_eps[:, None] * directions[task_direction])
-    # the certificate's 62 matrices: few enough for one thread
-    tensors = _pauli_tensor(perts)
+    coords = _CHOI_VEC + task_eps[:, None] * directions[task_direction]
+    # the certificate's 62 rows: few enough for one thread
+    tensors = (coords @ _HERM_PAULI).reshape(-1, 4, 4, 4)
 
-    probe, probe_values = _prune_probe(x, perts, tensors)
+    probe, probe_values = _prune_probe(x, tensors)
     # A direction is pruned when both of its signed perturbations violate.
     return {
         "unpruned_directions": len(set(task_direction[~(probe_values < PRUNE_VIOLATION)].tolist())),
         "_direction": task_direction, "_eps": task_eps,
-        "_factors": probe, "_values": probe_values, "_perts": perts,
+        "_factors": probe, "_values": probe_values, "_coords": coords,
     }
 
 
@@ -536,7 +597,7 @@ _NOT_FALSIFIED = {
     "unpruned_directions": None,
     "_direction": np.empty(0, dtype=int), "_eps": np.empty(0),
     "_factors": np.empty((0, 3, 2), dtype=complex), "_values": np.empty(0),
-    "_perts": np.empty((0, 8, 8), dtype=complex),
+    "_coords": np.empty((0, 64)),
 }
 
 
@@ -561,12 +622,15 @@ def exposedness_certificate(
     the nullspace N of their zero-value constraints
     (``_zero_value_nullspace``), the direction match and the first-order
     rank (``_first_order``), and the falsification (``_falsification``).
-    Two SVDs decide, one for N and one for the first-order rank; the prune
-    directions are a Householder completion of C in the basis of N that the
-    first returned.  The fixed members' constraint rows, the certificate's
-    and the control's, and the Choi matrix's coordinates are built at
-    import; every SVD, rank and probe runs per call.  ``grid`` is only
-    echoed: neither run reads it.
+    Two SVDs decide, one for N and one for the first-order rank on the
+    fixed pivot rows (``CERTIFICATE_PIVOT_ROWS``, ``CONTROL_PIVOT_ROWS``);
+    the prune directions are a Householder completion of C in the basis of
+    N that the first returned, and the perturbations stay in ``herm_to_vec``
+    coordinates, which one real map takes to the Pauli tensors the probe
+    reads.  The fixed members' constraint rows and pivots, the
+    certificate's and the control's, the Choi matrix's coordinates and that
+    map are built at import; every SVD, rank and probe runs per call.
+    ``grid`` is only echoed: neither run reads it.
     The falsification can only withhold the certificate, never grant it, so
     it runs only once the first-order route has isolated the ray:
     ``surviving_ray_dim`` 1 and ``direction_match_error`` below
@@ -581,9 +645,10 @@ def exposedness_certificate(
     no falsification.
     """
     grid = grid or KernelGrid.default()
-    x, rows, coeff = _constraint_vectors(include_eta_zeta)
+    x, rows, _ = _constraint_vectors(include_eta_zeta)
+    pivots = _CERTIFICATE_PIVOTS if include_eta_zeta else _CONTROL_PIVOTS
     null_basis, pv4_diag_error = _zero_value_nullspace(rows)
-    direction_match_error, surviving_ray_dim = _first_order(coeff, null_basis)
+    direction_match_error, surviving_ray_dim = _first_order(pivots, null_basis)
     if surviving_ray_dim == 1 and direction_match_error < RANK_THRESHOLD:
         falsified = _falsification(x, null_basis)
     else:

@@ -202,10 +202,11 @@ def cmd_kernel(args, w):
     # The member's projector is finite; its products with C need not be.
     try:
         with np.errstate(over="raise"):
-            value = pairing(v.projector(), c)
             terms = float(mags @ np.abs(c) @ mags)
     except FloatingPointError as exc:
         raise ValueError(f"family {args.family}: the member's pairing overflows") from exc
+    # every partial sum of the pairing is at most terms in modulus
+    value = pairing(v.projector(), c)
     ok = abs(value) <= KERNEL_PAIRING_TOL * terms
     payload = {
         "family": args.family,

@@ -5,6 +5,7 @@ probe shares) and the motivating sum construction."""
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,16 +111,30 @@ def _pairing(rho, c) -> complex:
 
 
 def pairing(rho, c) -> float:
-    """Duality pairing Tr(C rho^t) of two Hermitian matrices of equal size."""
+    """Duality pairing Tr(C rho^t) of two Hermitian matrices of equal size.
+    Finite entries whose products overflow, so that the pairing or the scale
+    max|c| max|rho| of its residue check is not finite, raise ValueError."""
     rho = check_hermitian(rho)
     c = check_hermitian(c)
     if rho.shape != c.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {c.shape}")
-    value = _pairing(rho, c)
+    # Python floats: their product overflows to inf without a warning
+    scale = float(np.max(np.abs(c))) * float(np.max(np.abs(rho)))
+    # Every product, and every partial sum of the n^2 of them, is at most
+    # n^2 scale in modulus, so below half the largest double (a margin for
+    # rounding) the sum runs as is; past it, it may overflow, and then it is
+    # rejected below.
+    if 2.0 * rho.size * scale < math.inf:
+        value = _pairing(rho, c)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _pairing(rho, c)
+    if not (scale < math.inf and cmath.isfinite(value)):
+        raise ValueError("pairing is not finite: the products of the entries overflow")
     # Hermitian inputs pair to a real number.  The defects check_hermitian
     # allows (1e-12 of either matrix's largest entry) leave below 1e-10
     # max|c| max|rho| of imaginary part over the 64 products, rounding less.
-    if abs(value.imag) > 1e-10 * float(np.max(np.abs(c)) * np.max(np.abs(rho))):
+    if abs(value.imag) > 1e-10 * scale:
         raise ValueError(f"pairing has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
@@ -415,8 +430,9 @@ def _bloch_vectors(f: np.ndarray) -> np.ndarray:
 def _bloch_min(tau: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Minimize tau0 + n.tau over unit 3-vectors n, for each column of tau
     (4, ...): the minimum is tau0 - |tau| at n = -tau / |tau|, which is
-    written into n (3, ...).  The see-saw and the prune probe of ``certify``
-    both take their 2x2 minima from here.
+    written into n (3, ...).  The see-saw takes its 2x2 minima from here;
+    the prune probe of ``certify`` takes its values in the same arithmetic,
+    and from here the Bloch vectors of the moves it keeps.
 
     tau0 I + tau.sigma is the effective 2x2 matrix of the party; where it is
     numerically a multiple of the identity, |tau| <= 1e-14 (|tau0| + |tau|)

@@ -71,7 +71,7 @@ class TestProbeSettlesCertificates:
         assert cert.unpruned_directions is None and not cert.certified
         assert cert.prune_records == ()
         x, _, _, perts = _reference_inputs(GRIDS[grid], include_eta_zeta=False)
-        _, values = certify._prune_probe(x, perts, _pauli_tensor(perts))
+        _, values = certify._prune_probe(x, _pauli_tensor(perts))
         assert len(values) == 2 * (cert.nullspace_dim - 1)
         assert np.all(values < PRUNE_VIOLATION)
 
@@ -269,18 +269,20 @@ class TestProbeAgainstReference:
         calls = []
         probe = certify._prune_probe
 
-        def spy(x, perts, tensors):
-            calls.append((x, perts, probe(x, perts, tensors)))
-            return calls[-1][2]
+        def spy(x, tensors):
+            calls.append((x, probe(x, tensors)))
+            return calls[-1][1]
 
         monkeypatch.setattr(certify, "_prune_probe", spy)
-        exposedness_certificate(curve(s), grid=GRIDS[grid], include_eta_zeta=not flat)
+        cert = exposedness_certificate(curve(s), grid=GRIDS[grid], include_eta_zeta=not flat)
+        # the matrices whose tensors the probe was given
+        perts = np.array([rec.perturbation for rec in cert.prune_records])
         if flat:
             # the control runs no probe; check it on the control's inputs
             assert calls == []
             x, _, _, perts = _reference_inputs(GRIDS[grid], include_eta_zeta=False)
-            spy(x, perts, _pauli_tensor(perts))
-        [(x, perts, (factors, values))] = calls
+            spy(x, _pauli_tensor(perts))
+        [(x, (factors, values))] = calls
         _assert_probe_matches(factors, values, perts, *_reference_probe(x, perts))
 
     def test_multiple_of_the_identity_keeps_the_factor(self):
@@ -288,7 +290,7 @@ class TestProbeAgainstReference:
         # first x's factor stays, up to phase
         x = np.random.default_rng(7).standard_normal((5, 3, 2, 2)) @ [1.0, 1j]
         perts = 2.0 * np.eye(8, dtype=complex)[None]
-        factors, values = certify._prune_probe(x, perts, _pauli_tensor(perts))
+        factors, values = certify._prune_probe(x, _pauli_tensor(perts))
         _assert_probe_matches(factors, values, perts, *_reference_probe(x, perts))
         unit = x[0] / np.linalg.norm(x[0], axis=-1, keepdims=True)
         assert abs(np.vdot(tensor3(*unit), tensor3(*factors[0]))) == pytest.approx(1.0, abs=1e-15)
@@ -304,7 +306,9 @@ class TestProbeAgainstReference:
             # the control stops before the falsification; run that stage alone
             assert calls == []
             _control_falsification(KernelGrid.small())
-        [(_, perts, tensors)] = calls
+        [(_, tensors)] = calls
+        # the perturbations as the certificate's records hold them, bit for bit
+        perts = _reference_inputs(None, not flat, householder=True)[3]
         assert np.max(np.abs(tensors - _pauli_tensor(perts))) <= 1e-15 * np.max(np.abs(perts))
 
 
