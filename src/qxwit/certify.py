@@ -124,15 +124,15 @@ def _pt_min_eigs(rho: np.ndarray) -> np.ndarray:
     return np.concatenate([spectra[:, 0], spectra[::-1, 0]])
 
 
-def ppt_check(rho, tol: float = PSD_TOL) -> PPTReport:
-    """Minimal eigenvalue of every partial transpose of a Hermitian matrix.
-    Partial transposes of a Hermitian matrix are Hermitian, so rho is
-    checked once."""
+def ppt_check(rho) -> PPTReport:
+    """Minimal eigenvalue of every partial transpose of a Hermitian matrix,
+    PPT when none is below minus ``qcore.PSD_TOL``.  Partial transposes of a
+    Hermitian matrix are Hermitian, so rho is checked once."""
     rho = check_hermitian(rho)
     if rho.shape != (8, 8):
         raise ValueError(f"partial transpose needs an 8x8 matrix, got {rho.shape}")
     min_eigs = _pt_min_eigs(rho)
-    return PPTReport(is_ppt=bool(np.all(min_eigs >= -tol)), min_eigs=min_eigs)
+    return PPTReport(is_ppt=bool(np.all(min_eigs >= -PSD_TOL)), min_eigs=min_eigs)
 
 
 # --- full spanning property -----------------------------------------------------
@@ -234,17 +234,15 @@ class ExposednessCertificate:
 
     s: float
     t: float
-    grid: dict
     constraint_count: int
     nullspace_dim: int
     surviving_ray_dim: int
     direction_match_error: float
     pv4_diagonal_error: float
     unpruned_directions: int | None
-    # Per signed perturbation: its direction, step, probe factors, value and
-    # herm_to_vec coordinates
-    _direction: np.ndarray = field(repr=False, compare=False)
-    _eps: np.ndarray = field(repr=False, compare=False)
+    # Per signed perturbation: its probe factors, value and herm_to_vec
+    # coordinates.  Task i perturbs along direction i // 2, by +PRUNE_STEP
+    # for even i and -PRUNE_STEP for odd i.
     _factors: np.ndarray = field(repr=False, compare=False)
     _values: np.ndarray = field(repr=False, compare=False)
     _coords: np.ndarray = field(repr=False, compare=False)
@@ -255,17 +253,16 @@ class ExposednessCertificate:
         with its 8x8 matrix, which no stage needs."""
         return tuple(
             PruneRecord(
-                direction=k,
-                epsilon=eps,
+                direction=i // 2,
+                epsilon=-PRUNE_STEP if i % 2 else PRUNE_STEP,
                 min_value=value,
                 argmin=ProductVector(*f),
                 violated=value < PRUNE_VIOLATION,
                 perturbation=pert,
             )
-            for k, eps, value, f, pert in zip(
-                self._direction.tolist(), self._eps.tolist(), self._values.tolist(),
-                self._factors.conj(), vec_to_herm(self._coords),
-            )
+            for i, (value, f, pert) in enumerate(zip(
+                self._values.tolist(), self._factors.conj(), vec_to_herm(self._coords)
+            ))
         )
 
     @property
@@ -586,7 +583,6 @@ def _falsification(x: np.ndarray, null_basis: np.ndarray) -> dict:
     # A direction is pruned when both of its signed perturbations violate.
     return {
         "unpruned_directions": len(set(task_direction[~(probe_values < PRUNE_VIOLATION)].tolist())),
-        "_direction": task_direction, "_eps": task_eps,
         "_factors": probe, "_values": probe_values, "_coords": coords,
     }
 
@@ -595,16 +591,13 @@ def _falsification(x: np.ndarray, null_basis: np.ndarray) -> dict:
 #: refused already: no count and no probe tasks, so no prune records.
 _NOT_FALSIFIED = {
     "unpruned_directions": None,
-    "_direction": np.empty(0, dtype=int), "_eps": np.empty(0),
     "_factors": np.empty((0, 3, 2), dtype=complex), "_values": np.empty(0),
     "_coords": np.empty((0, 64)),
 }
 
 
 def exposedness_certificate(
-    w: WitnessFamily,
-    grid: KernelGrid | None = None,
-    include_eta_zeta: bool = True,
+    w: WitnessFamily, *, include_eta_zeta: bool = True
 ) -> ExposednessCertificate:
     """Certificate that the witness spans an exposed ray.
 
@@ -630,7 +623,6 @@ def exposedness_certificate(
     reads.  The fixed members' constraint rows and pivots, the
     certificate's and the control's, the Choi matrix's coordinates and that
     map are built at import; every SVD, rank and probe runs per call.
-    ``grid`` is only echoed: neither run reads it.
     The falsification can only withhold the certificate, never grant it, so
     it runs only once the first-order route has isolated the ray:
     ``surviving_ray_dim`` 1 and ``direction_match_error`` below
@@ -644,7 +636,6 @@ def exposedness_certificate(
     than one.  ``surviving_ray_dim`` alone decides the control, and it runs
     no falsification.
     """
-    grid = grid or KernelGrid.default()
     x, rows, _ = _constraint_vectors(include_eta_zeta)
     pivots = _CERTIFICATE_PIVOTS if include_eta_zeta else _CONTROL_PIVOTS
     null_basis, pv4_diag_error = _zero_value_nullspace(rows)
@@ -656,7 +647,6 @@ def exposedness_certificate(
     return ExposednessCertificate(
         s=w.s,
         t=w.t,
-        grid=grid.describe(),
         constraint_count=len(x),
         nullspace_dim=len(null_basis),
         surviving_ray_dim=surviving_ray_dim,

@@ -129,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=200, help="see-saw restarts")
 
     p = command(kinds, ("certify", "exposedness"), "the witness spans an exposed ray")
-    p.add_argument(
-        "--grid", choices=grids, default="default",
-        help="echoed as the JSON's grid; both runs compute from fixed kernel members",
-    )
     p.add_argument("--drop-curved-constraints", action="store_true", help="the flat-only control")
     p.add_argument("--seed", type=int, default=0, help=ignored)
 
@@ -270,9 +266,7 @@ def cmd_positivity(args, w):
 
 
 def cmd_exposedness(args, w):
-    cert = exposedness_certificate(
-        w, KernelGrid.named(args.grid), include_eta_zeta=not args.drop_curved_constraints
-    )
+    cert = exposedness_certificate(w, include_eta_zeta=not args.drop_curved_constraints)
     note = (
         f"surviving ray dim = {cert.surviving_ray_dim}, "
         f"match error = {cert.direction_match_error:.2e}"
@@ -326,7 +320,7 @@ def main(argv=None) -> int:
         # the parser was built is the one called.
         payload, code, note = globals()[args.handler](args, w)
         _emit({**payload, "s": w.s, "t": w.t}, args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.pretty:

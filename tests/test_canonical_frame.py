@@ -72,18 +72,16 @@ class TestFrameIdentity:
         assert not exposedness_certificate(w, include_eta_zeta=False).certified
 
     @pytest.mark.parametrize("s", [9e5, 2e6])
-    def test_fine_grid_far_out(self, s):
-        grid = KernelGrid.fine()
-        assert exposedness_certificate(curve(s), grid).certified
-        assert not exposedness_certificate(curve(s), grid, include_eta_zeta=False).certified
+    def test_far_out(self, s):
+        assert exposedness_certificate(curve(s)).certified
+        assert not exposedness_certificate(curve(s), include_eta_zeta=False).certified
 
     def test_control_settled_far_out(self):
         # with an absolute PRUNE_VIOLATION this control left 2 directions open
         # when it ran at the given s; at s = t it is decided as the canonical
         # one, by its first-order rank alone, with no falsification
-        grid = KernelGrid.small()
-        far = exposedness_certificate(curve(5.011872336272653e-06), grid, include_eta_zeta=False)
-        here = exposedness_certificate(W0, grid, include_eta_zeta=False)
+        far = exposedness_certificate(curve(5.011872336272653e-06), include_eta_zeta=False)
+        here = exposedness_certificate(W0, include_eta_zeta=False)
         assert far.unpruned_directions is here.unpruned_directions is None
         assert far.prune_records == here.prune_records == ()
         assert dataclasses.replace(far, s=W0.s, t=W0.t) == here
@@ -176,7 +174,7 @@ class TestFixedSet:
         assert max(picked) < len(flat + curved)
         assert tuple((flat + curved)[j] for j in picked) == CERTIFICATE_KERNEL_IDS
 
-    def test_rows_do_not_depend_on_grid(self, monkeypatch):
+    def test_rows_are_the_fixed_members(self, monkeypatch):
         seen = []
         probe = certify._prune_probe
 
@@ -189,10 +187,9 @@ class TestFixedSet:
 
         monkeypatch.setattr(certify, "_prune_probe", spy)
         monkeypatch.setattr(certify, "_kernel_table", fail)
-        for grid in GRIDS:
-            exposedness_certificate(curve(0.5), grid)
-        assert all(np.array_equal(x, seen[0]) for x in seen)
-        assert np.array_equal(seen[0], member_factors(CERTIFICATE_KERNEL_IDS).conj())
+        exposedness_certificate(curve(0.5))
+        [x] = seen
+        assert np.array_equal(x, member_factors(CERTIFICATE_KERNEL_IDS).conj())
 
 
 def rank(rows: np.ndarray) -> int:
@@ -261,16 +258,11 @@ class TestControlSet:
         assert rank(joint_rows(factors[picked])) == 54
         assert tuple(pool[j] for j in sorted(picked)) == CONTROL_KERNEL_IDS
 
-    def test_rows_do_not_depend_on_grid(self, monkeypatch):
+    def test_rows_are_the_fixed_members(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("the control read the grid's kernel table")
 
         monkeypatch.setattr(certify, "_kernel_table", fail)
-        payloads = []
-        for grid in GRIDS:
-            payload = exposedness_certificate(curve(0.5), grid, include_eta_zeta=False).to_json_dict()
-            assert payload.pop("grid") == grid.describe()
-            payloads.append(payload)
-        assert payloads[0]["constraint_count"] == 18
-        assert payloads[0]["nullspace_dim"] == 46 and payloads[0]["surviving_ray_dim"] == 10
-        assert all(p == payloads[0] for p in payloads)
+        payload = exposedness_certificate(curve(0.5), include_eta_zeta=False).to_json_dict()
+        assert payload["constraint_count"] == 18
+        assert payload["nullspace_dim"] == 46 and payload["surviving_ray_dim"] == 10

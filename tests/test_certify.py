@@ -100,6 +100,11 @@ class TestPPTCheck:
         with pytest.raises(ValueError, match="8x8"):
             ppt_check((g + g.conj().T) / 2)
 
+    def test_takes_no_tolerance(self):
+        # the PPT mark is qcore.PSD_TOL; a nan tolerance once read as not PPT
+        with pytest.raises(TypeError):
+            ppt_check(np.eye(8) / 8, tol=math.nan)
+
 
 class TestSpanning:
     def test_default_grid_full_rank(self, w):
@@ -223,8 +228,8 @@ class TestExposedness:
         monkeypatch.setattr(witness, "_dual_entries", fail)
         grid = KernelGrid.named(name)
         flat_ids = [tag for tag, _ in grid.kernel_ids() if tag in PV1_TAGS]
-        cert = exposedness_certificate(w, grid)
-        control = exposedness_certificate(w, grid, include_eta_zeta=False)
+        cert = exposedness_certificate(w)
+        control = exposedness_certificate(w, include_eta_zeta=False)
         assert len(kernel_vectors(w, grid)) + 6 == full
         assert len(flat_ids) + 6 == flat
         assert cert.constraint_count == len(certify.CERTIFICATE_KERNEL_IDS) == 32
@@ -242,6 +247,12 @@ class TestExposedness:
         assert [r.min_value for r in again.prune_records] == [
             r.min_value for r in default_cert.prune_records
         ]
+
+    def test_takes_no_grid(self, w):
+        # a grid is truthy, so by position it must not bind include_eta_zeta
+        assert bool(KernelGrid.small())
+        with pytest.raises(TypeError):
+            exposedness_certificate(w, KernelGrid.small())
 
 
 def _fraction_x(a, b, c) -> list:

@@ -372,27 +372,20 @@ class TestCertify:
         assert payload["pairing_value"] < 0
         assert all(e >= -1e-10 for e in payload["min_pt_eigs"])
 
-    def test_exposedness_small_grid(self, capsys):
-        code, payload = run_json(capsys, "certify", "exposedness", "--grid", "small")
+    def test_exposedness(self, capsys):
+        code, payload = run_json(capsys, "certify", "exposedness")
         assert code == 0
         assert payload["certified"]
         assert payload["surviving_ray_dim"] == 1
 
     def test_exposedness_flat_only_fails(self, capsys):
-        code, payload = run_json(
-            capsys,
-            "certify",
-            "exposedness",
-            "--grid",
-            "small",
-            "--drop-curved-constraints",
-        )
+        code, payload = run_json(capsys, "certify", "exposedness", "--drop-curved-constraints")
         assert code == 1
         assert payload["surviving_ray_dim"] > 1
 
     @pytest.mark.parametrize("extra", [(), ("--drop-curved-constraints",)])
     def test_exposedness_does_not_depend_on_seed(self, capsys, extra):
-        argv = ("certify", "exposedness", "--grid", "small", *extra)
+        argv = ("certify", "exposedness", *extra)
         code0, out0, _ = run(capsys, *argv, "--seed", "0")
         code7, out7, _ = run(capsys, *argv, "--seed", "7")
         assert out0 and out0 == out7
@@ -469,13 +462,13 @@ class TestParserReuse:
 
     def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "cert.json"
-        small = ("certify", "exposedness", "--grid", "small")
+        cert = ("certify", "exposedness")
         steps = [
-            ("certify", "exposedness", "--grid", "tiny"),
-            (*small, "--drop-curved-constraints"),
-            small,
-            (*small, "--output", str(target)),
-            small,
+            (*cert, "--grid", "small"),
+            (*cert, "--drop-curved-constraints"),
+            cert,
+            (*cert, "--output", str(target)),
+            cert,
         ]
         cli._parser.cache_clear()
         reused = self.run_steps(capsys, steps, target)
@@ -571,7 +564,11 @@ _ERROR_CASES = {
     "detect_subnormal": lambda d: ["certify", "detect", "--s", "1e-161", "--t", "8e161"],
     # argparse printed a usage block and "qxwit choi: error: ..."
     "unknown_flag": lambda d: ["choi", "--seed", "3"],
-    "bad_choice": lambda d: ["certify", "exposedness", "--grid", "tiny"],
+    "bad_choice": lambda d: ["certify", "spanning", "--grid", "tiny"],
+    # an 853 PiB see-saw batch: numpy's MemoryError ended in a traceback and
+    # exit 1, the negative verdict's code; beyond any 57-bit address space,
+    # so the allocation fails at once
+    "memory": lambda d: ["certify", "positivity", "--restarts", "10000000000000000"],
 }
 
 
@@ -603,13 +600,14 @@ _LEAF_FLAGS = {
     "xstate": _COMMON_FLAGS | {"--file"},
     "certify spanning": _COMMON_FLAGS | {"--grid", "--seed"},
     "certify positivity": _COMMON_FLAGS | {"--seed", "--restarts"},
-    "certify exposedness": _COMMON_FLAGS | {"--grid", "--drop-curved-constraints", "--seed"},
+    "certify exposedness": _COMMON_FLAGS | {"--drop-curved-constraints", "--seed"},
     "certify detect": _COMMON_FLAGS | {"--seed", "--direction"},
 }
 
 #: Flags each leaf accepted, and ignored, before every command declared only
-#: the flags its handler reads; and the --tol of kernel, positivity and
-#: exposedness, whose pass marks are now constants of ``qxwit.certify``.
+#: the flags its handler reads; the --tol of kernel, positivity and
+#: exposedness, whose pass marks are now constants of ``qxwit.certify``; and
+#: the --grid of exposedness, which both its runs ignored.
 _REMOVED_FLAGS = {
     "choi": ("--tol", "--seed", "--grid"),
     "apply": ("--tol", "--seed", "--grid"),
@@ -619,7 +617,7 @@ _REMOVED_FLAGS = {
     "xstate": ("--tol", "--seed", "--grid"),
     "certify spanning": ("--tol", "--restarts", "--direction", "--drop-curved-constraints"),
     "certify positivity": ("--grid", "--direction", "--drop-curved-constraints", "--tol"),
-    "certify exposedness": ("--restarts", "--direction", "--tol"),
+    "certify exposedness": ("--restarts", "--direction", "--tol", "--grid"),
     "certify detect": ("--tol", "--grid", "--restarts", "--drop-curved-constraints"),
 }
 
@@ -661,8 +659,8 @@ def _benchmark_workloads():
 class TestFlagSurface:
     def test_each_leaf_registers_its_table_row(self):
         assert _leaf_flags(cli.build_parser()) == _LEAF_FLAGS
-        assert sum(map(len, _LEAF_FLAGS.values())) == 57
-        assert sum(map(len, _REMOVED_FLAGS.values())) == 32
+        assert sum(map(len, _LEAF_FLAGS.values())) == 56
+        assert sum(map(len, _REMOVED_FLAGS.values())) == 33
 
     @pytest.mark.parametrize(
         "leaf, flag", [(leaf, flag) for leaf, flags in _REMOVED_FLAGS.items() for flag in flags]
@@ -945,43 +943,46 @@ class TestPositivityRunReport:
 
 
 #: sha256 of the stdout, with the exit code, of ``certify exposedness`` at
-#: (s, grid, constraints), t = 8 / s.  Recorded once both runs moved to the
-#: frame s = t and the certificate to its fixed 32 members, and again when
-#: the JSON dropped ``survivor_offx_error`` and ``equality_case``, which only
-#: restated ``direction_match_error``.  The control's were recorded again when
-#: it stopped at its first-order refusal, which left its payload the same but
+#: (s, constraints), t = 8 / s.  Recorded once both runs moved to the frame
+#: s = t and the certificate to its fixed 32 members, and again when the JSON
+#: dropped ``survivor_offx_error`` and ``equality_case``, which only restated
+#: ``direction_match_error``.  The control's were recorded again when it
+#: stopped at its first-order refusal, which left its payload the same but
 #: for ``"unpruned_directions": null`` in place of 0, and again when it moved
 #: to its 18 fixed members, which changed ``constraint_count`` (36 and 48 on
 #: the small and default grids) and took ``direction_match_error`` and
-#: ``pv4_diagonal_error`` from about 1e-16 to 0.0, and nothing else; a change
-#: meant to keep the output must keep these.  They pin one platform's floating point
-#: (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or LAPACK may
-#: round the last bits differently.
+#: ``pv4_diagonal_error`` from about 1e-16 to 0.0, and nothing else.  All
+#: were recorded again when ``--grid`` and the echoed ``grid`` went: each
+#: payload is the one of every grid before, less its ``grid`` key, and the
+#: pins at s = 1, 8 and 1e-3 were added then, checked the same way.  A change
+#: meant to keep the output must keep these.  They pin one platform's
+#: floating point (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or
+#: LAPACK may round the last bits differently.
 _EXPOSEDNESS_STDOUT_SHA256 = {
-    (0.5, "small", "certificate"): (0, "f8135be935b09883abe2788f32d3aa116bdeff92d4a21db9766d1c495f1c0440"),
-    (0.5, "small", "control"): (1, "47ae81edde2e992289ecce4783f7a355e9c67876cef4eb1b3ef803c62c3b4ae6"),
-    (0.5, "default", "certificate"): (0, "7a9d0f0de2920a02400f4c72227fbeb477b8df329dd01a7f9b1ae6d9910b2328"),
-    (0.5, "default", "control"): (1, "0af3b58af0baf76f7c52317be890eb45825e761304a1f58fb812e6ccd1d642d5"),
-    (2 * SQRT2, "small", "certificate"): (0, "609594d5f69e3907ea06d642c8199a49a76ac45fd0ba36e917a6cfdbea9b5742"),
-    (2 * SQRT2, "small", "control"): (1, "e1a423e48b9958a57441e238ad0f39fb543d1d4e8123ee730269a5b784d0912d"),
-    (2 * SQRT2, "default", "certificate"): (0, "ce639a5c75bd596f1c139103aa9ca0dfcf89329ac0d5d2691330ed0eae6e8414"),
-    (2 * SQRT2, "default", "control"): (1, "089998d4c350a708fd2f4f58231dee370cbb33714b2851c4ddd46faa57342c98"),
-    (16.0, "small", "certificate"): (0, "748ac8ad0b82bb9a01d037c51dc1e4647511582c51fec0f75555f437b17b1076"),
-    (16.0, "small", "control"): (1, "2aeb2276cb04271654e1815eacb8747be18e9f65d09e1002dc889f5d493bb9e3"),
-    (16.0, "default", "certificate"): (0, "5465de3ed9956100faf6b1ab669a63db37a00eb0a0fa6aefdade13fb9a4ccd15"),
-    (16.0, "default", "control"): (1, "fe5d3f2113195eddfdf372ff20bbba8c78a8c4ed8120b1f12d3bf5a5c0b06ada"),
+    (0.5, "certificate"): (0, "25c91447288350ed8c240e4b7867942ffbb279a0a9cdd164b659a5f068b5bcb3"),
+    (0.5, "control"): (1, "af3f19993cbaa3dd97e668bd35eb0fafcfc1c454f594a75910d624fc7a8d65b7"),
+    (2 * SQRT2, "certificate"): (0, "2710c89047939600b8aa7092f2faed9ed6b91742edbba4a3d63cab1dae147c16"),
+    (2 * SQRT2, "control"): (1, "cb157f296ca6c9f9167959714d11c6ec8358569e3ac34220d68ea86cccdf6717"),
+    (16.0, "certificate"): (0, "645e0a0e1cac833adaf2f7333d85ae27f743123b92e7dcbfbe9333e5603992c1"),
+    (16.0, "control"): (1, "d29ea18a2abc27ec17d2158eb44628eab8297007a3f4914f31a793bafcaecc98"),
+    (1.0, "certificate"): (0, "e1180668136ce71ce7677adc420a17ccce929331f9a81a40b4112f15db001ec5"),
+    (1.0, "control"): (1, "644a6ee1770ae9b914e55fd7230435d6c153c4bb2873824c3eb34b23785ecd60"),
+    (8.0, "certificate"): (0, "2af85f747a6a2927235bf0c416d63126cb9db0c145551cefb2c2c39c955f2608"),
+    (8.0, "control"): (1, "46024b68562607b0b494b6e533d0b9c5cd8050059b57d4985d95fb9787a84ff3"),
+    (1e-3, "certificate"): (0, "e5caa4e06effe86bb78a349efc0c00dcaf82835ee41bb6d42ec1e5c5a91dcb55"),
+    (1e-3, "control"): (1, "6b343f7e6fe88f84bfbd9fada0836747e1b80493623b2bb9a8c68a4beb1a1523"),
 }
 
 
 class TestExposednessStdoutPinned:
-    @pytest.mark.parametrize("s, grid, kind", list(_EXPOSEDNESS_STDOUT_SHA256))
-    def test_sha256(self, capsys, s, grid, kind):
-        argv = ["certify", "exposedness", "--s", repr(s), "--t", repr(8.0 / s), "--grid", grid]
+    @pytest.mark.parametrize("s, kind", list(_EXPOSEDNESS_STDOUT_SHA256))
+    def test_sha256(self, capsys, s, kind):
+        argv = ["certify", "exposedness", "--s", repr(s), "--t", repr(8.0 / s)]
         if kind == "control":
             argv.append("--drop-curved-constraints")
         code, out, _ = run(capsys, *argv)
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert (code, digest) == _EXPOSEDNESS_STDOUT_SHA256[s, grid, kind]
+        assert (code, digest) == _EXPOSEDNESS_STDOUT_SHA256[s, kind]
 
 
 class TestExposednessGate:
@@ -991,10 +992,10 @@ class TestExposednessGate:
     first-order rank refuses, runs none."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(-100.0, 100.0), st.sampled_from(["small", "default", "fine"]))
-    def test_reference_accepts_stdout_along_the_curve(self, log_s, grid):
+    @given(st.floats(-100.0, 100.0))
+    def test_reference_accepts_stdout_along_the_curve(self, log_s):
         s = 10.0**log_s
-        curve = ("certify", "exposedness", "--s", repr(s), "--t", repr(8.0 / s), "--grid", grid)
+        curve = ("certify", "exposedness", "--s", repr(s), "--t", repr(8.0 / s))
         for control, extra in ((False, ()), (True, ("--drop-curved-constraints",))):
             with mock.patch.object(certify, "_prune_probe", wraps=certify._prune_probe) as spy:
                 code, out = cli_stdout(*curve, *extra)

@@ -31,23 +31,21 @@ def family(log_s: float) -> WitnessFamily:
     return WitnessFamily(s, 8.0 / s)
 
 
-def control(w, grid):
+def control(w):
     """The flat-only run, which leaves more than the witness ray."""
-    return exposedness_certificate(w, grid, include_eta_zeta=False)
+    return exposedness_certificate(w, include_eta_zeta=False)
 
 
 class TestAtTheFrame:
     """Every exposedness stage runs at s = t whatever the input s, so this
-    runs there, on every grid; ``TestFrameIdentity`` checks the verdicts
-    along the curve."""
+    runs there; ``TestFrameIdentity`` checks the verdicts along the curve."""
 
-    @pytest.mark.parametrize("name", ["small", "default", "fine"])
-    def test_certified_and_control_is_not(self, name):
-        w, grid = WitnessFamily(), KernelGrid.named(name)
-        cert = exposedness_certificate(w, grid)
+    def test_certified_and_control_is_not(self):
+        w = WitnessFamily()
+        cert = exposedness_certificate(w)
         assert cert.surviving_ray_dim == 1
         assert cert.certified
-        flat = control(w, grid)
+        flat = control(w)
         assert flat.surviving_ray_dim > 1
         assert not flat.certified
 
@@ -96,7 +94,7 @@ class TestFirstOrderOracle:
     def test_witness_ray(self, grid, log_s):
         w = family(log_s)
         null = first_order_oracle(w, grid, FAMILY_TAGS, True)
-        assert len(null) == exposedness_certificate(w, grid).surviving_ray_dim == 1
+        assert len(null) == exposedness_certificate(w).surviving_ray_dim == 1
         c = herm_to_vec(choi_explicit(w))
         assert abs(null[0] @ c) / np.linalg.norm(c) == pytest.approx(1.0, abs=1e-9)
 
@@ -105,7 +103,7 @@ class TestFirstOrderOracle:
     def test_flat_control(self, grid, log_s):
         w = family(log_s)
         null = first_order_oracle(w, grid, PV1_TAGS, False)
-        assert len(null) == control(w, grid).surviving_ray_dim == 10
+        assert len(null) == control(w).surviving_ray_dim == 10
 
 
 def form_route_tangent(x: np.ndarray, null_basis: np.ndarray) -> np.ndarray:

@@ -43,18 +43,23 @@ def curve(s: float) -> WitnessFamily:
 
 GRIDS = {"small": KernelGrid.small(), "default": KernelGrid.default(), "fine": KernelGrid.fine()}
 
+#: Input s along the curve t = 8 / s.  Every exposedness stage runs at s = t
+#: whatever the input, so each check made there must hold at each of these.
+ON_THE_CURVE = [0.5, 2 * SQRT2, 16.0]
+
 
 class TestProbeSettlesCertificates:
-    """The closed-form probe is the only falsification route, so on every grid
-    it must take every perturbation below the threshold by itself.  Every
-    exposedness stage runs at s = t whatever the input s, so these run there;
-    ``TestFrameIdentity`` checks the verdicts along the curve."""
+    """The closed-form probe is the only falsification route, so it must take
+    every perturbation below the threshold by itself, and on every grid's
+    control inputs too.  Every exposedness stage runs at s = t whatever the
+    input s, so these run there; ``TestFrameIdentity`` checks the verdicts
+    along the curve."""
 
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_every_record_from_the_probe(self, grid):
-        w = WitnessFamily()
-        cert = exposedness_certificate(w, grid=GRIDS[grid])
-        scale = float(np.max(np.abs(choi_explicit(w))))
+    @pytest.mark.parametrize("s", ON_THE_CURVE)
+    def test_every_record_from_the_probe(self, s):
+        cert = exposedness_certificate(curve(s))
+        # the records hold the perturbations of the frame's Choi matrix
+        scale = float(np.max(np.abs(choi_explicit(WitnessFamily()))))
         assert cert.certified
         for rec in cert.prune_records:
             assert rec.violated and rec.min_value < PRUNE_VIOLATION
@@ -67,7 +72,7 @@ class TestProbeSettlesCertificates:
     def test_control_settled_too(self, grid):
         # The first-order route refuses the control, so it runs no probe; on
         # the control's inputs the probe still settles every perturbation.
-        cert = exposedness_certificate(WitnessFamily(), grid=GRIDS[grid], include_eta_zeta=False)
+        cert = exposedness_certificate(WitnessFamily(), include_eta_zeta=False)
         assert cert.unpruned_directions is None and not cert.certified
         assert cert.prune_records == ()
         x, _, _, perts = _reference_inputs(GRIDS[grid], include_eta_zeta=False)
@@ -76,12 +81,12 @@ class TestProbeSettlesCertificates:
         assert np.all(values < PRUNE_VIOLATION)
 
     @pytest.mark.parametrize("flat", [False, True])
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_one_direction_per_nullspace_dimension_but_the_ray(self, grid, flat):
-        cert = exposedness_certificate(WitnessFamily(), grid=GRIDS[grid], include_eta_zeta=not flat)
+    @pytest.mark.parametrize("s", ON_THE_CURVE)
+    def test_one_direction_per_nullspace_dimension_but_the_ray(self, s, flat):
+        cert = exposedness_certificate(curve(s), include_eta_zeta=not flat)
         if flat:
             assert cert.prune_records == ()
-            cert = dataclasses.replace(cert, **_control_falsification(GRIDS[grid]))
+            cert = dataclasses.replace(cert, **_control_falsification())
         assert len(cert.prune_records) == 2 * (cert.nullspace_dim - 1)
         assert sorted({rec.direction for rec in cert.prune_records}) == list(
             range(cert.nullspace_dim - 1)
@@ -100,7 +105,7 @@ class TestProbeSettlesCertificates:
         # At a step far below PRUNE_STEP the probe leaves perturbations open;
         # they must count as unpruned, never as settled.
         monkeypatch.setattr(certify, "PRUNE_STEP", 1e-4)
-        cert = exposedness_certificate(curve(s), grid=KernelGrid.small())
+        cert = exposedness_certificate(curve(s))
         open_directions = {
             rec.direction for rec in cert.prune_records if rec.min_value >= PRUNE_VIOLATION
         }
@@ -248,10 +253,9 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
     )
 
 
-def _control_falsification(grid=None) -> dict:
+def _control_falsification() -> dict:
     """The falsification stage run on the flat-only control's nullspace,
-    which the control itself skips once its first-order rank refuses it.
-    The control computes from its fixed members, so ``grid`` is ignored."""
+    which the control itself skips once its first-order rank refuses it."""
     x, rows, _ = certify._constraint_vectors(include_eta_zeta=False)
     null_basis, _ = certify._zero_value_nullspace(rows)
     return certify._falsification(x, null_basis)
@@ -274,7 +278,7 @@ class TestProbeAgainstReference:
             return calls[-1][1]
 
         monkeypatch.setattr(certify, "_prune_probe", spy)
-        cert = exposedness_certificate(curve(s), grid=GRIDS[grid], include_eta_zeta=not flat)
+        cert = exposedness_certificate(curve(s), include_eta_zeta=not flat)
         # the matrices whose tensors the probe was given
         perts = np.array([rec.perturbation for rec in cert.prune_records])
         if flat:
@@ -301,11 +305,11 @@ class TestProbeAgainstReference:
         calls = []
         probe = certify._prune_probe
         monkeypatch.setattr(certify, "_prune_probe", lambda *args: calls.append(args) or probe(*args))
-        exposedness_certificate(WitnessFamily(), grid=KernelGrid.small(), include_eta_zeta=not flat)
+        exposedness_certificate(WitnessFamily(), include_eta_zeta=not flat)
         if flat:
             # the control stops before the falsification; run that stage alone
             assert calls == []
-            _control_falsification(KernelGrid.small())
+            _control_falsification()
         [(_, tensors)] = calls
         # the perturbations as the certificate's records hold them, bit for bit
         perts = _reference_inputs(None, not flat, householder=True)[3]
@@ -334,11 +338,11 @@ class TestHouseholderCompletion:
         svd = _svd_completion(null_basis, cunit)
         assert np.max(np.abs(directions.T @ directions - svd.T @ svd)) <= 1e-12
 
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_certificate_margin(self, grid):
+    @pytest.mark.parametrize("s", ON_THE_CURVE)
+    def test_certificate_margin(self, s):
         # every perturbation far below PRUNE_VIOLATION, so a change of basis
         # that thins the margin shows here first
-        cert = exposedness_certificate(WitnessFamily(), grid=GRIDS[grid])
+        cert = exposedness_certificate(curve(s))
         assert len(cert._values) == 62
         assert np.max(cert._values) <= -1e-5
 
@@ -348,10 +352,10 @@ class TestTwoSVDs:
     nullspace and the first-order rank."""
 
     @pytest.mark.parametrize("flat", [False, True])
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_svd_calls(self, grid, flat):
+    @pytest.mark.parametrize("s", ON_THE_CURVE)
+    def test_svd_calls(self, s, flat):
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
-            exposedness_certificate(curve(0.5), grid=GRIDS[grid], include_eta_zeta=not flat)
+            exposedness_certificate(curve(s), include_eta_zeta=not flat)
         assert spy.call_count == 2
 
 
@@ -359,7 +363,6 @@ _JSON_KEYS = {
     "certified",
     "constraint_count",
     "direction_match_error",
-    "grid",
     "nullspace_dim",
     "pv4_diagonal_error",
     "s",
@@ -382,21 +385,21 @@ class TestRecordsOnDemand:
         assert set(json.loads(capsys.readouterr().out)) == _JSON_KEYS
 
     def test_second_access_same_object(self):
-        cert = exposedness_certificate(WitnessFamily(), grid=KernelGrid.small())
+        cert = exposedness_certificate(WitnessFamily())
         assert cert.prune_records is cert.prune_records
 
     @pytest.mark.parametrize("flat", [False, True])
-    @pytest.mark.parametrize("s", [0.5, 2 * SQRT2, 16.0])
-    @pytest.mark.parametrize("grid", ["small", "default"])
-    def test_equal_to_eager_records(self, grid, s, flat):
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, *ON_THE_CURVE, 1e3])
+    def test_equal_to_eager_records(self, s, flat):
         w = curve(s)
-        cert = exposedness_certificate(w, grid=GRIDS[grid], include_eta_zeta=not flat)
+        cert = exposedness_certificate(w, include_eta_zeta=not flat)
         if flat:
             # the records the control would hold had it run the falsification
             assert cert.unpruned_directions is None and cert.prune_records == ()
             cert = dataclasses.replace(cert, **_control_falsification())
         records = cert.prune_records
-        # both runs compute from their fixed members on every grid
+        # both runs compute from their fixed members at s = t, so the records
+        # are the same bits wherever on the curve the input lies
         near, reference = _reference_records(None, not flat)
         assert len(records) == len(reference)
         for rec, ref in zip(records, reference):
@@ -414,7 +417,7 @@ class TestRecordsOnDemand:
         )
 
     def test_json_keys_unchanged(self):
-        cert = exposedness_certificate(WitnessFamily(), grid=KernelGrid.small())
+        cert = exposedness_certificate(WitnessFamily())
         assert set(cert.to_json_dict()) == _JSON_KEYS
         cert.prune_records
         assert set(cert.to_json_dict()) == _JSON_KEYS

@@ -463,7 +463,7 @@ class TestBatchedSeesaw:
     @pytest.fixture(scope="class")
     def batch(self):
         w = WitnessFamily()
-        cert = exposedness_certificate(w, grid=KernelGrid.small())
+        cert = exposedness_certificate(w)
         matrices = [choi_explicit(w)] + [r.perturbation for r in cert.prune_records[:4]]
         results = [min_product_value(m, self.RESTARTS, seed) for m, seed in zip(matrices, self.SEEDS)]
         return matrices, results
