@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcore import ProductVector, check_hermitian, product_vector_to_json, tensor3, _field_dict, _square
+from .qcore import ProductVector, check_hermitian, product_vector_to_json, _field_dict, _square
 from .xstate import XMatrix
 
 #: Eighth root of unity used by every kernel family and dual state.
@@ -443,8 +443,9 @@ def _bloch_min(tau: np.ndarray, n: np.ndarray) -> np.ndarray:
     neither overflow nor lose accuracy to subnormals.  Other columns are
     first scaled by a power of two, exactly, to a largest entry in [0.5, 1),
     and n is taken from the scaled column, so it is a unit vector also where
-    |tau| is subnormal.  Squares past 1.3e154 warn of overflow; the see-saw's
-    and the probe's tau stay below 50.
+    |tau| is subnormal.  Squares past 1.3e154 warn of overflow; the probe's
+    tau stay below 50, and the see-saw comes here only for an update whose
+    smallest |tau| is at or below its per-run floor (see ``_seesaw``).
     """
     r = np.sqrt(np.add.reduce(tau[1:] * tau[1:], axis=0))
     v, rv = tau[1:], r  # the direction and its length
@@ -464,38 +465,68 @@ def _spinors(n: np.ndarray) -> np.ndarray:
     """Unit spinors (..., 2) whose projectors are (I + n.sigma) / 2, of unit
     Bloch vectors n (3, ...): (1 + nz, nx + i ny) where nz >= 0, else
     (nx - i ny, 1 - nz), over its norm; of the two the one free of
-    cancellation, whose norm, in [sqrt(2), 2], needs no hypot."""
+    cancellation, whose norm, in [sqrt(2), 2], needs no hypot.
+
+    The two components are held apart in memory: f is a transposed view of
+    an array (2, ...), so moving its component axis leaves the last axis
+    contiguous."""
     nx, ny, nz = n
     top = 1.0 + np.abs(nz)
     xy = nx + 1j * ny
     up = nz >= 0.0
-    out = np.empty(nz.shape + (2,), dtype=complex)
-    out[..., 0] = np.where(up, top, xy.conj())
-    out[..., 1] = np.where(up, xy, top)
-    out /= np.sqrt(top * top + nx * nx + ny * ny)[..., None]
-    return out
+    out = np.empty((2,) + nz.shape, dtype=complex)
+    out[0] = np.where(up, top, xy.conj())
+    out[1] = np.where(up, xy, top)
+    out /= np.sqrt(top * top + nx * nx + ny * ny)
+    return out.transpose(*range(1, out.ndim), 0)
+
+
+def _product_columns(f: np.ndarray) -> np.ndarray:
+    """The product vectors x (x) y (x) z as columns (8, restart) of factors f
+    (party, 2, restart): component 4i+2j+k is x_i y_j z_k, as in ``tensor3``."""
+    x, y, z = f
+    return (x[:, None, None] * y[None, :, None] * z[None, None]).reshape(8, -1)
+
+
+#: The see-saw's party updates in cycle order: (party, the other party
+#: updated last, the one updated before it).  Each update contracts T with
+#: the older party's Bloch vectors in one BLAS product, then with the newer's.
+_UPDATES = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
 
 
 def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | None = None):
     """Run every restart of the cyclic see-saw of one matrix as one batch.
 
     Minimizes <eta| C |eta> over unit product vectors eta, one party at a
-    time.  Each party is held as Bloch 4-vectors (1, n), shaped (4, restart),
-    and the run is on the Pauli tensor T of the matrix (see
-    ``_pauli_tensor``): a party's update contracts T (4, 16) with the (16,
-    restart) outer products of the other two parties' Bloch vectors into tau
-    and takes ``_bloch_min``, the minimal eigenpair of its effective 2x2
-    matrix.  A cycle's values are the third party's minima.
+    time.  Each party is held as Bloch 4-vectors (1, n), the run's Bloch
+    array is (4, party, restart), and the run is on the Pauli tensor T of
+    the matrix (see ``_pauli_tensor``).  A party's update contracts its rows
+    of T (16, 4) with the older other party's Bloch vectors in one real
+    product (16, restart), then with the newer one's into tau (4, restart),
+    and moves to the minimal eigenpair of its effective 2x2 matrix tau0 I +
+    tau.sigma: the value tau0 - |tau| at n = -tau / |tau|.  Rows 1-3 of T
+    are negated once per run, so tau[1:] holds -tau and n is tau[1:] / |tau|.
+    A cycle's values are the third party's minima.
 
-    The starting factors come from ``default_rng(seed)``; the run stops when
-    no restart's value moved by ``STALL_TOL`` times the scale or more in the
-    last cycle, or at ``max_cycles``.  The scale is the largest power of two
-    not above the largest entry: the run is on the matrix divided by it,
-    which is exact, so it neither under- nor overflows and its stall test
-    does not depend on the input's scale.  Every update is an exact
+    That division is ``_bloch_min``'s common case.  An update takes it when
+    the smallest |tau| of the batch is above a floor set once per run: 2e-14
+    times the largest l1 norm of a party's row 0 of T, and at least 2^-484.
+    Every Bloch entry is at most 1, so |tau0| is at most that norm, and
+    above the floor every column has |tau| > 1e-14 (|tau0| + |tau|) and
+    squares that neither under- nor overflow (|tau| is below 64, as T's
+    entries are below 2).  An update whose smallest |tau| is at or below
+    the floor runs ``_bloch_min`` on the true tau.
+
+    The starting factors v come from ``default_rng(seed)``, their Bloch
+    vectors n = <v|sigma|v> / <v|v> taken in real arithmetic; the run stops
+    when no restart's value moved by ``STALL_TOL`` times the scale or more
+    in the last cycle, or at ``max_cycles``.  The scale is the largest power
+    of two not above the largest entry: the run is on the matrix divided by
+    it, which is exact, so it neither under- nor overflows and its stall
+    test does not depend on the input's scale.  Every update is an exact
     minimization, so a restart's value never rises.
 
-    Returns the values (restart,), the unit factors (party, restart, 2) and
+    Returns the values (restart,), the unit factors (party, 2, restart) and
     the cycles run.  The number of restarts that moved in the last cycle run
     is appended to ``moving`` when one is given.
     """
@@ -504,28 +535,51 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
     # a run of no cycle has no value; it must not read as a minimum of +inf
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
+    # numpy's own message names no argument
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     if np.shape(matrix) != (8, 8):
         raise ValueError("see-saw needs an 8x8 Hermitian matrix")
     c8 = check_hermitian(matrix)
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(c8)))[1] - 1)
     c = c8 / scale
     t = _pauli_tensor(c)
-    # Per party, T with that party's index first, then the other two in order.
-    party_rows = [t.transpose(p).reshape(4, 16) for p in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    # Per party, T with that party's index first, then the newer and the older
+    # of the other two, as rows (party index, newer index) by older index.
+    rows = np.stack([t.transpose(axes) for axes in _UPDATES]).reshape(3, 16, 4)
+    rows[:, 4:] *= -1.0
+    floor = max(2.0**-484, 2e-14 * float(np.max(np.add.reduce(np.abs(rows[:, :4]), axis=(1, 2)))))
 
-    # Starting factors, drawn in the order (party, real/imaginary part,
-    # restart, component), and their Bloch vectors (party, 4, restart).
+    # Starting factors v = x + i y, drawn in the order (party, real/imaginary
+    # part, restart, component), each of x0, x1, y0, y1 (party, restart).
     draws = np.random.default_rng(seed).standard_normal((3, 2, restarts, 2))
-    v = draws[:, 0] + 1j * draws[:, 1]
-    bloch = _bloch_vectors(v / np.linalg.norm(v, axis=-1, keepdims=True))
-    work = np.empty((4, 4, restarts))
+    (x0, x1), (y0, y1) = draws.transpose(1, 3, 0, 2)
+    p0, p1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
+    bloch = np.empty((4, 3, restarts))
+    bloch[0] = 1.0
+    bloch[1] = x0 * x1 + y0 * y1
+    bloch[2] = x0 * y1 - y0 * x1
+    bloch[1:3] *= 2.0
+    np.subtract(p0, p1, out=bloch[3])
+    bloch[1:] /= p0 + p1
+    half = np.empty((16, restarts))
     tau = np.empty((4, restarts))
+    squares = np.empty((3, restarts))
+    r = np.empty(restarts)
     values = np.full(restarts, np.inf)
     for cycles in range(1, max_cycles + 1):
-        for p, (q1, q2) in enumerate(((1, 2), (0, 2), (0, 1))):
-            np.multiply(bloch[q1, :, None], bloch[q2, None], out=work)
-            np.matmul(party_rows[p], work.reshape(16, restarts), out=tau)
-            new = _bloch_min(tau, bloch[p, 1:])
+        for p, newer, older in _UPDATES:
+            np.matmul(rows[p], bloch[:, older], out=half)
+            np.einsum("ajr,jr->ar", half.reshape(4, 4, restarts), bloch[:, newer], out=tau)
+            np.multiply(tau[1:], tau[1:], out=squares)
+            np.sqrt(np.add.reduce(squares, axis=0, out=r), out=r)
+            guarded = np.minimum.reduce(r) > floor
+            if guarded:
+                np.divide(tau[1:], r, out=bloch[1:, p])
+            else:
+                np.negative(tau[1:], out=tau[1:])
+                minima = _bloch_min(tau, bloch[1:, p])
+        new = tau[0] - r if guarded else minima
         # The first cycle's moves from infinity count, so no run stops there.
         still_moving = restarts - int(np.count_nonzero(np.abs(new - values) < STALL_TOL))
         values = new
@@ -533,15 +587,15 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
             break
     if moving is not None:
         moving.append(still_moving)
-    factors = _spinors(bloch[:, 1:].swapaxes(0, 1))
+    factors = _spinors(bloch[1:]).transpose(0, 2, 1)
     # A minimum tau0 - |tau| is a difference of sums over every entry of T,
     # good to about 1e-16 of the largest entry whatever its size; the form at
     # the factors keeps the matrix's zeros and small entries apart.  On the
     # witness curve at s = 1e12 the smallest of 200 restarts' minima is
     # -1.4e-9, past the positivity threshold -1e-9, and the smallest form at
     # their factors -2.3e-52.
-    psi = tensor3(*factors)
-    values = np.einsum("ri,ri->r", psi.conj() @ c, psi).real
+    psi = _product_columns(factors)
+    values = np.einsum("ir,ir->r", psi.conj(), c @ psi).real
     return values * scale, factors, cycles
 
 
@@ -557,7 +611,7 @@ def seesaw_minima(
     The returned vectors v satisfy pairing(|v><v|, matrix) = value.
     """
     values, factors, _ = _seesaw(matrix, restarts, seed, max_cycles)
-    return values, [ProductVector(*factors[:, k].conj()) for k in range(restarts)]
+    return values, [ProductVector(*factors[..., k].conj()) for k in range(restarts)]
 
 
 def min_product_value(
@@ -581,8 +635,9 @@ def min_product_value(
     own terms of ``min_value``, so rounding in the values does not choose
     among restarts at the same minimum.  The minimum is degenerate, and
     rounding in a restart's trajectory can take it to another zero of the
-    form: at s in {1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12} a rounding-level
-    change to the engine moved ``argmin`` to another zero in 8 of 54 runs.
+    form: a rounding-level change to the engine moved ``argmin`` to another
+    zero in 12 of 18 runs at s in {1e-12, 1e-8, 1e-3, 1e3, 1e8, 1e12}, and
+    in none of 109 at s in [0.5, 16].
     """
     moving = []
     values, factors, cycles = _seesaw(matrix, restarts, seed, max_cycles, moving)
@@ -596,13 +651,12 @@ def min_product_value(
     # above a minimum of 1e-35.
     # |psi| (8, restart) = |x| (x) |y| (x) |z|, restarts along the contiguous
     # axis: a broadcast product over the 2-vectors' own axis is ten times slower
-    m = np.ascontiguousarray(np.abs(factors).swapaxes(1, 2))
-    psi = (m[0][:, None, None] * m[1][None, :, None] * m[2][None, None, :]).reshape(8, -1)
+    psi = _product_columns(np.abs(factors))
     terms = np.einsum("ir,ir->r", np.abs(np.asarray(matrix)) @ psi, psi)
     k = int(np.argmax(values <= min_value + 32.0 * np.spacing(terms)))
     return SeesawResult(
         min_value=min_value,
-        argmin=ProductVector(*factors[:, k].conj()),
+        argmin=ProductVector(*factors[..., k].conj()),
         restarts=restarts,
         seed=seed,
         cycles=cycles,

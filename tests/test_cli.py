@@ -569,6 +569,8 @@ _ERROR_CASES = {
     # exit 1, the negative verdict's code; beyond any 57-bit address space,
     # so the allocation fails at once
     "memory": lambda d: ["certify", "positivity", "--restarts", "10000000000000000"],
+    # numpy's "error: expected non-negative integer" named no argument
+    "negative_seed": lambda d: ["certify", "positivity", "--seed", "-1"],
 }
 
 
@@ -583,6 +585,9 @@ class TestErrorContract:
     @pytest.mark.parametrize("case", sorted(_ERROR_CASES))
     def test_exit_two_and_one_error_line(self, capsys, tmp_path, case):
         assert_one_error_line(*run(capsys, *_ERROR_CASES[case](tmp_path)))
+
+    def test_negative_seed_is_named(self, capsys):
+        assert run(capsys, "certify", "positivity", "--seed", "-1") == (2, "", "error: seed must be at least 0\n")
 
 
 _COMMON_FLAGS = {"--s", "--t", "--output", "--pretty"}
@@ -1038,3 +1043,29 @@ class TestSpanningStdoutPinned:
         code, out, _ = run(capsys, "certify", "spanning", "--s", repr(s), "--t", repr(8.0 / s), "--grid", grid)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == _SPANNING_STDOUT_SHA256[s, grid]
+
+
+#: sha256 of the stdout, with the exit code, of ``certify positivity`` at (s,
+#: restarts), t = 8 / s, seed 3.  Recorded when the see-saw's party update
+#: moved to one BLAS product and one einsum with a guarded division; a change
+#: to the engine at rounding level shows here as a diff.  They pin the same
+#: platform's floating point as the digests above.
+_POSITIVITY_STDOUT_SHA256 = {
+    (0.5, 24): (0, "30cc853cddb6e7f02ae1db9e0467293c500914004f1af7795aebf70620444b1b"),
+    (0.5, 200): (0, "03900293652cb48eba4c7075249461e0b8e5524d16ba3aad8b9fd200fca000aa"),
+    (2 * SQRT2, 24): (0, "99a75a067dfc141b150b9508cfc425dfb1d289e298f3500d6d193f1050a5d353"),
+    (2 * SQRT2, 200): (0, "27f7ab66bbe3345b46fc058e3761f85242dda4e6d8afc2f47507f5753e4ff0fe"),
+    (16.0, 24): (0, "91a85c8118bf2f7ed9c1f0dd882fd089db27da9e3fc3b60ac7171865b1e0fe68"),
+    (16.0, 200): (0, "ee661b2127cb423386cf5167206847bf39b2d9a313d706bc7b4431a1a1d35fc7"),
+}
+
+
+class TestPositivityStdoutPinned:
+    @pytest.mark.parametrize("s, restarts", list(_POSITIVITY_STDOUT_SHA256))
+    def test_sha256(self, capsys, s, restarts):
+        code, out, _ = run(
+            capsys, "certify", "positivity", "--s", repr(s), "--t", repr(8.0 / s), "--restarts", str(restarts),
+            "--seed", "3",
+        )
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == _POSITIVITY_STDOUT_SHA256[s, restarts]

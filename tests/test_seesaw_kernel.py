@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qxwit import WitnessFamily, choi_explicit, min_product_value, pairing, seesaw_minima, verify_positive
+from qxwit import WitnessFamily, choi_explicit, min_product_value, pairing, seesaw_minima, verify_positive, witness
 from qxwit.qcore import tensor3
 from qxwit.witness import (
     STALL_TOL,
@@ -103,6 +103,48 @@ class TestSeesawAgainstEighOracle:
         res = min_product_value(c, 24, seed)
         assert res.cycles == cycles
         assert res.min_value == pytest.approx(values.min(), abs=1e-12 * np.max(np.abs(c)))
+
+
+class TestGuardedUpdate:
+    """A party update divides by |tau| directly when the smallest |tau| of the
+    batch is above the run's floor, and otherwise runs ``_bloch_min``; both
+    give the eigh oracle's run."""
+
+    @pytest.fixture
+    def bloch_min_calls(self, monkeypatch):
+        calls = []
+
+        def spy(tau, n):
+            calls.append(tau.shape)
+            return _bloch_min(tau, n)
+
+        monkeypatch.setattr(witness, "_bloch_min", spy)
+        return calls
+
+    @staticmethod
+    def check(c, restarts, seed):
+        values, cycles = eigh_seesaw(c, restarts, seed)
+        assert cycles < 300
+        engine_values, _, engine_cycles = _seesaw(c, restarts, seed, 300)
+        assert engine_cycles == cycles
+        assert np.max(np.abs(engine_values - values)) <= 1e-12 * np.max(np.abs(c))
+        res = min_product_value(c, restarts, seed)
+        # the oracle stalled: no restart moved by the tolerance in its last cycle
+        assert (res.cycles, res.restarts_moving) == (cycles, 0)
+
+    @pytest.mark.parametrize("s", [0.5, 2 * SQRT2, 16.0])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_choi_takes_the_division_only(self, bloch_min_calls, s, seed):
+        # the benchmark's positivity verdicts run on this path
+        self.check(choi_explicit(WitnessFamily(s, 8.0 / s)), 200, seed)
+        assert bloch_min_calls == []
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000])
+    def test_identity_falls_back(self, bloch_min_calls, scale):
+        # tau = 0 in every column, so the division alone would give 0 / 0
+        c = scale * np.eye(8)
+        self.check(c, 24, 0)
+        assert bloch_min_calls and set(bloch_min_calls) == {(4, 24)}
 
 
 class TestScaleRelativeStall:
@@ -300,6 +342,14 @@ class TestMaxCycles:
     def test_private_run_rejects_it_too(self):
         with pytest.raises(ValueError, match="max_cycles"):
             _seesaw(choi_explicit(WitnessFamily()), 8, 0, 0)
+
+
+class TestSeed:
+    @pytest.mark.parametrize("run", [min_product_value, seesaw_minima])
+    def test_negative_is_rejected_by_name(self, run):
+        # numpy's own error, "expected non-negative integer", names no argument
+        with pytest.raises(ValueError, match="^seed must be at least 0$"):
+            run(choi_explicit(WitnessFamily()), 8, -1)
 
 
 class TestRestartsMoving:
