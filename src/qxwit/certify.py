@@ -144,6 +144,39 @@ _CANONICAL = WitnessFamily()
 _CONJUGATED = np.array([[p in subset for p in (1, 2, 3)] for subset in SUBSETS[:4]])
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _spanning_rows(grid: KernelGrid, tags) -> np.ndarray:
+    """The partially conjugated kernel vectors (mask 0-3, member, 8) of the
+    grid's members of the families in ``tags`` at s = t, in
+    ``grid.kernel_ids()`` order.  The factors are held member-major, (party,
+    2, member), so each mask picks every party's factors or their conjugates
+    and takes two contiguous products over members; component 4i+2j+k is
+    (x_i y_j) z_k, as in ``tensor3``, which gives the same bits.  The rows
+    are a transposed view of an array (mask, 8, member)."""
+    f = np.ascontiguousarray(_kernel_table(_CANONICAL, grid, tags).transpose(1, 2, 0))
+    picks = (f, f.conj())
+    n = f.shape[-1]
+    out = np.empty((4, 2, 2, 2, n), dtype=complex)
+    for mask, conjugated in enumerate(_CONJUGATED.tolist()):
+        x, y, z = (picks[c][p] for p, c in enumerate(conjugated))
+        np.multiply(x[:, None, None] * y[None, :, None], z[None, None], out=out[mask])
+    return out.reshape(4, 8, n).transpose(0, 2, 1)
+
+
+#: ``_spanning_rows`` of the three preset grids at all fourteen families,
+#: per grid.  They depend on nothing else, so they are built once; every SVD,
+#: rank and record runs per call.
+_SPANNING_ROWS = {
+    grid: _read_only(_spanning_rows(grid, FAMILY_TAGS))[0]
+    for grid in (KernelGrid.small(), KernelGrid.default(), KernelGrid.fine())
+}
+
+
 @dataclass(frozen=True)
 class SubsetSpanRecord:
     subset: tuple
@@ -188,15 +221,24 @@ def spanning_check(
     records are the frame's: the rows are the grid's members at s = t, which
     D^-1 (see ``exposedness_certificate``) maps to kernel vectors at (s, t);
     D^-1 is real, diagonal and invertible, so it commutes with partial
-    conjugation and keeps every rank."""
+    conjugation and keeps every rank.
+
+    The rows depend only on the grid and the tags.  For a preset grid
+    (``small``, ``default`` or ``fine``) at the tuple ``FAMILY_TAGS``, every
+    CLI call's case, they are the constants ``_SPANNING_ROWS`` built at
+    import; any other grid or tag collection builds them per call with the
+    same ``_spanning_rows``.  The SVD, the ranks and the records run per
+    call."""
     grid = grid or KernelGrid.default()
-    factors = _kernel_table(_CANONICAL, grid, tags)
-    n = len(factors)
+    rows = None
+    if isinstance(tags, tuple) and tags == FAMILY_TAGS:
+        # by equality, not hashing: a grid's ab_values may be a list
+        rows = next((r for preset, r in _SPANNING_ROWS.items() if preset == grid), None)
+    if rows is None:
+        rows = _spanning_rows(grid, tags)
+    n = rows.shape[1]
     if n < 8:
         raise ValueError(f"grid yields only {n} kernel vectors, need >= 8")
-    # (mask 0-3, vector, party, 2): the factors of each subset's parties conjugated
-    conj = np.where(_CONJUGATED[:, None, :, None], factors.conj(), factors)
-    rows = tensor3(conj[..., 0, :], conj[..., 1, :], conj[..., 2, :])
     half = np.linalg.svd(rows, compute_uv=False)
     ranks = np.sum(half > RANK_THRESHOLD * half[:, :1], axis=1)
     kept = half[np.arange(4), ranks - 1]
@@ -440,12 +482,6 @@ def _constraint_data(x: np.ndarray) -> tuple:
         [abar * xs, (upper + lower) / _SQRT2, 1j * (upper - lower) / _SQRT2], axis=-1
     )
     return x, rows, np.concatenate([g.real, g.imag])
-
-
-def _read_only(*arrays) -> tuple:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 #: The constraint data of the certificate and of the control,

@@ -562,6 +562,9 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
     bloch[1:3] *= 2.0
     np.subtract(p0, p1, out=bloch[3])
     bloch[1:] /= p0 + p1
+    # Buffers are freed once read, so later ones reuse their memory rather
+    # than fault in new pages.
+    del draws, x0, x1, y0, y1, p0, p1
     half = np.empty((16, restarts))
     tau = np.empty((4, restarts))
     squares = np.empty((3, restarts))
@@ -587,6 +590,7 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
             break
     if moving is not None:
         moving.append(still_moving)
+    del half, squares
     factors = _spinors(bloch[1:]).transpose(0, 2, 1)
     # A minimum tau0 - |tau| is a difference of sums over every entry of T,
     # good to about 1e-16 of the largest entry whatever its size; the form at
@@ -595,7 +599,9 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
     # -1.4e-9, past the positivity threshold -1e-9, and the smallest form at
     # their factors -2.3e-52.
     psi = _product_columns(factors)
-    values = np.einsum("ir,ir->r", psi.conj(), c @ psi).real
+    cpsi = c @ psi
+    np.conjugate(psi, out=psi)
+    values = np.einsum("ir,ir->r", psi, cpsi).real
     return values * scale, factors, cycles
 
 

@@ -225,8 +225,13 @@ def x_norm_lower_bound_check(z) -> XNormBound:
 
 def _block_positivity(x4: float, y4: float, norm: float) -> tuple:
     """(block positive, equality) for nonnegative weights x4, y4 and the X
-    norm of the anti-diagonal, both with tolerances relative to the norm."""
-    gap = math.sqrt(x4 * y4) - norm
+    norm of the anti-diagonal, both with tolerances relative to the norm.
+    A norm that overflowed to inf raises ValueError: its slack would be inf
+    as well, and every pair of weights would pass.  sqrt(x4) sqrt(y4) stays
+    finite and nonzero where the product x4 y4 would over- or underflow."""
+    if not math.isfinite(norm):
+        raise ValueError("block positivity needs a finite X norm, and the anti-diagonal's overflows")
+    gap = math.sqrt(x4) * math.sqrt(y4) - norm
     return (
         gap >= -BLOCK_POSITIVITY_SLACK * norm,
         abs(gap) <= BLOCK_POSITIVITY_EQUALITY_TOL * norm,

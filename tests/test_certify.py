@@ -615,3 +615,79 @@ class TestSpanningMatchesLoop:
             assert json.dumps([r.to_json_dict() for r in report.records]) == json.dumps(
                 [r.to_json_dict() for r in want]
             )
+
+
+def _rows_by_where(grid, tags):
+    """The partially conjugated rows (mask 0-3, member, 8) as ``spanning_check``
+    built them before its rows were held member-major: one ``np.where`` over
+    the (member, party, 2) table and one ``tensor3``."""
+    from qxwit import tensor3
+
+    factors = witness._kernel_table(certify._CANONICAL, grid, tags)
+    conj = np.where(certify._CONJUGATED[:, None, :, None], factors.conj(), factors)
+    return tensor3(conj[..., 0, :], conj[..., 1, :], conj[..., 2, :])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+CUSTOM_GRID = KernelGrid(phase_count=4, ab_values=(0.3, 1.7, 5.0), name="custom")
+
+
+class TestSpanningRowConstants:
+    """The preset grids' rows are built at import; other calls build theirs
+    with the same builder."""
+
+    def test_constants_are_the_builders_rows(self):
+        assert list(certify._SPANNING_ROWS) == list(GRIDS)
+        for grid, rows in certify._SPANNING_ROWS.items():
+            assert _same_bits(rows, certify._spanning_rows(grid, witness.FAMILY_TAGS))
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("grid", (*GRIDS, CUSTOM_GRID), ids=lambda g: g.name)
+    @pytest.mark.parametrize("tags", [witness.FAMILY_TAGS, PV1_TAGS, ("eta1", "00z")], ids=len)
+    def test_builder_matches_where_and_tensor3(self, grid, tags):
+        assert _same_bits(certify._spanning_rows(grid, tags), _rows_by_where(grid, tags))
+
+    @pytest.mark.parametrize("s", [1e-12, 0.5, 2 * SQRT2, 1e12])
+    def test_preset_calls_build_no_rows(self, monkeypatch, s):
+        want = {g.name: spanning_check(WitnessFamily(s, 8.0 / s), g) for g in GRIDS}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a preset call built its rows")
+
+        monkeypatch.setattr(certify, "_kernel_table", fail)
+        monkeypatch.setattr(certify, "_spanning_rows", fail)
+        w = WitnessFamily(s, 8.0 / s)
+        for name in ("small", "default", "fine"):
+            # a grid equal to the preset, not the constant's own object
+            report = spanning_check(w, KernelGrid.named(name), witness.FAMILY_TAGS)
+            assert report == want[name]
+        assert spanning_check(w) == want["default"]
+        assert main(["certify", "spanning", "--grid", "fine", "--s", repr(s), "--t", repr(8.0 / s)]) == 0
+
+    @pytest.mark.parametrize(
+        "grid, tags",
+        [
+            (CUSTOM_GRID, witness.FAMILY_TAGS),
+            (KernelGrid.default(), PV1_TAGS),
+            (KernelGrid.default(), list(witness.FAMILY_TAGS)),
+            (KernelGrid(ab_values=[0.5, 1.0, 2.0]), witness.FAMILY_TAGS),
+        ],
+        ids=["custom_grid", "pv1_tags", "tag_list", "ab_value_list"],
+    )
+    def test_other_calls_build_their_rows(self, monkeypatch, grid, tags):
+        calls = []
+        builder = certify._spanning_rows
+
+        def spy(*args):
+            calls.append(args)
+            return builder(*args)
+
+        monkeypatch.setattr(certify, "_spanning_rows", spy)
+        report = spanning_check(WitnessFamily(), grid, tags)
+        assert calls == [(grid, tags)]
+        assert report.records == _spanning_records_by_loop(WitnessFamily(), grid, tags)

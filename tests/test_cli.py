@@ -571,6 +571,12 @@ _ERROR_CASES = {
     "memory": lambda d: ["certify", "positivity", "--restarts", "10000000000000000"],
     # numpy's "error: expected non-negative integer" named no argument
     "negative_seed": lambda d: ["certify", "positivity", "--seed", "-1"],
+    # the X norm overflowed to inf, and inf >= -1e-9 inf passed: exit 0, block positive
+    "xstate_x_norm_overflow": lambda d: [
+        "xstate",
+        "--file",
+        _put(d, "x.json", {"a": [0, 0, 0, 1], "b": [0, 0, 0, 1], "c_re": [0] * 4, "c_im": [0, 1.7e308, 1.7e308, 0]}),
+    ],
 }
 
 
@@ -1035,6 +1041,22 @@ _SPANNING_STDOUT_SHA256 = {
     (16.0, "default"): (0, "6073ba8f07db341fa75e42e751b8a2c44350536cf992244953e9aa1d2ab837d5"),
     (16.0, "fine"): (0, "00361fafa598b30a618223f5150c6942920638945ce263181b25d2390ac05ed7"),
 }
+
+
+class TestSpanningGate:
+    """``perfbench/reference.py``'s ``check_spanning``, the benchmark's gate on
+    ``certify spanning``, along the curve on every preset grid.  The reference
+    recomputes the grid's ranks at the input's (s, t), whose frame is too
+    badly scaled for rank 8 outside log10 s in [-7.25, 8]; the payload, which
+    is the frame s = t's, is full rank everywhere."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-7.25, 8.0), st.sampled_from(["small", "default", "fine"]))
+    def test_reference_accepts_stdout_along_the_curve(self, log_s, grid):
+        s = 10.0**log_s
+        code, out = cli_stdout("certify", "spanning", "--s", repr(s), "--t", repr(8.0 / s), "--grid", grid)
+        assert code == 0
+        REF.check_spanning(json.loads(out), s, 8.0 / s)
 
 
 class TestSpanningStdoutPinned:

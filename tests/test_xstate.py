@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from qxwit import (
     xpart,
     xpart_decompose,
 )
+from qxwit.xstate import BLOCK_POSITIVITY_SLACK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,6 +225,34 @@ class TestBlockPositivity:
         z = 3e-10 * np.array([1, 1, -1, 1])
         assert not is_block_positive_xwitness(0.0, 0.0, z)
         assert not is_block_positive_xwitness(0.0, 0.0, 1e10 * z)
+
+    def test_overflowing_norm_rejected(self):
+        # x_norm was inf, and -inf >= -1e-9 inf held: a block-positive verdict
+        z = [0, 1.7e308j, 1.7e308j, 0]
+        assert x_norm(z) == math.inf
+        with pytest.raises(ValueError, match="finite X norm"):
+            is_block_positive_xwitness(1.0, 1.0, z)
+        assert not is_block_positive_xwitness(1.0, 1.0, [0, 1e300j, 1e300j, 0])
+
+    def test_weights_whose_product_leaves_the_doubles(self):
+        # x4 y4 overflowed to inf, a positive verdict, and underflowed to 0
+        assert not is_block_positive_xwitness(1e200, 1e200, [1e300, 0, 0, 0])
+        assert is_block_positive_xwitness(1e-200, 1e-200, [1e-250, 0, 0, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-1e307, 1e307), min_size=8, max_size=8),
+        st.floats(0.0, 1.7976931348623157e308),
+        st.floats(0.0, 1.7976931348623157e308),
+    )
+    def test_verdict_is_the_inequality(self, parts, x4, y4):
+        # parts of at most 1e307 keep the X norm finite: it is at most 4 max|z|
+        z = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        norm = x_norm(z)
+        exact = decimal.Context(prec=50)
+        gap = exact.subtract(exact.sqrt(exact.multiply(Decimal(x4), Decimal(y4))), Decimal(norm))
+        assume(abs(gap) > Decimal(BLOCK_POSITIVITY_SLACK) * Decimal(norm))
+        assert is_block_positive_xwitness(x4, y4, z) == (gap >= 0)
 
 
 class TestPositivityTightness:
