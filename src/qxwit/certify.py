@@ -230,10 +230,7 @@ def spanning_check(
     same ``_spanning_rows``.  The SVD, the ranks and the records run per
     call."""
     grid = grid or KernelGrid.default()
-    rows = None
-    if isinstance(tags, tuple) and tags == FAMILY_TAGS:
-        # by equality, not hashing: a grid's ab_values may be a list
-        rows = next((r for preset, r in _SPANNING_ROWS.items() if preset == grid), None)
+    rows = _SPANNING_ROWS.get(grid) if isinstance(tags, tuple) and tags == FAMILY_TAGS else None
     if rows is None:
         rows = _spanning_rows(grid, tags)
     n = rows.shape[1]
@@ -272,7 +269,7 @@ class PruneRecord:
 class ExposednessCertificate:
     """What each stage of ``exposedness_certificate`` decided.
     ``unpruned_directions`` is None, and the probe arrays are empty, when the
-    first-order route has refused already and no falsification ran."""
+    first-order conditions have refused already and no falsification ran."""
 
     s: float
     t: float
@@ -394,8 +391,10 @@ def _prune_probe(x: np.ndarray, tensors: np.ndarray) -> tuple:
 
 #: The constraint product vectors of the certificate, as kernel ids (tag,
 #: params) of ``KernelGrid.kernel_ids()``, at s = t.  Their 32 zero-value
-#: rows span the same 32-dimensional row space as any grid's, and their
-#: first-order rows have rank 31, so they isolate the ray.  They were chosen
+#: rows span the same 32-dimensional row space as any grid's, and with their
+#: first-order rows they have the exact rank 63 (``CERTIFICATE_EXACT_RANKS``),
+#: so they isolate the ray.  Every factor entry is 0 or OMEGA**k sqrt(2)**e
+#: with |e| <= 2.  They were chosen
 #: once by a pivoted Gram-Schmidt on the zero-value rows of the omega-phase
 #: pool at s = t, taking the largest remaining row first (the first in pool
 #: order among those within 1e-9 of it, so rounding does not break ties).
@@ -456,32 +455,12 @@ def _member_factors(ids) -> np.ndarray:
 
 
 def _constraint_data(x: np.ndarray) -> tuple:
-    """The constraints that conjugated product vectors x (n, party, 2) impose
-    on Hermitian matrices W, as real rows in ``herm_to_vec`` coordinates:
-    ``x`` itself, the zero-value rows (n, 64) of W -> <x|W|x>, and the
-    first-order coefficient rows (6n, 64) of W -> <a|W|x>, a being x with
-    one party's factor replaced by its orthogonal complement.  Each x is a
-    zero of the Choi matrix's form, and a block-positive W that vanishes at
-    x has vanishing partial gradients there too.
-
-    For the coordinate matrices B_k of ``vec_to_herm`` the coefficients
-    g_k = <a|B_k|x> are those of F = conj(a) x^T: F_dd on the diagonal, and
-    (F_ij + F_ji) / sqrt 2 and i (F_ij - F_ji) / sqrt 2 for i < j, so
-    <a|W|x> = g . v for W = vec_to_herm(v), and its real and imaginary
-    parts are the rows Re g and Im g: all real parts, party by party, then
-    all imaginary parts."""
+    """The zero-value constraints that conjugated product vectors x (n,
+    party, 2) impose on Hermitian matrices W: ``x`` itself, and the real rows
+    (n, 64) of W -> <x|W|x> in ``herm_to_vec`` coordinates.  Each x is a zero
+    of the Choi matrix's form."""
     full = tensor3(*x.swapaxes(0, 1))
-    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
-    # a (party, n, party, 2): x with the factor of the party of axis 0 replaced
-    xperp = np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1)
-    a = np.where(np.eye(3, dtype=bool)[:, None, :, None], xperp, x)
-    abar = tensor3(*np.moveaxis(a, -2, 0)).conj().reshape(-1, 8)
-    xs = np.tile(full, (3, 1))
-    upper, lower = abar[:, _IU] * xs[:, _JU], abar[:, _JU] * xs[:, _IU]
-    g = np.concatenate(
-        [abar * xs, (upper + lower) / _SQRT2, 1j * (upper - lower) / _SQRT2], axis=-1
-    )
-    return x, rows, np.concatenate([g.real, g.imag])
+    return x, herm_to_vec(full[:, :, None] * full[:, None, :].conj())
 
 
 #: The constraint data of the certificate and of the control,
@@ -491,33 +470,26 @@ def _constraint_data(x: np.ndarray) -> tuple:
 _CERTIFICATE_DATA = _read_only(*_constraint_data(_member_factors(CERTIFICATE_KERNEL_IDS).conj()))
 _CONTROL_DATA = _read_only(*_constraint_data(_member_factors(CONTROL_KERNEL_IDS).conj()))
 
-#: The first-order rows that decide the certificate's first-order rank, as
-#: indices into the 6n coefficient rows of ``_CERTIFICATE_DATA`` (real parts
-#: party by party, then imaginary parts, member by member within a party):
-#: 31 of the 192, as many as their rank restricted to the nullspace N of
-#: the zero-value rows.  They were chosen once by a pivoted Gram-Schmidt on
-#: all 192 rows restricted to N, taking the largest remaining row first (the
-#: first in order among those within 1e-9 of it), which does not depend on
-#: the basis of N.  A subset of the rows can only lower the rank, and the
-#: Choi matrix meets every first-order condition, so rank 31 on these rows
-#: is rank 31 on all 192: they isolate the ray exactly when all rows do.
-CERTIFICATE_PIVOT_ROWS = (
-    7, 14, 17, 21, 28, 45, 60, 63, 68, 70, 74, 77, 80, 82, 84, 88,
-    92, 103, 107, 110, 121, 125, 127, 134, 139, 170, 176, 180, 184, 188, 191,
-)
+#: The prime of the exact ranks below, 2**31 - 151.  It is 1 mod 8, so F_p
+#: holds an element zeta of order 8, the image of OMEGA, and zeta + zeta**-1
+#: is the image of sqrt 2.
+EXACT_PRIME = 2147483497
 
-#: The same for the flat-only control: 36 of the 108 coefficient rows of
-#: ``_CONTROL_DATA``, chosen by the same pivoted Gram-Schmidt.  Its rows
-#: restricted to N have rank 36, which the pivots reach by themselves.
-CONTROL_PIVOT_ROWS = (
-    8, 9, 11, 12, 14, 16, 21, 25, 32, 34, 38, 42, 62, 63, 65, 66, 68, 70,
-    72, 74, 75, 77, 78, 79, 86, 87, 88, 89, 91, 92, 93, 94, 96, 97, 99, 102,
-)
-
-#: The coefficient rows ``CERTIFICATE_PIVOT_ROWS`` and ``CONTROL_PIVOT_ROWS``
-#: of the two runs' constraint data, the rows stage 3 decides on.
-_CERTIFICATE_PIVOTS = _read_only(_CERTIFICATE_DATA[2][list(CERTIFICATE_PIVOT_ROWS)])[0]
-_CONTROL_PIVOTS = _read_only(_CONTROL_DATA[2][list(CONTROL_PIVOT_ROWS)])[0]
+#: The exact ranks (zero-value, first-order) of the certificate's
+#: constraint product vectors x at s = t, and of the control's: the rank of
+#: the complexified rows vec|x><x|, and of those together with vec|a_p><x|
+#: and vec|x><a_p|, a_p being x with party p's factor replaced by its
+#: orthogonal complement.  Every entry of these rows is 0 or OMEGA**k
+#: sqrt(2)**e, so they reduce mod ``EXACT_PRIME``, and a rank there bounds
+#: the complex rank from below; the Choi matrix, which annihilates every
+#: certificate row exactly, and the ten Hermitian matrices on its X pattern,
+#: which annihilate every control row, bound it from above.
+#: ``tests/test_exact_rank.py`` proves both bounds with integers.  The rows
+#: are closed under the adjoint, so the Hermitian W that meet every
+#: condition have real dimension 64 minus the first-order rank: the ray of
+#: C for the certificate, and 10 for the control.
+CERTIFICATE_EXACT_RANKS = (32, 63)
+CONTROL_EXACT_RANKS = (18, 54)
 
 #: The ``herm_to_vec`` coordinates of the canonical Choi matrix C, and their
 #: unit vector, the ray the certificate tests.
@@ -538,21 +510,30 @@ _HERM_PAULI = _read_only(np.ascontiguousarray(herm_to_vec(_PAULI_MAP.reshape(64,
 
 
 def _constraint_vectors(include_eta_zeta: bool) -> tuple:
-    """Stage 1: the constraint product vectors at s = t, as
-    ``_constraint_data``, both built at import: the members
-    ``CERTIFICATE_KERNEL_IDS``, or for the control ``CONTROL_KERNEL_IDS``."""
-    return _CERTIFICATE_DATA if include_eta_zeta else _CONTROL_DATA
+    """Stage 1: the constraint product vectors at s = t and their zero-value
+    rows, as ``_constraint_data`` built them at import, and their exact
+    ranks: the members ``CERTIFICATE_KERNEL_IDS`` with
+    ``CERTIFICATE_EXACT_RANKS``, or for the control ``CONTROL_KERNEL_IDS``
+    with ``CONTROL_EXACT_RANKS``."""
+    if include_eta_zeta:
+        return (*_CERTIFICATE_DATA, CERTIFICATE_EXACT_RANKS)
+    return (*_CONTROL_DATA, CONTROL_EXACT_RANKS)
 
 
-def _zero_value_nullspace(rows: np.ndarray) -> tuple:
-    """Stage 2: an orthonormal basis (dim, 64) of the common nullspace N of
-    the zero-value rows, from their SVD; it is the nullspace the grid's
-    kernel vectors and dual states pin.  Also the largest entry of the basis
-    at the diagonals the six basis kernel vectors pin, which must vanish on
-    all of N."""
+def _zero_value_nullspace(rows: np.ndarray, rank: int) -> tuple:
+    """Stage 2: an orthonormal basis (64 - rank, 64) of the common nullspace
+    N of the zero-value rows, from their SVD; it is the nullspace the grid's
+    kernel vectors and dual states pin.  ``rank`` is the rows' exact rank,
+    and the SVD's numerical rank must be the same, or this raises
+    ValueError: the one cross-check of the float route on the exact one.
+    Also the largest entry of the basis at the diagonals the six basis
+    kernel vectors pin, which must vanish on all of N."""
     # all 64 right singular vectors are needed only when rows are fewer
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
-    null_basis = vt[_rank(sv) :]
+    numerical = _rank(sv)
+    if numerical != rank:
+        raise ValueError(f"the zero-value rows have numerical rank {numerical}, not their exact rank {rank}")
+    null_basis = vt[rank:]
     # herm_to_vec stores the diagonal in coordinates 0-7
     pv4_diag_error = float(np.max(np.abs(null_basis[:, _PV4_DIAG_INDICES]), initial=0.0))
     if pv4_diag_error > 10.0 * RANK_THRESHOLD:
@@ -562,16 +543,10 @@ def _zero_value_nullspace(rows: np.ndarray) -> tuple:
     return null_basis, pv4_diag_error
 
 
-def _first_order(pivots: np.ndarray, null_basis: np.ndarray) -> tuple:
+def _direction_match(null_basis: np.ndarray) -> float:
     """Stage 3: ``direction_match_error``, the distance of the Choi matrix's
-    unit direction to its projection onto N, and ``surviving_ray_dim``, the
-    dimension of the subspace of N that meets the first-order conditions at
-    every constraint vector.  The conditions on N are the real product of
-    the coefficient rows with the basis, and its SVD gives their rank.  The
-    rows are the fixed pivots (``CERTIFICATE_PIVOT_ROWS`` or
-    ``CONTROL_PIVOT_ROWS``), whose rank on N is that of all the rows: 31 x
-    32 for the certificate and 36 x 46 for the control, where all the rows
-    were 192 x 32 and 108 x 46."""
+    unit direction to its projection onto N.  The first-order rank needs no
+    computation: it is the exact constant of stage 1."""
     survivor = null_basis.T @ (null_basis @ _CHOI_UNIT)
     survivor_norm = np.linalg.norm(survivor)
     if survivor_norm == 0.0:
@@ -579,10 +554,7 @@ def _first_order(pivots: np.ndarray, null_basis: np.ndarray) -> tuple:
     survivor_unit = survivor / survivor_norm
     if survivor_unit @ _CHOI_UNIT < 0:
         survivor_unit = -survivor_unit
-    direction_match_error = float(np.linalg.norm(survivor_unit - _CHOI_UNIT))
-    tangent = pivots @ null_basis.T
-    surviving_ray_dim = len(null_basis) - _rank(np.linalg.svd(tangent, compute_uv=False))
-    return direction_match_error, surviving_ray_dim
+    return float(np.linalg.norm(survivor_unit - _CHOI_UNIT))
 
 
 def _prune_directions(null_basis: np.ndarray) -> np.ndarray:
@@ -623,8 +595,8 @@ def _falsification(x: np.ndarray, null_basis: np.ndarray) -> dict:
     }
 
 
-#: A certificate's falsification fields when the first-order route has
-#: refused already: no count and no probe tasks, so no prune records.
+#: A certificate's falsification fields when the first-order conditions
+#: have refused already: no count and no probe tasks, so no prune records.
 _NOT_FALSIFIED = {
     "unpruned_directions": None,
     "_factors": np.empty((0, 3, 2), dtype=complex), "_values": np.empty(0),
@@ -647,20 +619,22 @@ def exposedness_certificate(
     input, and every other field, prune records included, is of the s = t
     computation.
 
-    The stages: the constraint product vectors (``_constraint_vectors``),
-    the nullspace N of their zero-value constraints
-    (``_zero_value_nullspace``), the direction match and the first-order
-    rank (``_first_order``), and the falsification (``_falsification``).
-    Two SVDs decide, one for N and one for the first-order rank on the
-    fixed pivot rows (``CERTIFICATE_PIVOT_ROWS``, ``CONTROL_PIVOT_ROWS``);
-    the prune directions are a Householder completion of C in the basis of
-    N that the first returned, and the perturbations stay in ``herm_to_vec``
-    coordinates, which one real map takes to the Pauli tensors the probe
-    reads.  The fixed members' constraint rows and pivots, the
-    certificate's and the control's, the Choi matrix's coordinates and that
-    map are built at import; every SVD, rank and probe runs per call.
-    The falsification can only withhold the certificate, never grant it, so
-    it runs only once the first-order route has isolated the ray:
+    The stages: the constraint product vectors with their exact ranks
+    (``_constraint_vectors``), the nullspace N of their zero-value
+    constraints (``_zero_value_nullspace``), the direction match
+    (``_direction_match``), and the falsification (``_falsification``).
+    ``surviving_ray_dim`` is 64 minus the exact first-order rank
+    (``CERTIFICATE_EXACT_RANKS``, ``CONTROL_EXACT_RANKS``), which a test
+    proves in exact arithmetic, so no first-order rank is computed.  One SVD
+    runs, for N, and its numerical rank must be the exact zero-value rank,
+    or the call raises ValueError.  The prune directions are a Householder
+    completion of C in the basis of N, and the perturbations stay in
+    ``herm_to_vec`` coordinates, which one real map takes to the Pauli
+    tensors the probe reads.  The fixed members' zero-value rows, the certificate's and the
+    control's, the Choi matrix's coordinates and that map are built at
+    import; the SVD, its rank and the probe run per call.  The
+    falsification can only withhold the certificate, never grant it, so it
+    runs only once the first-order conditions have isolated the ray:
     ``surviving_ray_dim`` 1 and ``direction_match_error`` below
     ``RANK_THRESHOLD``.  Otherwise ``unpruned_directions`` is None and there
     are no prune records.
@@ -668,14 +642,14 @@ def exposedness_certificate(
     With ``include_eta_zeta`` false the constraints are the flat-only
     control's members ``CONTROL_KERNEL_IDS``, whose zero-value and
     first-order rows span those of every grid's flat members and six basis
-    kernel vectors; they are known to leave a surviving dimension larger
-    than one.  ``surviving_ray_dim`` alone decides the control, and it runs
-    no falsification.
+    kernel vectors; their exact rank leaves a surviving dimension of 10.
+    ``surviving_ray_dim`` alone decides the control, and it runs no
+    falsification.
     """
-    x, rows, _ = _constraint_vectors(include_eta_zeta)
-    pivots = _CERTIFICATE_PIVOTS if include_eta_zeta else _CONTROL_PIVOTS
-    null_basis, pv4_diag_error = _zero_value_nullspace(rows)
-    direction_match_error, surviving_ray_dim = _first_order(pivots, null_basis)
+    x, rows, (zero_rank, first_order_rank) = _constraint_vectors(include_eta_zeta)
+    null_basis, pv4_diag_error = _zero_value_nullspace(rows, zero_rank)
+    direction_match_error = _direction_match(null_basis)
+    surviving_ray_dim = 64 - first_order_rank
     if surviving_ray_dim == 1 and direction_match_error < RANK_THRESHOLD:
         falsified = _falsification(x, null_basis)
     else:

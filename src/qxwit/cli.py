@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -216,6 +217,10 @@ def cmd_kernel(args, w):
 def cmd_classify(args, w):
     v = product_vector_from_json(_load_json(args.vector))
     result = kernel_classify(w, v, tol=args.tol)
+    if not math.isfinite(result.residual):
+        raise ValueError(
+            "kernel classification has no finite residual: a factor is zero, or its squared norm underflows"
+        )
     code = 0 if result.family is not None else 1
     return result.to_json_dict(), code, f"family = {result.family}"
 
@@ -281,10 +286,12 @@ def cmd_detect(args, w):
 
 
 def _emit(payload: dict, args) -> None:
+    """Strict JSON: a value that is not finite, which no handler should pass
+    on, raises ValueError before anything is written, so main exits 2."""
     if args.pretty:
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

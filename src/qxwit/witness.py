@@ -54,23 +54,23 @@ class WitnessFamily:
 
 
 def phi_apply(w: WitnessFamily, x, y) -> np.ndarray:
-    """Bilinear action of the witness map on a pair of 2x2 matrices."""
+    """Bilinear action of the witness map on a pair of 2x2 matrices.  Finite
+    entries whose products overflow, so that the value is not finite, raise
+    ValueError."""
     x = _square(x, "first argument")
     y = _square(y, "second argument")
     if x.shape != (2, 2) or y.shape != (2, 2):
         raise ValueError("the map acts on pairs of 2x2 matrices")
-    top_right = (
-        x[0, 1] * y[0, 1] - x[0, 1] * y[1, 0] + x[1, 0] * y[0, 1] + x[1, 0] * y[1, 0]
-    )
-    bottom_left = (
-        x[0, 1] * y[0, 1] + x[0, 1] * y[1, 0] - x[1, 0] * y[0, 1] + x[1, 0] * y[1, 0]
-    )
-    return np.array(
-        [
-            [w.s * x[1, 1] * y[0, 0], top_right],
-            [bottom_left, w.t * x[0, 0] * y[1, 1]],
-        ]
-    )
+    # Python complex arithmetic rounds like numpy's scalars, and a product
+    # that overflows gives inf or nan without a warning; the value is checked
+    (x00, x01), (x10, x11) = x.tolist()
+    (y00, y01), (y10, y11) = y.tolist()
+    top_right = x01 * y01 - x01 * y10 + x10 * y01 + x10 * y10
+    bottom_left = x01 * y01 + x01 * y10 - x10 * y01 + x10 * y10
+    value = np.array([[w.s * x11 * y00, top_right], [bottom_left, w.t * x00 * y11]])
+    if not np.isfinite(value).all():
+        raise ValueError("the map's value is not finite: the products of the entries overflow")
+    return value
 
 
 def choi_generic(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
@@ -285,6 +285,9 @@ class KernelGrid:
     name: str = "default"
 
     def __post_init__(self):
+        # a tuple, so that a grid given a list hashes and equals the grid
+        # given the same values as a tuple
+        object.__setattr__(self, "ab_values", tuple(self.ab_values))
         # Python scalar checks only: the CLI builds a grid on every call
         if type(self.phase_count) is not int or self.phase_count < 0:
             raise ValueError(f"phase_count must be an int of at least 0, got {self.phase_count!r}")

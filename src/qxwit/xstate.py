@@ -273,7 +273,13 @@ def rank4_separability_check(x: XMatrix) -> SeparabilityVerdict:
         )
     if (a <= 0.0).any() or (b <= 0.0).any():
         raise ValueError("criterion requires strictly positive diagonal entries")
-    scale = math.sqrt(float(np.max(a * b)))
+    # Python floats: they round like numpy's, and a product that over- or
+    # underflows gives inf or 0 without a warning
+    al, bl = a.tolist(), b.tolist()
+    scale = math.sqrt(max(p * q for p, q in zip(al, bl)))
+    top = max(map(abs, (*al, *bl, *c.real.tolist(), *c.imag.tolist())))
+    if not (scale < math.inf and top < _RANK4_RANGE * scale):
+        return _rank4_exact(a, b, c)
     an, bn, cn = a / scale, b / scale, c / scale
     pairs = np.abs((an * bn)[:, None] - (np.abs(cn) ** 2)[None, :]) > SEPARABILITY_TOL
     violated = _PAIR_CONDITIONS[pairs].tolist()
@@ -283,6 +289,39 @@ def rank4_separability_check(x: XMatrix) -> SeparabilityVerdict:
     if abs(a1 * a4 - a2 * a3) > SEPARABILITY_TOL:
         violated.append("a1*a4 != a2*a3")
     if abs(c1 * c4 - c2 * c3) > SEPARABILITY_TOL:
+        violated.append("c1*c4 != c2*c3")
+    return SeparabilityVerdict(separable=not violated, violated=tuple(violated))
+
+
+#: The floating-point criterion runs while every entry is below this many
+#: times sqrt(max a_i b_i): then each product of two scaled entries, and each
+#: sum of two such products, stays below 2**1022.
+_RANK4_RANGE = 2.0**510
+
+
+def _rank4_exact(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> SeparabilityVerdict:
+    """``rank4_separability_check``'s conditions in exact rational
+    arithmetic, for entries whose scaled squares or products would leave the
+    double range: a_i b_i, |c_j|^2, a1 a4 - a2 a3 and c1 c4 - c2 c3 over the
+    largest a_i b_i, each against ``SEPARABILITY_TOL``."""
+    # imported here, off the common path: fractions imports decimal, a few
+    # milliseconds of every process's start
+    from fractions import Fraction
+
+    fa, fb = ([Fraction(v) for v in part.tolist()] for part in (a, b))
+    fc = [(Fraction(z.real), Fraction(z.imag)) for z in c.tolist()]
+    tol = Fraction(SEPARABILITY_TOL) * max(p * q for p, q in zip(fa, fb))
+    names = _PAIR_CONDITIONS.tolist()
+    violated = [
+        names[i][j] for i, (p, q) in enumerate(zip(fa, fb))
+        for j, (re, im) in enumerate(fc) if abs(p * q - (re * re + im * im)) > tol
+    ]
+    if abs(fa[0] * fa[3] - fa[1] * fa[2]) > tol:
+        violated.append("a1*a4 != a2*a3")
+    # c1 c4 - c2 c3, and its modulus squared
+    (r1, i1), (r2, i2), (r3, i3), (r4, i4) = fc
+    re, im = r1 * r4 - i1 * i4 - r2 * r3 + i2 * i3, r1 * i4 + i1 * r4 - r2 * i3 - i2 * r3
+    if re * re + im * im > tol * tol:
         violated.append("c1*c4 != c2*c3")
     return SeparabilityVerdict(separable=not violated, violated=tuple(violated))
 
@@ -368,5 +407,10 @@ def is_ghz_diagonal(x: XMatrix) -> bool:
     Both tests are relative to the largest entry modulus, so the verdict does
     not depend on the scale; the zero matrix is GHZ diagonal.
     """
-    tol = GHZ_TOL * max(np.max(np.abs(x.a)), np.max(np.abs(x.b)), np.max(np.abs(x.c)))
-    return bool(np.max(np.abs(x.a - x.b)) <= tol and np.max(np.abs(x.c.imag)) <= tol)
+    a, b, c = x.a, x.b, x.c
+    # From 2**1022 on, a - b or |c| may overflow; a quarter of every entry
+    # then gives the same verdict, losing bits only far below the tolerance
+    if max(map(abs, (*a.tolist(), *b.tolist(), *c.real.tolist(), *c.imag.tolist()))) >= 2.0**1022:
+        a, b, c = a / 4.0, b / 4.0, c / 4.0
+    tol = GHZ_TOL * max(np.max(np.abs(a)), np.max(np.abs(b)), np.max(np.abs(c)))
+    return bool(np.max(np.abs(a - b)) <= tol and np.max(np.abs(c.imag)) <= tol)

@@ -1000,7 +1000,7 @@ class TestExposednessGate:
     """``perfbench/reference.py``'s ``check_exposedness``, the benchmark's gate
     on ``certify exposedness``, over the whole curve and on the benchmark's
     own argv.  The probe runs once per certificate; the control, which its
-    first-order rank refuses, runs none."""
+    exact first-order rank refuses, runs none."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-100.0, 100.0))

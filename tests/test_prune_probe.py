@@ -256,8 +256,8 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
 def _control_falsification() -> dict:
     """The falsification stage run on the flat-only control's nullspace,
     which the control itself skips once its first-order rank refuses it."""
-    x, rows, _ = certify._constraint_vectors(include_eta_zeta=False)
-    null_basis, _ = certify._zero_value_nullspace(rows)
+    x, rows, (zero_rank, _) = certify._constraint_vectors(include_eta_zeta=False)
+    null_basis, _ = certify._zero_value_nullspace(rows, zero_rank)
     return certify._falsification(x, null_basis)
 
 
@@ -331,7 +331,8 @@ class TestHouseholderCompletion:
     def test_orthonormal_and_the_svd_subspace(self, grid, flat):
         # stage 1's nullspace, or the control's on a grid's own members
         if grid is None:
-            null_basis, _ = certify._zero_value_nullspace(certify._constraint_vectors(not flat)[1])
+            _, rows, (zero_rank, _) = certify._constraint_vectors(not flat)
+            null_basis, _ = certify._zero_value_nullspace(rows, zero_rank)
         else:
             _, null_basis = _reference_nullspace(GRIDS[grid], not flat)
         cvec = herm_to_vec(choi_explicit(WitnessFamily()))
@@ -352,16 +353,16 @@ class TestHouseholderCompletion:
         assert np.max(cert._values) <= -1e-5
 
 
-class TestTwoSVDs:
-    """The certificate and the control each take two SVDs: the zero-value
-    nullspace and the first-order rank."""
+class TestOneSVD:
+    """The certificate and the control each take one SVD, the zero-value
+    nullspace; their first-order ranks are exact constants."""
 
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize("s", ON_THE_CURVE)
     def test_svd_calls(self, s, flat):
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
             exposedness_certificate(curve(s), include_eta_zeta=not flat)
-        assert spy.call_count == 2
+        assert spy.call_count == 1
 
 
 _JSON_KEYS = {

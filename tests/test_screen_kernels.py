@@ -232,7 +232,8 @@ class TestClassifyBitForBit:
         w = _curve(log_s)
         if tag in PV1_TAGS:
             params = np.array([flat[0] + 1j * flat[1], flat[2] + 1j * flat[3]])
-            if not params.any():
+            # no member at a parameter whose squared norm is zero or underflows
+            if not np.vecdot(params, params).real > 0.0:
                 params[0] = 1.0
         else:
             params = tuple(math.exp(k) for k in log_ab)

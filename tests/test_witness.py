@@ -369,6 +369,11 @@ class TestKernelGrid:
         with pytest.raises(ValueError, match="phase_count|ab_values"):
             KernelGrid(**fields)
 
+    def test_ab_value_list_is_stored_as_a_tuple(self):
+        grid = KernelGrid(ab_values=[0.5, 1.0, 2.0])
+        assert grid.ab_values == (0.5, 1.0, 2.0)
+        assert grid == KernelGrid.default() and hash(grid) == hash(KernelGrid.default())
+
     def test_no_phases_allowed(self):
         assert len(KernelGrid(phase_count=0, ab_values=(1.0,)).pv1_params()) == 2
 
