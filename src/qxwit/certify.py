@@ -112,9 +112,6 @@ class PPTReport:
     is_ppt: bool
     min_eigs: np.ndarray  # one entry per subset, in SUBSETS (mask) order
 
-    def to_json_dict(self) -> dict:
-        return {"is_ppt": self.is_ppt, "min_eigs": self.min_eigs.tolist()}
-
 
 def _pt_min_eigs(rho: np.ndarray) -> np.ndarray:
     """Minimal eigenvalue of every partial transpose of a Hermitian 8x8
@@ -228,10 +225,14 @@ def spanning_check(
     CLI call's case, they are the constants ``_SPANNING_ROWS`` built at
     import; any other grid or tag collection builds them per call with the
     same ``_spanning_rows``.  The SVD, the ranks and the records run per
-    call."""
+    call.  A string, or a tag outside ``FAMILY_TAGS``, raises ValueError:
+    members are picked by ``in``, which matches a string's substrings and
+    passes over an unknown tag."""
     grid = grid or KernelGrid.default()
     rows = _SPANNING_ROWS.get(grid) if isinstance(tags, tuple) and tags == FAMILY_TAGS else None
     if rows is None:
+        if isinstance(tags, str) or not set(tags) <= set(FAMILY_TAGS):
+            raise ValueError(f"tags must be a collection of tags from FAMILY_TAGS, got {tags!r}")
         rows = _spanning_rows(grid, tags)
     n = rows.shape[1]
     if n < 8:

@@ -50,17 +50,6 @@ def _square(m, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of square matrices, capped at total dimension 8."""
-    a = _square(a, "left factor")
-    b = _square(b, "right factor")
-    if a.shape[0] * b.shape[0] > 8:
-        raise ValueError(
-            f"dimension overflow: {a.shape[0]} x {b.shape[0]} exceeds 8"
-        )
-    return np.kron(a, b)
-
-
 def tensor3(x, y, z) -> np.ndarray:
     """8-vectors x (x) y (x) z of stacks of 2-vectors (last axis); component
     [..., 4i+2j+k] equals (x[..., i] y[..., j]) z[..., k]."""
@@ -140,11 +129,6 @@ def partial_conjugate(v: ProductVector, parties) -> ProductVector:
 
 def _defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
-
-
-def hermiticity_defect(m) -> float:
-    """Largest entry modulus of m - m^dagger."""
-    return _defect(_square(m))
 
 
 def check_hermitian(m) -> np.ndarray:

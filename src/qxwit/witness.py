@@ -48,10 +48,6 @@ class WitnessFamily:
         """Derived ratio sqrt(s / t)."""
         return math.sqrt(self.s / self.t)
 
-    @property
-    def omega(self) -> complex:
-        return OMEGA
-
 
 def phi_apply(w: WitnessFamily, x, y) -> np.ndarray:
     """Bilinear action of the witness map on a pair of 2x2 matrices.  Finite
@@ -141,9 +137,15 @@ def pairing(rho, c) -> float:
 
 def pairing_x(x: XMatrix, w: WitnessFamily) -> float:
     """Closed form of the pairing of an X matrix with the witness Choi matrix:
-    t a4 + s b4 + 2 Re(c1 + c2 - c3 + c4)."""
-    c = x.c
-    return float(w.t * x.a[3] + w.s * x.b[3] + 2.0 * np.real(c[0] + c[1] - c[2] + c[3]))
+    t a4 + s b4 + 2 Re(c1 + c2 - c3 + c4).  Finite entries whose products or
+    sums overflow, so that the pairing is not finite, raise ValueError."""
+    # Python floats, as in phi_apply: an overflow gives inf or nan without a
+    # warning, and the value is checked
+    c1, c2, c3, c4 = x.c.tolist()
+    value = w.t * float(x.a[3]) + w.s * float(x.b[3]) + 2.0 * (c1 + c2 - c3 + c4).real
+    if not math.isfinite(value):
+        raise ValueError("pairing is not finite: the products of the entries overflow")
+    return value
 
 
 # --- kernel product-vector families -----------------------------------------
@@ -238,11 +240,6 @@ def kernel_vector(w: WitnessFamily, tag: str, params) -> ProductVector:
 #: Factors (6, party, 2) of the six basis product vectors in the flat kernel
 #: families: 000, 001, 010, 101, 110, 111.
 _PV4_FACTORS = np.array(_BASIS)[[(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
-
-
-def pv4_vectors() -> list:
-    """The six basis product vectors contained in the flat kernel families."""
-    return [ProductVector(*f) for f in _PV4_FACTORS]
 
 
 #: Anti-diagonal phases (kind, 4) of the dual states.
@@ -497,7 +494,7 @@ def _product_columns(f: np.ndarray) -> np.ndarray:
 _UPDATES = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
 
 
-def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | None = None):
+def _seesaw(matrix, restarts: int, seed: int, max_cycles: int):
     """Run every restart of the cyclic see-saw of one matrix as one batch.
 
     Minimizes <eta| C |eta> over unit product vectors eta, one party at a
@@ -529,9 +526,8 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
     test does not depend on the input's scale.  Every update is an exact
     minimization, so a restart's value never rises.
 
-    Returns the values (restart,), the unit factors (party, 2, restart) and
-    the cycles run.  The number of restarts that moved in the last cycle run
-    is appended to ``moving`` when one is given.
+    Returns the values (restart,), the unit factors (party, 2, restart), the
+    cycles run and the number of restarts that moved in the last of them.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -591,8 +587,6 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
         values = new
         if still_moving == 0:
             break
-    if moving is not None:
-        moving.append(still_moving)
     del half, squares
     factors = _spinors(bloch[1:]).transpose(0, 2, 1)
     # A minimum tau0 - |tau| is a difference of sums over every entry of T,
@@ -605,22 +599,7 @@ def _seesaw(matrix, restarts: int, seed: int, max_cycles: int, moving: list | No
     cpsi = c @ psi
     np.conjugate(psi, out=psi)
     values = np.einsum("ir,ir->r", psi, cpsi).real
-    return values * scale, factors, cycles
-
-
-def seesaw_minima(
-    matrix,
-    restarts: int = 200,
-    seed: int = 0,
-    max_cycles: int = 300,
-):
-    """Converged see-saw values and minimizing product vectors, one per restart
-    of the batch that ``_seesaw`` runs on the matrix.
-
-    The returned vectors v satisfy pairing(|v><v|, matrix) = value.
-    """
-    values, factors, _ = _seesaw(matrix, restarts, seed, max_cycles)
-    return values, [ProductVector(*factors[..., k].conj()) for k in range(restarts)]
+    return values * scale, factors, cycles, still_moving
 
 
 def min_product_value(
@@ -648,8 +627,7 @@ def min_product_value(
     zero in 12 of 18 runs at s in {1e-12, 1e-8, 1e-3, 1e3, 1e8, 1e12}, and
     in none of 109 at s in [0.5, 16].
     """
-    moving = []
-    values, factors, cycles = _seesaw(matrix, restarts, seed, max_cycles, moving)
+    values, factors, cycles, moving = _seesaw(matrix, restarts, seed, max_cycles)
     min_value = float(values.min())
     # Restarts that end at the same minimum agree only up to rounding: a value
     # is the form at a restart's factors psi, a sum of 64 products rounded
@@ -670,7 +648,7 @@ def min_product_value(
         seed=seed,
         cycles=cycles,
         max_cycles=max_cycles,
-        restarts_moving=moving[0],
+        restarts_moving=moving,
     )
 
 

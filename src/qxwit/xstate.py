@@ -23,12 +23,6 @@ SEPARABILITY_TOL = 1e-9
 BLOCK_POSITIVITY_SLACK = 1e-9
 #: Relative tolerance for reporting equality sqrt(x4 y4) = ||z||_X.
 BLOCK_POSITIVITY_EQUALITY_TOL = 1e-8
-# The bound ||z||_X >= ||z||_1 / sqrt(2) is homogeneous in z as well, so its
-# tolerances are the same fractions, taken of the bound.
-#: Relative slack allowed in the X-norm lower bound.
-X_NORM_BOUND_SLACK = 1e-9
-#: Relative tolerance for reporting equality in the X-norm lower bound.
-X_NORM_BOUND_EQUALITY_TOL = 1e-8
 #: Tolerance of the GHZ-diagonal test, relative to the largest entry modulus.
 GHZ_TOL = 1e-12
 
@@ -187,40 +181,6 @@ def _unit_x_norm(z: np.ndarray) -> float:
     phases[-2:] *= -1.0
     e = np.exp(1j * phases)
     return float(np.max(abs(z1 * e + z4.conjugate()) + abs(z2 * e + z3.conjugate())))
-
-
-@dataclass(frozen=True)
-class XNormBound:
-    """Outcome of the lower-bound check norm >= one_norm / sqrt(2)."""
-
-    holds: bool
-    equality: bool
-    phase_gap: float
-    norm: float
-    one_norm: float
-
-
-def x_norm_lower_bound_check(z) -> XNormBound:
-    """Check the bound ||z||_X >= ||z||_1 / sqrt(2) and report the equality data.
-
-    ``phase_gap`` is (arg z1 + arg z4) - (arg z2 + arg z3) reduced mod 2 pi;
-    equality of the bound requires a common entry magnitude and a gap of pi.
-    """
-    z = np.asarray(z, dtype=complex)
-    nx = x_norm(z)
-    n1 = float(np.sum(np.abs(z)))
-    lower = n1 / math.sqrt(2.0)
-    gap = float(
-        (np.angle(z[0]) + np.angle(z[3]) - np.angle(z[1]) - np.angle(z[2]))
-        % (2.0 * np.pi)
-    )
-    return XNormBound(
-        holds=nx - lower >= -X_NORM_BOUND_SLACK * lower,
-        equality=abs(nx - lower) <= X_NORM_BOUND_EQUALITY_TOL * lower,
-        phase_gap=gap,
-        norm=nx,
-        one_norm=n1,
-    )
 
 
 def _block_positivity(x4: float, y4: float, norm: float) -> tuple:

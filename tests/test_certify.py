@@ -25,7 +25,6 @@ from qxwit import (
     pairing,
     ppt_check,
     product_vector_to_json,
-    seesaw_minima,
     spanning_check,
 )
 from qxwit import certify, witness
@@ -156,6 +155,18 @@ class TestSpanning:
         tiny = KernelGrid(phase_count=1, ab_values=(1.0,), name="tiny")
         with pytest.raises(ValueError, match="kernel vectors"):
             spanning_check(w, tiny, tags=("00z",))
+
+    def test_string_tags_rejected(self, w):
+        # a bare string matched its substrings: "zeta1" took eta1's members
+        # too, 18 vectors where ("zeta1",) takes 9
+        assert spanning_check(w, tags=("zeta1",)).records[0].vectors_used == 9
+        with pytest.raises(ValueError, match="^tags must be a collection"):
+            spanning_check(w, tags="zeta1")
+
+    def test_unknown_tags_rejected(self, w):
+        # an unknown tag was passed over: ("eta1", "bogus") read as ("eta1",)
+        with pytest.raises(ValueError, match="^tags must be a collection"):
+            spanning_check(w, tags=("eta1", "bogus"))
 
 
 #: Every (a1, a2) pair that the small, default and fine grids sample.
@@ -475,8 +486,10 @@ class TestKernelClassify:
 
     def test_seesaw_minima_all_classify(self, w):
         # statistical completeness of the family enumeration
-        values, vectors = seesaw_minima(choi_explicit(w), restarts=10_000, seed=3)
+        values, factors, _, _ = witness._seesaw(choi_explicit(w), 10_000, 3, 300)
         assert float(np.max(values)) < 1e-9
+        # the form at the factors is the pairing with the conjugates' projector
+        vectors = (ProductVector(*f.conj()) for f in factors.transpose(2, 0, 1))
         unclassified = sum(
             1 for val, v in zip(values, vectors) if val < 1e-9 and kernel_classify(w, v).family is None
         )

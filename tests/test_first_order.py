@@ -13,15 +13,16 @@ from qxwit import (
     FAMILY_TAGS,
     PV1_TAGS,
     KernelGrid,
+    ProductVector,
     WitnessFamily,
     choi_explicit,
     dual_state,
     exposedness_certificate,
     kernel_vector,
-    pv4_vectors,
 )
 from qxwit import certify
 from qxwit.certify import CERTIFICATE_KERNEL_IDS, CONTROL_KERNEL_IDS, herm_to_vec, vec_to_herm
+from qxwit.witness import _PV4_FACTORS
 
 
 def family(log_s: float) -> WitnessFamily:
@@ -67,7 +68,7 @@ def first_order_oracle(w, grid, tags, include_dual_states: bool) -> np.ndarray:
     is conj(v); the gradient condition of one party is <a|W|x> = 0, with a
     that party's factor of x replaced by an orthogonal vector."""
     vectors = [kernel_vector(w, tag, p) for tag, p in grid.kernel_ids() if tag in tags]
-    vectors += pv4_vectors()
+    vectors += [ProductVector(*f) for f in _PV4_FACTORS]
     states = [v.projector() for v in vectors]
     if include_dual_states:
         states += [dual_state(w, *p).to_matrix() for p in grid.dual_params()]

@@ -1,6 +1,6 @@
-"""``pairing`` on finite entries whose products overflow: a ValueError, and
-through the CLI exit 2 with one ``error:`` line, never a warning or an
-infinite pairing."""
+"""``pairing`` and its X-matrix closed form ``pairing_x`` on finite entries
+whose products overflow: a ValueError, and through the CLI exit 2 with one
+``error:`` line, never a warning or an infinite pairing."""
 
 import contextlib
 import io
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qxwit import WitnessFamily, choi_explicit, matrix_to_json, pairing
+from qxwit import WitnessFamily, XMatrix, choi_explicit, matrix_to_json, pairing, pairing_x
 from qxwit.cli import main
 
 _EDGE = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e300, 1e-300, 5e-324, 0.0, 1.0, math.inf, math.nan])
@@ -63,3 +63,25 @@ def test_cli_pairing(rho_file, value, i, j, diagonal, log_s):
     else:
         assert code == 0
         assert math.isfinite(json.loads(out.getvalue())["pairing"])
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        # t a4 and s b4 overflow in the products
+        ([0, 0, 0, 1e308], [0, 0, 0, 1e308], [1e308, 0, 0, 0]),
+        # c1 + c2 overflows in the sum
+        ([0, 0, 0, 0], [0, 0, 0, 0], [1.7e308, 1.7e308, 0, 0]),
+    ],
+    ids=["products", "sum"],
+)
+def test_overflowing_closed_form_rejected(a, b, c):
+    # before, pairing_x warned and returned inf where pairing raised
+    w = WitnessFamily(4.0, 2.0)
+    x = XMatrix(a, b, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^pairing is not finite"):
+            pairing(x.to_matrix(), choi_explicit(w))
+        with pytest.raises(ValueError, match="^pairing is not finite"):
+            pairing_x(x, w)

@@ -13,8 +13,6 @@ from qxwit import (
     check_hermitian,
     choi_explicit,
     herm_min_eig,
-    hermiticity_defect,
-    kron,
     matrix_from_json,
     matrix_to_json,
     partial_conjugate,
@@ -51,29 +49,6 @@ class TestSubsets:
             subset_mask((0,))
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projectors(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        assert np.array_equal(kron(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_mixed_product_property(self):
-        # oracle: direct 4x4 multiplication of the assembled products
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            a, b, c, d = (random_matrix(rng, 2) for _ in range(4))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_dimension_overflow(self):
-        with pytest.raises(ValueError, match="overflow"):
-            kron(np.eye(4), np.eye(4))
-
-
 class TestProductVector:
     def test_full_index_formula(self):
         rng = np.random.default_rng(1)
@@ -88,7 +63,7 @@ class TestProductVector:
         v = ProductVector([1, 2j], [3, -1], [0.5, 1])
         p = v.projector()
         assert np.linalg.matrix_rank(p) == 1
-        assert hermiticity_defect(p) == 0.0
+        assert np.array_equal(p, p.conj().T)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -124,7 +99,7 @@ class TestPartialTranspose:
         h = random_hermitian(rng, 8)
         for s in SUBSETS:
             ts = partial_transpose(h, s)
-            assert hermiticity_defect(ts) < 1e-14
+            assert np.max(np.abs(ts - ts.conj().T)) < 1e-14
             comp = tuple(p for p in (1, 2, 3) if p not in s)
             assert np.max(np.abs(partial_transpose(h, comp) - ts.T)) < 1e-14
             assert herm_min_eig(ts) == pytest.approx(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qxwit import WitnessFamily, choi_explicit, min_product_value, pairing, seesaw_minima, verify_positive, witness
+from qxwit import ProductVector, WitnessFamily, choi_explicit, min_product_value, pairing, verify_positive, witness
 from qxwit.qcore import tensor3
 from qxwit.witness import (
     STALL_TOL,
@@ -97,7 +97,7 @@ class TestSeesawAgainstEighOracle:
     @staticmethod
     def check(c, seed):
         values, cycles = eigh_seesaw(c, 24, seed)
-        engine_values, _, engine_cycles = _seesaw(c, 24, seed, 300)
+        engine_values, _, engine_cycles, _ = _seesaw(c, 24, seed, 300)
         assert engine_cycles == cycles
         assert np.max(np.abs(engine_values - values)) <= 1e-12 * np.max(np.abs(c))
         res = min_product_value(c, 24, seed)
@@ -125,7 +125,7 @@ class TestGuardedUpdate:
     def check(c, restarts, seed):
         values, cycles = eigh_seesaw(c, restarts, seed)
         assert cycles < 300
-        engine_values, _, engine_cycles = _seesaw(c, restarts, seed, 300)
+        engine_values, _, engine_cycles, _ = _seesaw(c, restarts, seed, 300)
         assert engine_cycles == cycles
         assert np.max(np.abs(engine_values - values)) <= 1e-12 * np.max(np.abs(c))
         res = min_product_value(c, restarts, seed)
@@ -333,11 +333,10 @@ class TestSpinors:
 
 class TestMaxCycles:
     @pytest.mark.parametrize("max_cycles", [0, -1])
-    @pytest.mark.parametrize("run", [min_product_value, seesaw_minima])
-    def test_below_one_is_rejected(self, run, max_cycles):
+    def test_below_one_is_rejected(self, max_cycles):
         # a run of no cycle has no value; it must not read as a minimum of +inf
         with pytest.raises(ValueError, match="max_cycles"):
-            run(choi_explicit(WitnessFamily()), 8, 0, max_cycles=max_cycles)
+            min_product_value(choi_explicit(WitnessFamily()), 8, 0, max_cycles=max_cycles)
 
     def test_private_run_rejects_it_too(self):
         with pytest.raises(ValueError, match="max_cycles"):
@@ -345,11 +344,10 @@ class TestMaxCycles:
 
 
 class TestSeed:
-    @pytest.mark.parametrize("run", [min_product_value, seesaw_minima])
-    def test_negative_is_rejected_by_name(self, run):
+    def test_negative_is_rejected_by_name(self):
         # numpy's own error, "expected non-negative integer", names no argument
         with pytest.raises(ValueError, match="^seed must be at least 0$"):
-            run(choi_explicit(WitnessFamily()), 8, -1)
+            min_product_value(choi_explicit(WitnessFamily()), 8, -1)
 
 
 class TestRestartsMoving:
@@ -390,8 +388,10 @@ class TestCurveEnds:
     def test_positivity_holds(self, s):
         c = choi_explicit(WitnessFamily(s, 8.0 / s))
         assert verify_positive(WitnessFamily(s, 8.0 / s)).min_value >= -1e-9
-        values, vectors = seesaw_minima(c, 50, 0)
-        for value, vec in zip(values, vectors):
+        values, factors, _, _ = _seesaw(c, 50, 0, 300)
+        for value, f in zip(values, factors.transpose(2, 0, 1)):
+            # the form at the factors is the pairing with the conjugates' projector
+            vec = ProductVector(*f.conj())
             v = vec.full
             terms = np.einsum("i,ij,j->", np.abs(v), np.abs(c), np.abs(v))
             assert abs(value - pairing(vec.projector(), c)) <= 1e-14 * terms

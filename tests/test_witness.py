@@ -29,12 +29,11 @@ from qxwit import (
     pairing,
     pairing_x,
     phi_apply,
-    pv4_vectors,
     rank4_separability_check,
     verify_positive,
     xpart,
 )
-from qxwit.witness import _seesaw
+from qxwit.witness import _PV4_FACTORS, _seesaw
 
 SQRT2 = math.sqrt(2.0)
 ST_CASES = ((2 * SQRT2, 2 * SQRT2), (4.0, 2.0), (2.0, 4.0), (8.0, 1.0))
@@ -60,7 +59,7 @@ class TestWitnessFamily:
         w = WitnessFamily()
         assert w.s == pytest.approx(2 * SQRT2)
         assert w.u == pytest.approx(1.0)
-        assert w.omega == pytest.approx(np.exp(1j * np.pi / 4))
+        assert OMEGA == pytest.approx(np.exp(1j * np.pi / 4))
 
     def test_constraint_enforced(self):
         with pytest.raises(ValueError, match="s\\*t"):
@@ -296,7 +295,7 @@ class TestKernelFamilies:
     def test_pv4_vectors_are_kernel_members(self):
         w = WitnessFamily()
         c = choi_explicit(w)
-        vs = pv4_vectors()
+        vs = [ProductVector(*f) for f in _PV4_FACTORS]
         assert len(vs) == 6
         occupied = sorted(int(np.argmax(np.abs(v.full))) for v in vs)
         assert occupied == [0, 1, 2, 5, 6, 7]
@@ -491,7 +490,7 @@ class TestBatchedSeesaw:
         # cycle every restart's value is the reference's
         matrices, _ = batch
         for m, seed in zip(matrices, self.SEEDS):
-            values, _, _ = _seesaw(m, self.RESTARTS, seed, 1)
+            values, _, _, _ = _seesaw(m, self.RESTARTS, seed, 1)
             assert values == pytest.approx(_reference_seesaw(m, self.RESTARTS, seed, 1)[0], abs=1e-12)
 
 

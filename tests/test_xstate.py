@@ -20,7 +20,6 @@ from qxwit import (
     rank4_separability_check,
     reconstruct_product_vector,
     x_norm,
-    x_norm_lower_bound_check,
     xpart,
     xpart_decompose,
 )
@@ -126,6 +125,12 @@ class TestXNorm:
         z = np.array([-1, -1, 1, -1]) / SQRT2
         assert x_norm(z) == pytest.approx(2.0, abs=1e-10)
         assert x_norm(z) == pytest.approx(x_norm_grid_oracle(z), abs=1e-8)
+        # ||z||_X = ||z||_1 / sqrt(2) at (1, 1, -1, 1) on every scale, and a
+        # single entry stays clear of the bound
+        for lam in (1e-12, 1e-10, 1.0, 1e10, 1e12):
+            lower = 4.0 * lam / SQRT2
+            assert abs(x_norm(lam * np.array([1, 1, -1, 1])) - lower) <= 1e-8 * lower
+            assert x_norm([lam, 0, 0, 0]) - lam / SQRT2 > 1e-8 * lam / SQRT2
 
     def test_against_grid_oracle_random(self):
         rng = np.random.default_rng(2)
@@ -147,20 +152,9 @@ class TestXNorm:
             nx = x_norm(z)
             n1 = float(np.sum(np.abs(z)))
             assert n1 / SQRT2 - 1e-9 <= nx <= n1 + 1e-9
-
-
-class TestXNormLowerBoundCheck:
-    def test_witness_vector_reaches_equality(self):
-        chk = x_norm_lower_bound_check([1, 1, -1, 1])
-        assert chk.holds and chk.equality
-        assert chk.phase_gap == pytest.approx(np.pi, abs=1e-12)
-
-    def test_single_entry_not_equality(self):
-        chk = x_norm_lower_bound_check([1, 0, 0, 0])
-        assert chk.holds and not chk.equality
-
-    def test_random_unimodular_off_gap(self):
-        # oracle: the grid maximum exceeds the 1-norm bound away from gap pi
+        # unimodular entries away from the phase gap (arg z1 + arg z4) -
+        # (arg z2 + arg z3) = pi, which equality needs: the lower bound is
+        # strict, and the grid oracle's maximum exceeds it too
         rng = np.random.default_rng(5)
         count = 0
         for _ in range(100):
@@ -169,9 +163,7 @@ class TestXNormLowerBoundCheck:
             if abs((gap - np.pi) % (2 * np.pi)) < 0.3:
                 continue
             z = np.exp(1j * phases)
-            chk = x_norm_lower_bound_check(z)
-            assert chk.holds
-            assert not chk.equality
+            assert 4 / SQRT2 + 1e-6 < x_norm(z) <= 4 + 1e-9
             assert x_norm_grid_oracle(z) > 4 / SQRT2 + 1e-6
             count += 1
         assert count > 50
@@ -312,6 +304,8 @@ class TestScaleInvariance:
         z = np.array(parts[:4]) + 1j * np.array(parts[4:])
         lam = 10.0**log_lam
         assert x_norm(lam * z) == pytest.approx(lam * x_norm(z), rel=1e-12)
+        n1 = lam * float(np.sum(np.abs(z)))
+        assert n1 / SQRT2 * (1.0 - 1e-9) <= x_norm(lam * z) <= n1 * (1.0 + 1e-9)
 
 
 class TestRank4Separability:
@@ -440,8 +434,8 @@ class TestGhzDiagonal:
 
 
 class TestScaleAwareTolerances:
-    """The GHZ-diagonal test and the X-norm lower-bound check do not depend on
-    the input's scale; lambda is log-uniform on [1e-12, 1e12]."""
+    """The GHZ-diagonal test does not depend on the input's scale; lambda is
+    log-uniform on [1e-12, 1e12]."""
 
     @given(st.lists(ENTRY, min_size=16, max_size=16), st.booleans(), LOG_SCALE)
     def test_ghz_diagonal(self, parts, ghz_shaped, log_lam):
@@ -459,22 +453,6 @@ class TestScaleAwareTolerances:
 
     def test_zero_matrix_is_ghz_diagonal(self):
         assert is_ghz_diagonal(XMatrix(np.zeros(4), np.zeros(4), np.zeros(4)))
-
-    @given(st.lists(ENTRY, min_size=8, max_size=8), LOG_SCALE)
-    def test_lower_bound_check(self, parts, log_lam):
-        z = np.array(parts[:4]) + 1j * np.array(parts[4:])
-        chk = x_norm_lower_bound_check(z)
-        lower = chk.one_norm / SQRT2
-        assume(not 0.5e-8 * lower <= abs(chk.norm - lower) <= 2e-8 * lower)
-        scaled = x_norm_lower_bound_check(10.0**log_lam * z)
-        assert (scaled.holds, scaled.equality) == (chk.holds, chk.equality)
-
-    @pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e10, 1e12])
-    def test_equality_cases(self, lam):
-        chk = x_norm_lower_bound_check(lam * np.array([1, 1, -1, 1]))
-        assert chk.holds and chk.equality
-        chk = x_norm_lower_bound_check(lam * np.array([1, 0, 0, 0]))
-        assert chk.holds and not chk.equality
 
 
 LOG_MODULUS = st.floats(-1.0, 1.0)
