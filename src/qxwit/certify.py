@@ -107,8 +107,12 @@ def _pt_stack(m: np.ndarray) -> np.ndarray:
     return m[_PT_ROWS[:4], _PT_COLS[:4]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PPTReport:
+    """What ``ppt_check`` found: ``min_eigs`` holds the minimal eigenvalue of
+    each partial transpose, in SUBSETS (mask) order, and ``is_ppt`` is true
+    when none is below minus ``qcore.PSD_TOL``."""
+
     is_ppt: bool
     min_eigs: np.ndarray  # one entry per subset, in SUBSETS (mask) order
 
@@ -176,6 +180,11 @@ _SPANNING_ROWS = {
 
 @dataclass(frozen=True)
 class SubsetSpanRecord:
+    """One party subset's line of a ``SpanningReport``: the kernel vectors
+    with the parties in ``subset`` (bit mask ``mask``) conjugated have
+    numerical rank ``rank``, from their ``vectors_used`` rows, with the
+    smallest singular value counted in that rank and the largest one."""
+
     subset: tuple
     mask: int
     rank: int
@@ -189,6 +198,10 @@ class SubsetSpanRecord:
 
 @dataclass(frozen=True)
 class SpanningReport:
+    """What ``spanning_check`` found: one ``SubsetSpanRecord`` per party
+    subset in SUBSETS order, the grid the kernel vectors came from, as
+    ``KernelGrid.describe`` gives it, and the input's ``s`` and ``t``."""
+
     records: tuple
     grid: dict
     s: float
@@ -252,8 +265,13 @@ def spanning_check(
 # --- exposedness certificate ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PruneRecord:
+    """One signed prune perturbation C + ``epsilon`` E of an exposedness
+    certificate, along its ``direction``-th direction E: the probe's value
+    there, the unit product vector it reached, whether the value is below
+    ``PRUNE_VIOLATION``, and the 8x8 perturbation itself."""
+
     direction: int
     epsilon: float
     #: The probe's value, the form of the perturbation at ``argmin``.
@@ -269,12 +287,15 @@ class PruneRecord:
 @dataclass(frozen=True)
 class ExposednessCertificate:
     """What each stage of ``exposedness_certificate`` decided.
-    ``unpruned_directions`` is None, and the probe arrays are empty, when the
-    first-order conditions have refused already and no falsification ran."""
+    ``exact_rank`` is the run's (zero-value, first-order) exact rank, the
+    constant its JSON cites with ``EXACT_PRIME``.  ``unpruned_directions``
+    is None, and the probe arrays are empty, when the first-order conditions
+    have refused already and no falsification ran."""
 
     s: float
     t: float
     constraint_count: int
+    exact_rank: tuple
     nullspace_dim: int
     surviving_ray_dim: int
     direction_match_error: float
@@ -314,7 +335,13 @@ class ExposednessCertificate:
         )
 
     def to_json_dict(self) -> dict:
-        return {**_field_dict(self), "tol": RANK_THRESHOLD, "certified": self.certified}
+        return {
+            **_field_dict(self),
+            "exact_rank": list(self.exact_rank),
+            "prime": EXACT_PRIME,
+            "tol": RANK_THRESHOLD,
+            "certified": self.certified,
+        }
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -339,13 +366,21 @@ _PV4_DIAG_INDICES = (0, 1, 2, 5, 6, 7)
 _PARTY_FIRST = ((1, 0, 2, 3), (2, 0, 1, 3), (3, 0, 1, 2))
 
 
-def _prune_probe(x: np.ndarray, tensors: np.ndarray) -> tuple:
+def _probe_starts(x: np.ndarray) -> tuple:
+    """The start data of ``_prune_probe`` at product vectors x (n, party, 2):
+    their unit factors (n, party, 2) and those factors' Bloch vectors
+    (party, 4, n)."""
+    unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return unit, _bloch_vectors(unit.swapaxes(0, 1))
+
+
+def _prune_probe(starts: tuple, tensors: np.ndarray) -> tuple:
     """For each Pauli tensor T (task, 4, 4, 4) of a stack of Hermitian 8x8
     matrices M (see ``witness._pauli_tensor``), the best product vector one
-    see-saw party update reaches from any product vector x of a stack (n,
-    party, 2).  Returns its unit factors (task, party, 2) and the form of M
-    there, the trilinear form of T at the factors' Bloch vectors; no 8x8
-    matrix is needed.
+    see-saw party update reaches from any product vector x of a stack, given
+    as its ``_probe_starts``.  Returns its unit factors (task, party, 2) and
+    the form of M there, the trilinear form of T at the factors' Bloch
+    vectors; no 8x8 matrix is needed.
 
     Where the form of M vanishes at x but a partial gradient there does not,
     changing one party's factor of x takes the form below zero, and the best
@@ -357,10 +392,9 @@ def _prune_probe(x: np.ndarray, tensors: np.ndarray) -> tuple:
     one move each task keeps.  That Bloch vector starts at x's own, so a
     matrix that is a multiple of the identity keeps x's factor.
     """
-    tasks, n = len(tensors), len(x)
+    unit, bloch = starts  # (x, party, 2) and (party, 4, x)
+    tasks, n = len(tensors), len(unit)
     pick = np.arange(tasks)
-    unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    bloch = _bloch_vectors(unit.swapaxes(0, 1))  # (party, 4, x)
     best_x, best_value = np.empty((3, tasks), dtype=int), np.empty((3, tasks))
     best_tau = np.empty((3, tasks, 4))
     # Party by party: for 48 product vectors and 90 tasks, tau of all three
@@ -457,19 +491,21 @@ def _member_factors(ids) -> np.ndarray:
 
 def _constraint_data(x: np.ndarray) -> tuple:
     """The zero-value constraints that conjugated product vectors x (n,
-    party, 2) impose on Hermitian matrices W: ``x`` itself, and the real rows
-    (n, 64) of W -> <x|W|x> in ``herm_to_vec`` coordinates.  Each x is a zero
-    of the Choi matrix's form."""
+    party, 2) impose on Hermitian matrices W: the probe's starts at x
+    (``_probe_starts``), and the real rows (n, 64) of W -> <x|W|x> in
+    ``herm_to_vec`` coordinates.  Each x is a zero of the Choi matrix's
+    form.  Every array is read-only."""
     full = tensor3(*x.swapaxes(0, 1))
-    return x, herm_to_vec(full[:, :, None] * full[:, None, :].conj())
+    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
+    return _read_only(*_probe_starts(x)), _read_only(rows)[0]
 
 
 #: The constraint data of the certificate and of the control,
 #: ``_constraint_data`` of the members ``CERTIFICATE_KERNEL_IDS`` and
 #: ``CONTROL_KERNEL_IDS`` at s = t, conjugated.  They depend on nothing else,
 #: so they are built once; every decision on them runs per call.
-_CERTIFICATE_DATA = _read_only(*_constraint_data(_member_factors(CERTIFICATE_KERNEL_IDS).conj()))
-_CONTROL_DATA = _read_only(*_constraint_data(_member_factors(CONTROL_KERNEL_IDS).conj()))
+_CERTIFICATE_DATA = _constraint_data(_member_factors(CERTIFICATE_KERNEL_IDS).conj())
+_CONTROL_DATA = _constraint_data(_member_factors(CONTROL_KERNEL_IDS).conj())
 
 #: The prime of the exact ranks below, 2**31 - 151.  It is 1 mod 8, so F_p
 #: holds an element zeta of order 8, the image of OMEGA, and zeta + zeta**-1
@@ -511,11 +547,11 @@ _HERM_PAULI = _read_only(np.ascontiguousarray(herm_to_vec(_PAULI_MAP.reshape(64,
 
 
 def _constraint_vectors(include_eta_zeta: bool) -> tuple:
-    """Stage 1: the constraint product vectors at s = t and their zero-value
-    rows, as ``_constraint_data`` built them at import, and their exact
-    ranks: the members ``CERTIFICATE_KERNEL_IDS`` with
-    ``CERTIFICATE_EXACT_RANKS``, or for the control ``CONTROL_KERNEL_IDS``
-    with ``CONTROL_EXACT_RANKS``."""
+    """Stage 1: the constraint product vectors at s = t, as the probe's
+    starts, and their zero-value rows, as ``_constraint_data`` built them at
+    import, and their exact ranks: the members ``CERTIFICATE_KERNEL_IDS``
+    with ``CERTIFICATE_EXACT_RANKS``, or for the control
+    ``CONTROL_KERNEL_IDS`` with ``CONTROL_EXACT_RANKS``."""
     if include_eta_zeta:
         return (*_CERTIFICATE_DATA, CERTIFICATE_EXACT_RANKS)
     return (*_CONTROL_DATA, CONTROL_EXACT_RANKS)
@@ -523,18 +559,31 @@ def _constraint_vectors(include_eta_zeta: bool) -> tuple:
 
 def _zero_value_nullspace(rows: np.ndarray, rank: int) -> tuple:
     """Stage 2: an orthonormal basis (64 - rank, 64) of the common nullspace
-    N of the zero-value rows, from their SVD; it is the nullspace the grid's
-    kernel vectors and dual states pin.  ``rank`` is the rows' exact rank,
-    and the SVD's numerical rank must be the same, or this raises
-    ValueError: the one cross-check of the float route on the exact one.
-    Also the largest entry of the basis at the diagonals the six basis
-    kernel vectors pin, which must vanish on all of N."""
-    # all 64 right singular vectors are needed only when rows are fewer
-    _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
-    numerical = _rank(sv)
+    N of the zero-value rows, the nullspace the grid's kernel vectors and
+    dual states pin, from one complete Householder QR of the 64 x (m + 1)
+    matrix [rows; C]^T, C the Choi matrix's unit coordinates.  ``rank`` is
+    the rows' exact rank; the QR needs the m rows independent, so m must be
+    that rank.  Q's columns from m on are the basis: column m is C's
+    normalized component in N, the basis's first row, and the columns after
+    it are orthogonal to C.
+
+    The singular values of R's leading m x m block are those of the rows up
+    to backward error; their numerical rank must be the exact rank, or this
+    raises ValueError, the one cross-check of the float route on the exact
+    one.  It raises too when m is not that rank, and when R[m, m] is 0,
+    where C has no component in N.  Also the largest entry of the basis at
+    the diagonals the six basis kernel vectors pin, which must vanish on
+    all of N."""
+    m = len(rows)
+    q, r = np.linalg.qr(np.vstack([rows, _CHOI_UNIT]).T, mode="complete")
+    numerical = _rank(np.linalg.svd(r[:m, :m], compute_uv=False))
     if numerical != rank:
         raise ValueError(f"the zero-value rows have numerical rank {numerical}, not their exact rank {rank}")
-    null_basis = vt[rank:]
+    if m != rank:
+        raise ValueError(f"{m} zero-value rows for their exact rank {rank}: the QR needs independent rows")
+    if r[m, m] == 0.0:
+        raise ValueError("the Choi matrix is not in the constraint nullspace")
+    null_basis = q[:, m:].T
     # herm_to_vec stores the diagonal in coordinates 0-7
     pv4_diag_error = float(np.max(np.abs(null_basis[:, _PV4_DIAG_INDICES]), initial=0.0))
     if pv4_diag_error > 10.0 * RANK_THRESHOLD:
@@ -546,49 +595,35 @@ def _zero_value_nullspace(rows: np.ndarray, rank: int) -> tuple:
 
 def _direction_match(null_basis: np.ndarray) -> float:
     """Stage 3: ``direction_match_error``, the distance of the Choi matrix's
-    unit direction to its projection onto N.  The first-order rank needs no
-    computation: it is the exact constant of stage 1."""
-    survivor = null_basis.T @ (null_basis @ _CHOI_UNIT)
-    survivor_norm = np.linalg.norm(survivor)
-    if survivor_norm == 0.0:
-        raise ValueError("the Choi matrix is not in the constraint nullspace")
-    survivor_unit = survivor / survivor_norm
-    if survivor_unit @ _CHOI_UNIT < 0:
-        survivor_unit = -survivor_unit
-    return float(np.linalg.norm(survivor_unit - _CHOI_UNIT))
+    unit direction to the survivor, the basis's first row: C's normalized
+    component in N, with its sign taken towards C.  The first-order rank
+    needs no computation: it is the exact constant of stage 1."""
+    survivor = null_basis[0]
+    if survivor @ _CHOI_UNIT < 0:
+        survivor = -survivor
+    return float(np.linalg.norm(survivor - _CHOI_UNIT))
 
 
-def _prune_directions(null_basis: np.ndarray) -> np.ndarray:
-    """The directions (dim - 1, 64) of N orthogonal to the Choi matrix C, a
-    completion of C's coordinates u = N c in the basis N of the nullspace:
-    the Householder reflection H = I - 2 w w^T / w^T w, with
-    w = u + sign(u_0) |u| e_1, maps u onto a multiple of e_1, so rows 2 to
-    dim of H N are orthonormal and orthogonal to C."""
-    w = null_basis @ _CHOI_UNIT
-    w[0] += math.copysign(np.linalg.norm(w), w[0])
-    return null_basis[1:] - np.outer(w[1:], (2.0 / (w @ w)) * (w @ null_basis))
-
-
-def _falsification(x: np.ndarray, null_basis: np.ndarray) -> dict:
+def _falsification(starts: tuple, null_basis: np.ndarray) -> dict:
     """Stage 4: both signed perturbations C +- ``PRUNE_STEP`` E of the Choi
     matrix along every direction E of N orthogonal to it must lose block
     positivity, shown by a value below ``PRUNE_VIOLATION``.  A closed-form
     probe (``_prune_probe``) tries one party update from every constraint
-    product vector; a perturbation it does not take below the threshold
-    stays open, and its direction counts as unpruned.  Returns that count
-    and the probe's per-task arrays, keyed by their certificate fields.
-    The directions are ``_prune_directions``; the perturbations stay in
-    ``herm_to_vec`` coordinates, which ``_HERM_PAULI`` takes to the Pauli
-    tensors the probe reads, and their 8x8 matrices are built only for
-    ``prune_records``."""
-    directions = _prune_directions(null_basis)
+    product vector, given as its starts; a perturbation it does not take
+    below the threshold stays open, and its direction counts as unpruned.
+    Returns that count and the probe's per-task arrays, keyed by their
+    certificate fields.  The directions are the basis rows after the
+    survivor; the perturbations stay in ``herm_to_vec`` coordinates, which
+    ``_HERM_PAULI`` takes to the Pauli tensors the probe reads, and their
+    8x8 matrices are built only for ``prune_records``."""
+    directions = null_basis[1:]
     task_direction = np.repeat(np.arange(len(directions)), 2)
     task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(directions))
     coords = _CHOI_VEC + task_eps[:, None] * directions[task_direction]
     # the certificate's 62 rows: few enough for one thread
     tensors = (coords @ _HERM_PAULI).reshape(-1, 4, 4, 4)
 
-    probe, probe_values = _prune_probe(x, tensors)
+    probe, probe_values = _prune_probe(starts, tensors)
     # A direction is pruned when both of its signed perturbations violate.
     return {
         "unpruned_directions": len(set(task_direction[~(probe_values < PRUNE_VIOLATION)].tolist())),
@@ -626,16 +661,19 @@ def exposedness_certificate(
     (``_direction_match``), and the falsification (``_falsification``).
     ``surviving_ray_dim`` is 64 minus the exact first-order rank
     (``CERTIFICATE_EXACT_RANKS``, ``CONTROL_EXACT_RANKS``), which a test
-    proves in exact arithmetic, so no first-order rank is computed.  One SVD
-    runs, for N, and its numerical rank must be the exact zero-value rank,
-    or the call raises ValueError.  The prune directions are a Householder
-    completion of C in the basis of N, and the perturbations stay in
-    ``herm_to_vec`` coordinates, which one real map takes to the Pauli
-    tensors the probe reads.  The fixed members' zero-value rows, the certificate's and the
-    control's, the Choi matrix's coordinates and that map are built at
-    import; the SVD, its rank and the probe run per call.  The
-    falsification can only withhold the certificate, never grant it, so it
-    runs only once the first-order conditions have isolated the ray:
+    proves in exact arithmetic, so no first-order rank is computed.  One
+    Householder QR of the zero-value rows with C appended gives N, the
+    survivor (C's normalized component in N) and the prune directions, the
+    rest of N; the singular values of its m x m triangle, one small SVD,
+    must have the exact zero-value rank as their numerical rank, or the
+    call raises ValueError.  The perturbations stay in ``herm_to_vec``
+    coordinates, which one real map takes to the Pauli tensors the probe
+    reads.  The fixed members' zero-value rows and the probe's starts at
+    them, the certificate's and the control's, the Choi matrix's
+    coordinates and that map are built at import; the QR, the SVD, its rank
+    and the probe run per call.  The falsification can only withhold the
+    certificate, never grant it, so it runs only once the first-order
+    conditions have isolated the ray:
     ``surviving_ray_dim`` 1 and ``direction_match_error`` below
     ``RANK_THRESHOLD``.  Otherwise ``unpruned_directions`` is None and there
     are no prune records.
@@ -647,18 +685,19 @@ def exposedness_certificate(
     ``surviving_ray_dim`` alone decides the control, and it runs no
     falsification.
     """
-    x, rows, (zero_rank, first_order_rank) = _constraint_vectors(include_eta_zeta)
-    null_basis, pv4_diag_error = _zero_value_nullspace(rows, zero_rank)
+    starts, rows, exact_rank = _constraint_vectors(include_eta_zeta)
+    null_basis, pv4_diag_error = _zero_value_nullspace(rows, exact_rank[0])
     direction_match_error = _direction_match(null_basis)
-    surviving_ray_dim = 64 - first_order_rank
+    surviving_ray_dim = 64 - exact_rank[1]
     if surviving_ray_dim == 1 and direction_match_error < RANK_THRESHOLD:
-        falsified = _falsification(x, null_basis)
+        falsified = _falsification(starts, null_basis)
     else:
         falsified = _NOT_FALSIFIED
     return ExposednessCertificate(
         s=w.s,
         t=w.t,
-        constraint_count=len(x),
+        constraint_count=len(rows),
+        exact_rank=exact_rank,
         nullspace_dim=len(null_basis),
         surviving_ray_dim=surviving_ray_dim,
         direction_match_error=direction_match_error,
@@ -693,7 +732,7 @@ DETECT_EXACT = True
 PT_ROUNDING = 64.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionCertificate:
     """A PPT state the witness detects; its verdict is ``DETECT_EXACT``.
     ``ball_radius`` is the frame's radius, at s = t: min(lambda_min,
@@ -779,6 +818,11 @@ def find_ppt_entangled(w: WitnessFamily, seed: int = 0) -> DetectionCertificate:
 
 @dataclass(frozen=True)
 class ClassifyResult:
+    """What ``kernel_classify`` matched: the kernel family's tag and its
+    fitted parameters, both None when no family fits within the tolerance,
+    and the best family's residual, the largest sine distance between a
+    party's factor and the family's."""
+
     family: str | None
     params: tuple | None
     residual: float

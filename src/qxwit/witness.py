@@ -364,6 +364,10 @@ STALL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SeesawResult:
+    """A see-saw run's outcome: the smallest form value over the restarts and
+    the product vector that reached it, the run's restarts and seed, and the
+    cycles it ran against its cap ``max_cycles``."""
+
     min_value: float
     argmin: ProductVector
     restarts: int
@@ -662,6 +666,9 @@ def verify_positive(w: WitnessFamily, restarts: int = 200, seed: int = 0) -> See
 
 
 class MotivatingSum(NamedTuple):
+    """The positive summands A and B of ``motivating_sum`` and their
+    combination ``total`` = A + B^T, B^T transposing B's second factor."""
+
     a: np.ndarray
     b: np.ndarray
     total: np.ndarray

@@ -209,6 +209,9 @@ def is_block_positive_xwitness(x4: float, y4: float, z) -> bool:
 
 @dataclass(frozen=True)
 class SeparabilityVerdict:
+    """What ``rank4_separability_check`` decided, and the conditions of the
+    criterion that failed, as text, empty when it holds."""
+
     separable: bool
     violated: tuple
 
@@ -326,6 +329,9 @@ def _half_phase(sq: complex) -> complex:
 
 @dataclass(frozen=True)
 class Reconstruction:
+    """The product vector v of ``reconstruct_product_vector`` and the scale r
+    with r X = xpart(|v><v|)."""
+
     vector: ProductVector
     scale: float
 

@@ -705,3 +705,24 @@ class TestSpanningRowConstants:
         report = spanning_check(WitnessFamily(), grid, tags)
         assert calls == [(grid, tags)]
         assert report.records == _spanning_records_by_loop(WitnessFamily(), grid, tags)
+
+
+class TestRecordIdentity:
+    """Records that hold arrays compare and hash by identity, as
+    ``ProductVector`` and ``XMatrix`` do: a generated ``__eq__`` would
+    compare the arrays and raise, and a generated hash would hash them."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ppt_check(np.eye(8) / 8),
+            lambda: find_ppt_entangled(WitnessFamily()),
+            lambda: exposedness_certificate(WitnessFamily()).prune_records[0],
+        ],
+        ids=["PPTReport", "DetectionCertificate", "PruneRecord"],
+    )
+    def test_eq_in_and_hash(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+        assert hash(a) == hash(a) and len({a, b}) == 2

@@ -953,47 +953,51 @@ class TestPositivityRunReport:
         assert code == 0 and payload["certified"] is True
 
 
-#: sha256 of the stdout, with the exit code, of ``certify exposedness`` at
-#: (s, constraints), t = 8 / s.  Recorded once both runs moved to the frame
-#: s = t and the certificate to its fixed 32 members, and again when the JSON
-#: dropped ``survivor_offx_error`` and ``equality_case``, which only restated
-#: ``direction_match_error``.  The control's were recorded again when it
-#: stopped at its first-order refusal, which left its payload the same but
-#: for ``"unpruned_directions": null`` in place of 0, and again when it moved
-#: to its 18 fixed members, which changed ``constraint_count`` (36 and 48 on
-#: the small and default grids) and took ``direction_match_error`` and
-#: ``pv4_diagonal_error`` from about 1e-16 to 0.0, and nothing else.  All
-#: were recorded again when ``--grid`` and the echoed ``grid`` went: each
-#: payload is the one of every grid before, less its ``grid`` key, and the
-#: pins at s = 1, 8 and 1e-3 were added then, checked the same way.  A change
-#: meant to keep the output must keep these.  They pin one platform's
-#: floating point (numpy 2.4 with OpenBLAS 0.3.31 on x86-64): another BLAS or
-#: LAPACK may round the last bits differently.
-_EXPOSEDNESS_STDOUT_SHA256 = {
-    (0.5, "certificate"): (0, "25c91447288350ed8c240e4b7867942ffbb279a0a9cdd164b659a5f068b5bcb3"),
-    (0.5, "control"): (1, "af3f19993cbaa3dd97e668bd35eb0fafcfc1c454f594a75910d624fc7a8d65b7"),
-    (2 * SQRT2, "certificate"): (0, "2710c89047939600b8aa7092f2faed9ed6b91742edbba4a3d63cab1dae147c16"),
-    (2 * SQRT2, "control"): (1, "cb157f296ca6c9f9167959714d11c6ec8358569e3ac34220d68ea86cccdf6717"),
-    (16.0, "certificate"): (0, "645e0a0e1cac833adaf2f7333d85ae27f743123b92e7dcbfbe9333e5603992c1"),
-    (16.0, "control"): (1, "d29ea18a2abc27ec17d2158eb44628eab8297007a3f4914f31a793bafcaecc98"),
-    (1.0, "certificate"): (0, "e1180668136ce71ce7677adc420a17ccce929331f9a81a40b4112f15db001ec5"),
-    (1.0, "control"): (1, "644a6ee1770ae9b914e55fd7230435d6c153c4bb2873824c3eb34b23785ecd60"),
-    (8.0, "certificate"): (0, "2af85f747a6a2927235bf0c416d63126cb9db0c145551cefb2c2c39c955f2608"),
-    (8.0, "control"): (1, "46024b68562607b0b494b6e533d0b9c5cd8050059b57d4985d95fb9787a84ff3"),
-    (1e-3, "certificate"): (0, "e5caa4e06effe86bb78a349efc0c00dcaf82835ee41bb6d42ec1e5c5a91dcb55"),
-    (1e-3, "control"): (1, "6b343f7e6fe88f84bfbd9fada0836747e1b80493623b2bb9a8c68a4beb1a1523"),
+#: The stdout of ``certify exposedness``, with the exit code, less the echoed
+#: ``s`` and ``t``, for the certificate and the flat-only control: every run
+#: computes at s = t from its fixed members, so the text is the same at every
+#: (s, 8 / s).  Written out in full, so that a change that moves a byte shows
+#: as a readable diff.  Pinned when the nullspace, the survivor and the prune
+#: directions moved to one Householder QR and the payload began to cite the
+#: exact ranks and their prime.  A change meant to keep the output must keep
+#: these.  They pin one platform's floating point (numpy 2.4
+#: with OpenBLAS 0.3.31 on x86-64): another BLAS or LAPACK may round the last
+#: bits of ``direction_match_error`` and ``pv4_diagonal_error`` differently.
+_EXPOSEDNESS_STDOUT = {
+    "certificate": (
+        0,
+        '{"certified":true,"constraint_count":32,"direction_match_error":1.1794536764359223e-15,'
+        '"exact_rank":[32,63],"nullspace_dim":32,"prime":2147483497,"pv4_diagonal_error":7.963299770872632e-16,'
+        '"surviving_ray_dim":1,"tol":1e-08,"unpruned_directions":0}\n',
+    ),
+    "control": (
+        1,
+        '{"certified":false,"constraint_count":18,"direction_match_error":2.7194799110210365e-16,'
+        '"exact_rank":[18,54],"nullspace_dim":46,"prime":2147483497,"pv4_diagonal_error":0.0,'
+        '"surviving_ray_dim":10,"tol":1e-08,"unpruned_directions":null}\n',
+    ),
 }
+
+#: The inputs s, t = 8 / s, at which the stdout is pinned.
+_EXPOSEDNESS_PINNED_S = (0.5, 2 * SQRT2, 16.0, 1.0, 8.0, 1e-3)
 
 
 class TestExposednessStdoutPinned:
-    @pytest.mark.parametrize("s, kind", list(_EXPOSEDNESS_STDOUT_SHA256))
-    def test_sha256(self, capsys, s, kind):
+    @pytest.mark.parametrize("kind", list(_EXPOSEDNESS_STDOUT))
+    @pytest.mark.parametrize("s", _EXPOSEDNESS_PINNED_S)
+    def test_stdout(self, capsys, s, kind):
         argv = ["certify", "exposedness", "--s", repr(s), "--t", repr(8.0 / s)]
         if kind == "control":
             argv.append("--drop-curved-constraints")
         code, out, _ = run(capsys, *argv)
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert (code, digest) == _EXPOSEDNESS_STDOUT_SHA256[s, kind]
+        payload = json.loads(out)
+        assert (payload["s"], payload["t"]) == (s, 8.0 / s)
+        # the echo, as the sorted compact JSON writes it, after the key before it
+        for key in ("s", "t"):
+            echo = f',"{key}":{json.dumps(payload[key])}'
+            assert out.count(echo) == 1
+            out = out.replace(echo, "")
+        assert (code, out) == _EXPOSEDNESS_STDOUT[kind]
 
 
 class TestExposednessGate:
@@ -1029,7 +1033,7 @@ class TestExposednessGate:
 #: their own SVD, and at s = 0.5 and 16 again when spanning moved to the frame
 #: s = t (the digests at s = t did not move); a change meant to keep the
 #: output must keep these.  They pin the same platform's floating point as the
-#: exposedness digests above.
+#: exposedness stdout above.
 _SPANNING_STDOUT_SHA256 = {
     (0.5, "small"): (0, "375d51d2416586e7f972addc6dc7ef503129d2bc47b7d4619fffacf33cdd2cc7"),
     (0.5, "default"): (0, "b7436edd08e714b171d0ba3637f87430a56e475196bcfa3530904150717b149d"),

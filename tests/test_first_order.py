@@ -107,20 +107,25 @@ class TestFirstOrderOracle:
 
 class TestConstraintConstants:
     """The constraint data the certificate and the control read, built at
-    import: their fixed members and zero-value rows, and the Choi matrix's
-    coordinates."""
+    import: the probe's starts at their fixed members and the members'
+    zero-value rows, and the Choi matrix's coordinates."""
 
     def test_constants_are_a_rebuild_and_read_only(self):
+        def arrays(data):
+            (unit, bloch), rows = data
+            return [unit, bloch, rows]
+
         w0 = WitnessFamily()
         cvec = herm_to_vec(choi_explicit(w0))
         rebuilt = [cvec, cvec / np.linalg.norm(cvec)]
         for ids in (CERTIFICATE_KERNEL_IDS, CONTROL_KERNEL_IDS):
             x = np.array([kernel_vector(w0, tag, p).factors() for tag, p in ids])
-            rebuilt += certify._constraint_data(x.conj())
+            rebuilt += arrays(certify._constraint_data(x.conj()))
         constants = (
-            certify._CHOI_VEC, certify._CHOI_UNIT, *certify._CERTIFICATE_DATA, *certify._CONTROL_DATA
+            certify._CHOI_VEC, certify._CHOI_UNIT, *arrays(certify._CERTIFICATE_DATA),
+            *arrays(certify._CONTROL_DATA),
         )
-        assert len(constants) == len(rebuilt) == 6
+        assert len(constants) == len(rebuilt) == 8
         for const, fresh in zip(constants, rebuilt):
             assert const.dtype == fresh.dtype and const.shape == fresh.shape
             assert const.tobytes() == fresh.tobytes()

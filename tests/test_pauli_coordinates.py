@@ -1,6 +1,6 @@
 """The prune perturbations of the exposedness certificate kept in
 ``herm_to_vec`` coordinates, whose Pauli tensors one real 64 x 64 map gives,
-and the one SVD a run takes."""
+and the one QR and one SVD a run takes."""
 
 import json
 from unittest import mock
@@ -21,9 +21,9 @@ from qxwit.witness import _pauli_tensor
 def run_coords(include_eta_zeta: bool) -> np.ndarray:
     """The perturbations' ``herm_to_vec`` coordinates of a run's
     falsification, which the control runs only when asked to."""
-    x, rows, (zero_rank, _) = certify._constraint_vectors(include_eta_zeta)
+    starts, rows, (zero_rank, _) = certify._constraint_vectors(include_eta_zeta)
     null_basis, _ = certify._zero_value_nullspace(rows, zero_rank)
-    return certify._falsification(x, null_basis)["_coords"]
+    return certify._falsification(starts, null_basis)["_coords"]
 
 
 def mapped(coords: np.ndarray) -> np.ndarray:
@@ -59,10 +59,10 @@ class TestPauliCoordinates:
 
     @pytest.mark.parametrize("include_eta_zeta", [True, False])
     def test_probe_values_are_the_form_at_its_factors(self, include_eta_zeta):
-        x, _, _ = certify._constraint_vectors(include_eta_zeta)
+        starts, _, _ = certify._constraint_vectors(include_eta_zeta)
         coords = run_coords(include_eta_zeta)
         perts = vec_to_herm(coords)
-        factors, values = certify._prune_probe(x, mapped(coords))
+        factors, values = certify._prune_probe(starts, mapped(coords))
         psi = tensor3(factors[:, 0], factors[:, 1], factors[:, 2])
         forms = np.einsum("ti,tij,tj->t", psi.conj(), perts, psi).real
         assert np.max(np.abs(values - forms)) <= 1e-14 * np.max(np.abs(perts))
@@ -71,12 +71,15 @@ class TestPauliCoordinates:
 class TestGuard:
     @pytest.mark.parametrize(
         "include_eta_zeta, shapes",
-        [(True, [(32, 64)]), (False, [(18, 64)])],
+        [(True, ([(64, 33)], [(32, 32)])), (False, ([(64, 19)], [(18, 18)]))],
     )
     def test_svd_inputs(self, include_eta_zeta, shapes):
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr, \
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             exposedness_certificate(WitnessFamily(1.3, 8.0 / 1.3), include_eta_zeta=include_eta_zeta)
-        assert [call.args[0].shape for call in spy.call_args_list] == shapes
+        qr_shapes = [call.args[0].shape for call in qr.call_args_list]
+        svd_shapes = [call.args[0].shape for call in svd.call_args_list]
+        assert (qr_shapes, svd_shapes) == shapes
 
     @pytest.mark.parametrize("flat, code", [(False, 0), (True, 1)])
     def test_cli_builds_no_matrix(self, capsys, monkeypatch, flat, code):

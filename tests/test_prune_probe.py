@@ -23,8 +23,10 @@ from qxwit import (
 )
 from qxwit import ProductVector, certify, witness
 from qxwit.certify import (
+    EXACT_PRIME,
     PRUNE_STEP,
     PRUNE_VIOLATION,
+    RANK_THRESHOLD,
     PruneRecord,
     herm_to_vec,
     vec_to_herm,
@@ -76,7 +78,7 @@ class TestProbeSettlesCertificates:
         assert cert.unpruned_directions is None and not cert.certified
         assert cert.prune_records == ()
         x, _, _, perts = _reference_inputs(GRIDS[grid], include_eta_zeta=False)
-        _, values = certify._prune_probe(x, _pauli_tensor(perts))
+        _, values = certify._prune_probe(certify._probe_starts(x), _pauli_tensor(perts))
         assert len(values) == 2 * (cert.nullspace_dim - 1)
         assert np.all(values < PRUNE_VIOLATION)
 
@@ -175,13 +177,11 @@ def _assert_probe_matches(factors, values, perts, ref_factors, ref_values, near)
         assert np.max(overlaps) == pytest.approx(1.0, abs=1e-13)
 
 
-def _householder_completion(null_basis: np.ndarray, cunit: np.ndarray) -> np.ndarray:
-    """Rows 2 to dim of H N for the basis rows N: H = I - 2 w w^T / w^T w,
-    w = u + sign(u_0) |u| e_1 for C's coordinates u = N c, reflects u onto
-    a multiple of e_1, so the rows are an orthonormal basis of N less C."""
-    w = null_basis @ cunit
-    w[0] += math.copysign(np.linalg.norm(w), w[0])
-    return null_basis[1:] - np.outer(w[1:], (2.0 / (w @ w)) * (w @ null_basis))
+def _qr_completion(rows: np.ndarray, cunit: np.ndarray) -> np.ndarray:
+    """The prune directions as the certificate takes them: Q's columns m + 1
+    on of the complete QR of [rows; C]^T, for m independent rows, are an
+    orthonormal basis of N less C."""
+    return np.linalg.qr(np.vstack([rows, cunit]).T, mode="complete")[0][:, len(rows) + 1 :].T
 
 
 def _svd_completion(null_basis: np.ndarray, cunit: np.ndarray) -> np.ndarray:
@@ -191,13 +191,12 @@ def _svd_completion(null_basis: np.ndarray, cunit: np.ndarray) -> np.ndarray:
     return np.linalg.svd(perp, full_matrices=False)[2][: len(null_basis) - 1]
 
 
-def _reference_nullspace(grid, include_eta_zeta=True) -> tuple:
+def _reference_rows(grid, include_eta_zeta=True) -> tuple:
     """The conjugated product vectors x, the fixed certificate members, one
     ``kernel_vector`` each; for the control, with ``grid`` None the fixed
     control members, or else the grid's flat members and the basis kernel
-    vectors; all in the frame s = t whatever the certificate's s.  And the
-    basis of the nullspace of their zero-value rows, ``herm_to_vec`` of the
-    projector stack."""
+    vectors; all in the frame s = t whatever the certificate's s.  And their
+    zero-value rows, ``herm_to_vec`` of the projector stack."""
     w0 = WitnessFamily()
     if include_eta_zeta or grid is None:
         ids = certify.CERTIFICATE_KERNEL_IDS if include_eta_zeta else certify.CONTROL_KERNEL_IDS
@@ -205,26 +204,33 @@ def _reference_nullspace(grid, include_eta_zeta=True) -> tuple:
     else:
         x = np.concatenate([_kernel_table(w0, grid, PV1_TAGS), _PV4_FACTORS]).conj()
     full = tensor3(*x.swapaxes(0, 1))
-    rows = herm_to_vec(full[:, :, None] * full[:, None, :].conj())
+    return x, herm_to_vec(full[:, :, None] * full[:, None, :].conj())
+
+
+def _reference_nullspace(grid, include_eta_zeta=True) -> tuple:
+    """x of ``_reference_rows``, and the basis of the nullspace of their
+    zero-value rows from the rows' SVD, a route that shares nothing with
+    the certificate's QR."""
+    x, rows = _reference_rows(grid, include_eta_zeta)
     _, sv, vt = np.linalg.svd(rows, full_matrices=len(rows) < 64)
     return x, vt[_rank(sv) :]
 
 
-def _reference_inputs(grid, include_eta_zeta=True, householder=False) -> tuple:
+def _reference_inputs(grid, include_eta_zeta=True, qr=False) -> tuple:
     """The probe's inputs as the certificate built them eagerly: the
     conjugated product vectors x, and per signed perturbation its direction,
-    step and matrix.  The directions come from the SVD of perp, as before
-    the certificate took their Householder completion, or with
-    ``householder`` from that completion, and then the perturbations are
-    built in ``herm_to_vec`` coordinates as the certificate builds them."""
+    step and matrix.  The directions come from the SVD of perp on the SVD
+    nullspace, or with ``qr`` from the QR of the fixed members' rows, as the
+    certificate takes them, and then the perturbations are built in
+    ``herm_to_vec`` coordinates as the certificate builds them."""
     x, null_basis = _reference_nullspace(grid, include_eta_zeta)
     choi = choi_explicit(WitnessFamily())
     cvec = herm_to_vec(choi)
     cunit = cvec / np.linalg.norm(cvec)
     task_direction = np.repeat(np.arange(len(null_basis) - 1), 2)
     task_eps = np.tile([PRUNE_STEP, -PRUNE_STEP], len(null_basis) - 1)
-    if householder:
-        directions = _householder_completion(null_basis, cunit)
+    if qr:
+        directions = _qr_completion(_reference_rows(grid, include_eta_zeta)[1], cunit)
         perts = vec_to_herm(cvec + task_eps[:, None] * directions[task_direction])
     else:
         directions = vec_to_herm(_svd_completion(null_basis, cunit))
@@ -233,10 +239,10 @@ def _reference_inputs(grid, include_eta_zeta=True, householder=False) -> tuple:
 
 
 def _reference_records(grid, include_eta_zeta=True) -> tuple:
-    """The prune records of ``_reference_inputs``, on the Householder
-    completion, as the certificate built them eagerly.  The probe is the
-    eigh oracle, whose lowest moves per record come first."""
-    x, task_direction, task_eps, perts = _reference_inputs(grid, include_eta_zeta, householder=True)
+    """The prune records of ``_reference_inputs``, on the QR directions, as
+    the certificate built them eagerly.  The probe is the eigh oracle, whose
+    lowest moves per record come first."""
+    x, task_direction, task_eps, perts = _reference_inputs(grid, include_eta_zeta, qr=True)
     probe, probe_values, near = _reference_probe(x, perts)
     return near, tuple(
         PruneRecord(
@@ -256,9 +262,9 @@ def _reference_records(grid, include_eta_zeta=True) -> tuple:
 def _control_falsification() -> dict:
     """The falsification stage run on the flat-only control's nullspace,
     which the control itself skips once its first-order rank refuses it."""
-    x, rows, (zero_rank, _) = certify._constraint_vectors(include_eta_zeta=False)
+    starts, rows, (zero_rank, _) = certify._constraint_vectors(include_eta_zeta=False)
     null_basis, _ = certify._zero_value_nullspace(rows, zero_rank)
-    return certify._falsification(x, null_basis)
+    return certify._falsification(starts, null_basis)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -278,8 +284,8 @@ class TestProbeAgainstReference:
         calls = []
         probe = certify._prune_probe
 
-        def spy(x, tensors):
-            calls.append((x, probe(x, tensors)))
+        def spy(starts, tensors):
+            calls.append((starts, probe(starts, tensors)))
             return calls[-1][1]
 
         monkeypatch.setattr(certify, "_prune_probe", spy)
@@ -290,16 +296,17 @@ class TestProbeAgainstReference:
             # the control runs no probe; check it on the control's inputs
             assert calls == []
             x, _, _, perts = _reference_inputs(GRIDS[grid], include_eta_zeta=False)
-            spy(x, _pauli_tensor(perts))
-        [(x, (factors, values))] = calls
-        _assert_probe_matches(factors, values, perts, *_reference_probe(x, perts))
+            spy(certify._probe_starts(x), _pauli_tensor(perts))
+        # the oracle starts from the unit factors the probe started from
+        [((unit, _), (factors, values))] = calls
+        _assert_probe_matches(factors, values, perts, *_reference_probe(unit, perts))
 
     def test_multiple_of_the_identity_keeps_the_factor(self):
         # every effective matrix is 2 I, so every move is optimal and the
         # first x's factor stays, up to phase
         x = np.random.default_rng(7).standard_normal((5, 3, 2, 2)) @ [1.0, 1j]
         perts = 2.0 * np.eye(8, dtype=complex)[None]
-        factors, values = certify._prune_probe(x, _pauli_tensor(perts))
+        factors, values = certify._prune_probe(certify._probe_starts(x), _pauli_tensor(perts))
         _assert_probe_matches(factors, values, perts, *_reference_probe(x, perts))
         unit = x[0] / np.linalg.norm(x[0], axis=-1, keepdims=True)
         assert abs(np.vdot(tensor3(*unit), tensor3(*factors[0]))) == pytest.approx(1.0, abs=1e-15)
@@ -317,32 +324,57 @@ class TestProbeAgainstReference:
             _control_falsification()
         [(_, tensors)] = calls
         # the perturbations as the certificate's records hold them, bit for bit
-        perts = _reference_inputs(None, not flat, householder=True)[3]
+        perts = _reference_inputs(None, not flat, qr=True)[3]
         assert np.max(np.abs(tensors - _pauli_tensor(perts))) <= 1e-15 * np.max(np.abs(perts))
 
 
-class TestHouseholderCompletion:
-    """The prune directions, on the certificate's and the control's
-    nullspaces: an orthonormal basis of N less the Choi matrix, the subspace
-    the SVD of perp spans."""
+class TestQRNullspace:
+    """The basis of N, the survivor and the prune directions from the QR of
+    the certificate's and the control's rows, against the nullspace of the
+    rows' SVD: on the fixed members' own rows and, for the control, on every
+    grid's flat members and basis kernel vectors, whose rows span the same
+    space."""
 
-    @pytest.mark.parametrize("flat", [False, True])
-    @pytest.mark.parametrize("grid", [None, *sorted(GRIDS)])
-    def test_orthonormal_and_the_svd_subspace(self, grid, flat):
-        # stage 1's nullspace, or the control's on a grid's own members
-        if grid is None:
-            _, rows, (zero_rank, _) = certify._constraint_vectors(not flat)
-            null_basis, _ = certify._zero_value_nullspace(rows, zero_rank)
-        else:
-            _, null_basis = _reference_nullspace(GRIDS[grid], not flat)
+    @pytest.mark.parametrize(
+        "flat, grid",
+        [pytest.param(False, None, id="certificate"), pytest.param(True, None, id="control")]
+        + [pytest.param(True, grid, id=f"control-{grid}") for grid in sorted(GRIDS)],
+    )
+    def test_against_the_svd_nullspace(self, flat, grid):
+        _, rows, (zero_rank, _) = certify._constraint_vectors(not flat)
+        null_basis, _ = certify._zero_value_nullspace(rows, zero_rank)
+        _, svd_basis = _reference_nullspace(GRIDS.get(grid), not flat)
         cvec = herm_to_vec(choi_explicit(WitnessFamily()))
         cunit = cvec / np.linalg.norm(cvec)
-        directions = certify._prune_directions(null_basis)
-        assert directions.shape == (len(null_basis) - 1, 64)
-        assert np.max(np.abs(directions @ directions.T - np.eye(len(directions)))) <= 1e-14
-        assert np.max(np.abs(directions @ cunit)) <= 1e-14
-        svd = _svd_completion(null_basis, cunit)
-        assert np.max(np.abs(directions.T @ directions - svd.T @ svd)) <= 1e-12
+        assert null_basis.shape == svd_basis.shape == (64 - zero_rank, 64)
+        # an orthonormal basis that the rows annihilate
+        assert np.max(np.abs(null_basis @ null_basis.T - np.eye(len(null_basis)))) <= 1e-14
+        assert np.max(np.abs(rows @ null_basis.T)) <= 1e-14 * np.max(np.abs(rows))
+        # the survivor, up to sign, is C, and the directions are orthogonal to it
+        survivor = math.copysign(1.0, null_basis[0] @ cunit) * null_basis[0]
+        assert np.linalg.norm(survivor - cunit) < RANK_THRESHOLD
+        assert np.max(np.abs(null_basis[1:] @ cunit)) <= 1e-14
+        # the subspace of the SVD route
+        assert np.max(np.abs(null_basis.T @ null_basis - svd_basis.T @ svd_basis)) <= 1e-12
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_dependent_rows_raise(self, flat):
+        _, rows, (zero_rank, _) = certify._constraint_vectors(not flat)
+        # a duplicated member: the numerical rank is the exact one, the count is not
+        doubled = np.concatenate([rows, rows[:1]])
+        with pytest.raises(ValueError, match=f"{zero_rank + 1} zero-value rows for their exact rank"):
+            certify._zero_value_nullspace(doubled, zero_rank)
+        # a claimed rank that the rows do not have
+        for rank in (zero_rank - 1, zero_rank + 1):
+            with pytest.raises(ValueError, match=f"numerical rank {zero_rank}, not their exact rank {rank}"):
+                certify._zero_value_nullspace(rows, rank)
+
+    def test_no_component_in_the_nullspace_raises(self, monkeypatch):
+        _, rows, (zero_rank, _) = certify._constraint_vectors(True)
+        # a zero column reflects to exact zeros, so R[m, m] == 0
+        monkeypatch.setattr(certify, "_CHOI_UNIT", np.zeros(64))
+        with pytest.raises(ValueError, match="not in the constraint nullspace"):
+            certify._zero_value_nullspace(rows, zero_rank)
 
     @pytest.mark.parametrize("s", ON_THE_CURVE)
     def test_certificate_margin(self, s):
@@ -354,22 +386,54 @@ class TestHouseholderCompletion:
 
 
 class TestOneSVD:
-    """The certificate and the control each take one SVD, the zero-value
-    nullspace; their first-order ranks are exact constants."""
+    """The certificate and the control each take one QR, the zero-value
+    nullspace, and one SVD, that of R's m x m triangle for the rank
+    cross-check; their first-order ranks are exact constants."""
 
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize("s", ON_THE_CURVE)
     def test_svd_calls(self, s, flat):
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr, \
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             exposedness_certificate(curve(s), include_eta_zeta=not flat)
-        assert spy.call_count == 1
+        m = 18 if flat else 32
+        assert [call.args[0].shape for call in qr.call_args_list] == [(64, m + 1)]
+        assert [call.args[0].shape for call in svd.call_args_list] == [(m, m)]
+
+
+class TestProbeStarts:
+    """The probe's start data, built at import with the fixed members."""
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_constant_is_a_read_only_rebuild(self, flat):
+        x, _ = _reference_rows(None, not flat)
+        starts, _, _ = certify._constraint_vectors(not flat)
+        fresh = certify._probe_starts(x)
+        assert len(starts) == len(fresh) == 2
+        for const, rebuilt in zip(starts, fresh):
+            assert _same_bits(const, rebuilt)
+            assert not const.flags.writeable
+
+    def test_unit_factors_and_their_bloch_vectors(self):
+        x = np.random.default_rng(3).standard_normal((7, 3, 2, 2)) @ [1.0, 1j]
+        unit, bloch = certify._probe_starts(x)
+        assert unit.shape == x.shape and bloch.shape == (3, 4, 7)
+        assert np.max(np.abs(np.linalg.norm(unit, axis=-1) - 1.0)) <= 1e-15
+        # |f><f| = (I + n.sigma) / 2, so n_k = <f|sigma_k|f>, n_0 = 1
+        expected = np.einsum("xpa,kab,xpb->pkx", unit.conj(), witness._PAULI, unit).real
+        assert np.max(np.abs(bloch - expected)) <= 1e-15
+        # the same rays as x
+        overlaps = np.abs(np.einsum("xpa,xpa->xp", unit.conj(), x)) / np.linalg.norm(x, axis=-1)
+        assert np.max(np.abs(overlaps - 1.0)) <= 1e-15
 
 
 _JSON_KEYS = {
     "certified",
     "constraint_count",
     "direction_match_error",
+    "exact_rank",
     "nullspace_dim",
+    "prime",
     "pv4_diagonal_error",
     "s",
     "surviving_ray_dim",
@@ -427,6 +491,14 @@ class TestRecordsOnDemand:
         assert set(cert.to_json_dict()) == _JSON_KEYS
         cert.prune_records
         assert set(cert.to_json_dict()) == _JSON_KEYS
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_json_cites_the_exact_ranks(self, flat):
+        payload = exposedness_certificate(WitnessFamily(), include_eta_zeta=not flat).to_json_dict()
+        ranks = certify.CONTROL_EXACT_RANKS if flat else certify.CERTIFICATE_EXACT_RANKS
+        assert payload["exact_rank"] == list(ranks) and payload["prime"] == EXACT_PRIME
+        assert payload["nullspace_dim"] == 64 - ranks[0]
+        assert payload["surviving_ray_dim"] == 64 - ranks[1]
 
 
 def _with(value, i=0, j=0):

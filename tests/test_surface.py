@@ -62,3 +62,13 @@ def _unused_imports(path: pathlib.Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in qxwit.__all__ if inspect.isclass(getattr(qxwit, name))]
+)
+def test_public_classes_have_their_own_docstring(name):
+    # without one, dataclasses and NamedTuple set __doc__ to the signature
+    cls = getattr(qxwit, name)
+    doc = vars(cls).get("__doc__")
+    assert doc and not doc.startswith(f"{name}(")
